@@ -89,13 +89,14 @@ func (b *Bus) Transfer(n units.Bytes, name string, onDone func()) time.Duration 
 	b.bytes += n
 	b.busyTime += service
 	b.transfers++
-	b.engine.Schedule(end, "bus:"+name, func() {
-		if onDone != nil {
-			onDone()
-		}
-	})
+	if onDone == nil {
+		onDone = nop
+	}
+	b.engine.Schedule(end, "bus:"+name, onDone)
 	return end
 }
+
+func nop() {}
 
 // Busy reports whether the bus has unfinished transfers.
 func (b *Bus) Busy() bool { return b.busyUntil > b.engine.Now() }

@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"greengpu/internal/cpusim"
@@ -33,6 +34,7 @@ import (
 	"greengpu/internal/dvfs"
 	"greengpu/internal/faultinject"
 	"greengpu/internal/governor"
+	"greengpu/internal/gpusim"
 	"greengpu/internal/sim"
 	"greengpu/internal/telemetry"
 	"greengpu/internal/testbed"
@@ -41,7 +43,9 @@ import (
 )
 
 // Package metrics (see docs/OBSERVABILITY.md). No-ops unless telemetry is
-// enabled.
+// enabled. Counters a run bumps more than once (iterations here, the tier-2
+// scaler's and governor's decisions, the guards' recovery actions) are
+// tallied in the run's own state and added once each when Run returns.
 var (
 	metricRunsStarted = telemetry.NewCounter("greengpu_core_runs_total",
 		"Framework runs started (core.Run calls past validation).")
@@ -399,8 +403,18 @@ type framework struct {
 	faultsAtIter faultinject.Counts
 	recovAtIter  RecoveryCounts
 
+	// Governor decisions tallied for one Add per metric at run end.
+	govTally governor.Tally
+
 	ratio      float64
 	iterations int
+
+	// One kernel and one CPU job are reused by every iteration (each
+	// completes before the next iteration starts), and the callbacks that
+	// drive them are bound once per run.
+	kernel       gpusim.Kernel
+	cpuJob       cpusim.Job
+	submitKernel func()
 
 	iterIndex  int
 	iterStart  time.Duration
@@ -422,7 +436,16 @@ func (f *framework) run() (*Result, error) {
 	if cfg.Iterations > 0 {
 		f.iterations = cfg.Iterations
 	}
-	f.result = &Result{Workload: f.profile.Name, Mode: cfg.Mode}
+	f.result = &Result{
+		Workload: f.profile.Name,
+		Mode:     cfg.Mode,
+		// Capped so an absurd iteration count cannot reserve memory up
+		// front; append grows past the cap as usual.
+		Iterations: make([]IterationStats, 0, min(f.iterations, maxPreallocIterations)),
+	}
+	f.kernel.OnComplete = func() { f.sideDone(&f.gpuPending, &f.gpuDoneAt) }
+	f.cpuJob.OnComplete = func() { f.sideDone(&f.cpuPending, &f.cpuDoneAt) }
+	f.submitKernel = func() { m.GPU.Submit(&f.kernel) }
 
 	// Arm fault injection. A nil or Zero plan arms nothing: the control
 	// loop below then follows the exact fault-free path (the guards and
@@ -577,12 +600,13 @@ func (f *framework) run() (*Result, error) {
 				})
 			}
 		})
+		govNext := f.govTally.Bind(f.cpuGov)
 		f.govTicker = m.Engine.Every(cfg.CPUGovernorInterval, "tier2:cpu-governor", func() {
 			u := cpu.MaxCoreUtilization()
 			if f.injector != nil {
 				u = f.injector.CPUSensor(u)
 			}
-			next := f.cpuGov.Next(u, cpu.Level(), cpu.Levels())
+			next := govNext(u, cpu.Level(), cpu.Levels())
 			if f.cpuGuard != nil {
 				// The guard gates the P-state write like a GPU transition;
 				// the unused memory domain stays at level 0.
@@ -607,6 +631,7 @@ func (f *framework) run() (*Result, error) {
 	if f.govTicker != nil {
 		f.govTicker.Stop()
 	}
+	f.flushMetrics()
 
 	endSnap := m.Snapshot()
 	cpuCnt1 := cpu.Counters()
@@ -626,6 +651,24 @@ func (f *framework) run() (*Result, error) {
 		r.Recoveries = f.recoverySnapshot()
 	}
 	return r, nil
+}
+
+// maxPreallocIterations caps the iteration log reserved up front.
+const maxPreallocIterations = 1024
+
+// flushMetrics adds the run's tallied counts to the package metrics, one
+// Add each.
+func (f *framework) flushMetrics() {
+	metricIterations.Add(uint64(len(f.result.Iterations)))
+	f.govTally.Flush()
+	if f.scaler != nil {
+		f.scaler.FlushMetrics()
+	}
+	for _, g := range []*dvfs.Guard{f.gpuGuard, f.cpuGuard} {
+		if g != nil {
+			g.FlushMetrics()
+		}
+	}
 }
 
 // gateResult adapts a faultinject transition verdict to the guard's gate
@@ -670,13 +713,14 @@ func (f *framework) startIteration() {
 	r := f.ratio
 	gpuUnits := (1 - r) * workload.UnitsPerIteration
 	cpuUnits := r * workload.UnitsPerIteration
+	name := f.profile.Name + ":iter" + strconv.Itoa(f.iterIndex)
 
 	// Repartitioning traffic when the ratio moved since last iteration.
 	if f.iterIndex > 0 && f.divider != nil {
 		h := f.divider.History()
 		last := h[len(h)-1]
 		if bytes := f.profile.RepartitionTraffic(last.R, last.NewR); bytes > 0 {
-			m.Bus.Transfer(bytes, fmt.Sprintf("%s:iter%d:repartition", f.profile.Name, f.iterIndex), nil)
+			m.Bus.Transfer(bytes, name+":repartition", nil)
 		}
 	}
 
@@ -688,22 +732,19 @@ func (f *framework) startIteration() {
 		if f.injector != nil {
 			kernelUnits *= f.injector.Straggler()
 		}
-		name := fmt.Sprintf("%s:iter%d", f.profile.Name, f.iterIndex)
-		k := f.profile.GPUKernel(name, kernelUnits)
-		k.OnComplete = func() { f.sideDone(&f.gpuPending, &f.gpuDoneAt) }
+		f.kernel.Name = name
+		f.kernel.Phases = f.profile.AppendGPUPhases(f.kernel.Phases[:0], kernelUnits)
 		xfer := f.profile.TransferBytes(gpuUnits)
-		m.Bus.Transfer(xfer, name+":h2d", func() { m.GPU.Submit(k) })
+		m.Bus.Transfer(xfer, name+":h2d", f.submitKernel)
 	} else {
 		f.sideDone(&f.gpuPending, &f.gpuDoneAt)
 	}
 
 	// CPU side.
 	if cpuUnits > 1e-9 {
-		m.CPU.Run(&cpusim.Job{
-			Name:       fmt.Sprintf("%s:iter%d:cpu", f.profile.Name, f.iterIndex),
-			Ops:        f.profile.CPUOps(cpuUnits),
-			OnComplete: func() { f.sideDone(&f.cpuPending, &f.cpuDoneAt) },
-		})
+		f.cpuJob.Name = name + ":cpu"
+		f.cpuJob.Ops = f.profile.CPUOps(cpuUnits)
+		m.CPU.Run(&f.cpuJob)
 	} else {
 		f.sideDone(&f.cpuPending, &f.cpuDoneAt)
 	}
@@ -779,7 +820,6 @@ func (f *framework) endIteration() {
 		f.recovAtIter = curR
 	}
 	f.result.Iterations = append(f.result.Iterations, stats)
-	metricIterations.Inc()
 	if f.cfg.OnIteration != nil {
 		f.cfg.OnIteration(stats)
 	}

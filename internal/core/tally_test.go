@@ -1,0 +1,131 @@
+package core
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"greengpu/internal/dvfs"
+	"greengpu/internal/telemetry"
+	"greengpu/internal/testbed"
+	"greengpu/internal/workload"
+)
+
+// TestTalliedCountersMatchObservers runs holistic points concurrently with
+// telemetry on and checks that every counter a run tallies locally and
+// flushes once at the end advances by exactly the number of events the
+// run's observers saw — the count the per-event Inc calls produced before
+// the tallies existed.
+func TestTalliedCountersMatchObservers(t *testing.T) {
+	was := telemetry.Enabled()
+	telemetry.Enable()
+	defer func() {
+		if !was {
+			telemetry.Disable()
+		}
+	}()
+	counters := []string{
+		"greengpu_core_iterations_total",
+		"greengpu_dvfs_steps_total",
+		"greengpu_dvfs_level_changes_total",
+		"greengpu_governor_decisions_total",
+		"greengpu_governor_jumps_to_max_total",
+	}
+	before := make(map[string]uint64)
+	for _, name := range counters {
+		before[name] = telemetry.Default.CounterValue(name)
+	}
+
+	type seen struct{ iterations, steps, changes, decisions, jumps uint64 }
+	names := []string{"kmeans", "hotspot", "bfs", "nbody"}
+	profiles := make([]*workload.Profile, len(names))
+	for i, n := range names {
+		profiles[i] = profileByName(t, n)
+	}
+	if DefaultConfig(Holistic).CPUGovernor != nil {
+		t.Fatal("default governor is no longer ondemand; update the jump count below")
+	}
+	results := make([]seen, 8)
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := &results[g]
+			var last dvfs.Decision
+			first := true
+			cfg := DefaultConfig(Holistic)
+			cfg.Iterations = 3 + g%3
+			cfg.OnIteration = func(IterationStats) { s.iterations++ }
+			cfg.OnDVFS = func(_ time.Duration, _, _ float64, d dvfs.Decision) {
+				s.steps++
+				if !first && d != last {
+					s.changes++
+				}
+				first, last = false, d
+			}
+			cfg.OnCPUGovernor = func(_ time.Duration, util float64, _ int) {
+				s.decisions++
+				if util > 0.80 { // ondemand's UpThreshold
+					s.jumps++
+				}
+			}
+			if _, err := Run(testbed.New(), profiles[g%len(profiles)], cfg); err != nil {
+				t.Error(err)
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	var want seen
+	for _, s := range results {
+		want.iterations += s.iterations
+		want.steps += s.steps
+		want.changes += s.changes
+		want.decisions += s.decisions
+		want.jumps += s.jumps
+	}
+	if want.steps == 0 || want.decisions == 0 || want.jumps == 0 || want.changes == 0 {
+		t.Fatalf("observers saw too little to check: %+v", want)
+	}
+	for name, w := range map[string]uint64{
+		"greengpu_core_iterations_total":       want.iterations,
+		"greengpu_dvfs_steps_total":            want.steps,
+		"greengpu_dvfs_level_changes_total":    want.changes,
+		"greengpu_governor_decisions_total":    want.decisions,
+		"greengpu_governor_jumps_to_max_total": want.jumps,
+	} {
+		if got := telemetry.Default.CounterValue(name) - before[name]; got != w {
+			t.Errorf("%s advanced by %d, observers saw %d", name, got, w)
+		}
+	}
+}
+
+// TestHolisticRunAllocsPerIteration pins the per-run allocation of the
+// iteration machinery: the kernel, the CPU job, their callbacks and the
+// iteration log are set up once per run, so an extra iteration costs only
+// its diagnostic names (the iteration's label, its transfer and CPU-job
+// labels, and the event labels the bus and devices derive from them) plus
+// the division log's amortized growth.
+func TestHolisticRunAllocsPerIteration(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector runtime perturbs whole-run allocation counts")
+	}
+	p := profileByName(t, "kmeans")
+	run := func(iters int) func() {
+		return func() {
+			cfg := DefaultConfig(Holistic)
+			cfg.Iterations = iters
+			if _, err := Run(testbed.New(), p, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const lo, hi = 4, 12
+	few := testing.AllocsPerRun(10, run(lo))
+	many := testing.AllocsPerRun(10, run(hi))
+	if perIter := (many - few) / (hi - lo); perIter > 7 {
+		t.Fatalf("each extra iteration allocates %.1f objects (%.0f at %d iterations, %.0f at %d), want ≤ 7",
+			perIter, few, lo, many, hi)
+	}
+}

@@ -36,7 +36,8 @@ import (
 )
 
 // Package metrics (see docs/OBSERVABILITY.md). No-ops unless telemetry is
-// enabled; Step stays allocation-free either way.
+// enabled. Step only bumps the scaler's own tallies; FlushMetrics adds
+// them here in one Add each, which core.Run does when a run ends.
 var (
 	metricSteps = telemetry.NewCounter("greengpu_dvfs_steps_total",
 		"Tier-2 epoch decisions taken (Scaler.Step calls) across all runs.")
@@ -169,10 +170,10 @@ func PairDistance(a, b Decision) int {
 }
 
 // weightTable abstracts the WMA storage so the scaler can run on either
-// the float table or the §VI-style 8-bit fixed-point table.
+// the float table or the §VI-style 8-bit fixed-point table. Update applies
+// one round of per-expert losses and returns the new argmax.
 type weightTable interface {
-	Update(loss func(i int) float64)
-	Best() int
+	Update(losses []float64) int
 	Reset()
 	Weight(i int) float64
 }
@@ -192,12 +193,13 @@ type Scaler struct {
 	lcBuf   []float64
 	lmBuf   []float64
 	lossBuf []float64
-	lossAt  func(idx int) float64 // reads lossBuf; bound once, reused by Update
 
 	steps int
 	// lastBest tracks the previous decision's flat pair index (-1 before
-	// the first Step) so metricLevelChanges counts enforced transitions.
+	// the first Step) so level changes count enforced transitions.
 	lastBest int
+	// Steps and level changes not yet added to the package metrics.
+	unflushedSteps, unflushedChanges uint64
 }
 
 // NewScaler creates a scaler for the given frequency ladders (both sorted
@@ -235,7 +237,6 @@ func newScaler(coreLevels, memLevels []units.Frequency, p Params, mk func(n int)
 		lossBuf:   make([]float64, len(cu)*len(mu)),
 		lastBest:  -1,
 	}
-	s.lossAt = func(idx int) float64 { return s.lossBuf[idx] }
 	return s
 }
 
@@ -274,7 +275,8 @@ func (s *Scaler) TotalLoss(i, j int, uCore, uMem float64) float64 {
 // separable) into a reused scratch vector, with the same operation order as
 // TotalLoss — Step(u_c, u_m) agrees bit-for-bit with charging TotalLoss
 // pair by pair, at N+M rather than 2·N·M Loss evaluations and zero
-// allocations.
+// allocations. The weight table then takes the whole vector in one pass
+// that also finds the new argmax.
 func (s *Scaler) Step(uCore, uMem float64) Decision {
 	uCore = sanitizeUtil(uCore)
 	uMem = sanitizeUtil(uMem)
@@ -285,24 +287,32 @@ func (s *Scaler) Step(uCore, uMem float64) Decision {
 		s.lmBuf[j] = Loss(uMem, um, s.params.AlphaMem)
 	}
 	phi, oneMinusPhi := s.params.Phi, 1-s.params.Phi
-	k := 0
-	for i := range s.coreUMean {
-		lc := phi * s.lcBuf[i]
-		for j := range s.memUMean {
-			s.lossBuf[k] = lc + oneMinusPhi*s.lmBuf[j]
-			k++
+	m := len(s.lmBuf)
+	for i, lci := range s.lcBuf {
+		lc := phi * lci
+		row := s.lossBuf[i*m : (i+1)*m]
+		for j, lm := range s.lmBuf {
+			row[j] = lc + oneMinusPhi*lm
 		}
 	}
-	s.table.Update(s.lossAt)
+	best := s.table.Update(s.lossBuf)
 	s.steps++
-	best := s.table.Best()
-	metricSteps.Inc()
+	s.unflushedSteps++
 	if best != s.lastBest && s.lastBest >= 0 {
-		metricLevelChanges.Inc()
+		s.unflushedChanges++
 	}
 	s.lastBest = best
-	m := len(s.memUMean)
 	return Decision{CoreLevel: best / m, MemLevel: best % m}
+}
+
+// FlushMetrics adds the steps and level changes taken since the last flush
+// to greengpu_dvfs_steps_total and greengpu_dvfs_level_changes_total, one
+// Add each. Tallying locally keeps contended atomics out of the per-epoch
+// path when several runs share the process.
+func (s *Scaler) FlushMetrics() {
+	metricSteps.Add(s.unflushedSteps)
+	metricLevelChanges.Add(s.unflushedChanges)
+	s.unflushedSteps, s.unflushedChanges = 0, 0
 }
 
 // Weight returns the current weight of the (core i, mem j) pair, for

@@ -1,6 +1,7 @@
 package dvfs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -30,34 +31,200 @@ func TestSanitizeUtil(t *testing.T) {
 	}
 }
 
-// FuzzScalerStep feeds arbitrary (including non-finite) utilizations into
-// the scaler and asserts it never panics, always returns in-range levels,
-// and keeps its weight table finite.
-func FuzzScalerStep(f *testing.F) {
-	f.Add(0.5, 0.5)
-	f.Add(math.NaN(), math.Inf(1))
-	f.Add(math.Inf(-1), -3.7)
-	f.Add(1e308, -1e308)
-	f.Add(-0.0, 2.0)
+// refScaler is the scaler as it stood before Step fused the weight update
+// with the argmax: every pair is charged through TotalLoss, the WMA round
+// runs through a per-expert loss closure, and a separate scan picks the
+// highest weight. It is the oracle Step must match bit for bit.
+type refScaler struct {
+	s       *Scaler // ladders, params and TotalLoss; its own table is unused
+	weights []float64
 
-	core := []units.Frequency{200e6, 300e6, 400e6, 500e6}
-	mem := []units.Frequency{600e6, 800e6, 900e6}
-	s := NewScaler(core, mem, DefaultParams())
-	f.Fuzz(func(t *testing.T, uc, um float64) {
-		d := s.Step(uc, um)
-		if d.CoreLevel < 0 || d.CoreLevel >= len(core) {
-			t.Fatalf("Step(%v,%v) core level %d out of range [0,%d)", uc, um, d.CoreLevel, len(core))
+	// Coverage flags for the fixed cases.
+	renormalized, subnormal, tiedAtRenorm bool
+}
+
+func newRefScaler(core, mem []units.Frequency, p Params) *refScaler {
+	s := NewScaler(core, mem, p)
+	n, m := s.Levels()
+	w := make([]float64, n*m)
+	for i := range w {
+		w[i] = 1
+	}
+	return &refScaler{s: s, weights: w}
+}
+
+func (r *refScaler) step(uc, um float64) Decision {
+	_, m := r.s.Levels()
+	r.update(func(k int) float64 { return r.s.TotalLoss(k/m, k%m, uc, um) })
+	best := r.best()
+	return Decision{CoreLevel: best / m, MemLevel: best % m}
+}
+
+// update is wma.Table.Update with its loss closure, renormalizing below
+// the same 1e-100 threshold.
+func (r *refScaler) update(loss func(i int) float64) {
+	oneMinusBeta := 1 - r.s.params.Beta
+	max := 0.0
+	for i := range r.weights {
+		l := loss(i)
+		if l < 0 || l > 1 || math.IsNaN(l) {
+			panic(fmt.Sprintf("loss for expert %d is %v", i, l))
 		}
-		if d.MemLevel < 0 || d.MemLevel >= len(mem) {
-			t.Fatalf("Step(%v,%v) mem level %d out of range [0,%d)", uc, um, d.MemLevel, len(mem))
+		w := r.weights[i] * (1 - oneMinusBeta*l)
+		r.weights[i] = w
+		if w > max {
+			max = w
 		}
-		for i := 0; i < len(core); i++ {
-			for j := 0; j < len(mem); j++ {
-				if w := s.Weight(i, j); math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-					t.Fatalf("Step(%v,%v) left weight(%d,%d) = %v", uc, um, i, j, w)
+		if w != 0 && w < 0x1p-1022 {
+			r.subnormal = true
+		}
+	}
+	if max < 1e-100 {
+		r.renormalized = true
+		if max <= 0 {
+			for i := range r.weights {
+				r.weights[i] = 1
+			}
+			return
+		}
+		ties := 0
+		for _, w := range r.weights {
+			if w == max {
+				ties++
+			}
+		}
+		r.tiedAtRenorm = r.tiedAtRenorm || ties > 1
+		for i := range r.weights {
+			r.weights[i] /= max
+		}
+	}
+}
+
+func (r *refScaler) best() int {
+	best, bw := 0, r.weights[0]
+	for i, w := range r.weights[1:] {
+		if w > bw {
+			best, bw = i+1, w
+		}
+	}
+	return best
+}
+
+// The ladders the differential oracle runs on.
+var (
+	oracleCore = []units.Frequency{200e6, 300e6, 400e6, 500e6}
+	oracleMem  = []units.Frequency{600e6, 800e6, 900e6}
+)
+
+// oracleParams maps arbitrary fuzz inputs onto valid parameters, keeping
+// the paper's value for any input outside its range.
+func oracleParams(alphaCore, alphaMem, phi float64) Params {
+	p := DefaultParams()
+	for _, f := range []struct {
+		dst *float64
+		v   float64
+	}{{&p.AlphaCore, alphaCore}, {&p.AlphaMem, alphaMem}, {&p.Phi, phi}} {
+		if f.v >= 0 && f.v <= 1 {
+			*f.dst = f.v
+		}
+	}
+	return p
+}
+
+// checkAgainstReference steps a Scaler and the reference side by side,
+// alternating between two utilization samples, and fails on the first
+// decision or weight bit that differs. It also checks the invariants the
+// fuzz target always held: in-range levels and finite, non-negative
+// weights. It returns the reference for coverage checks.
+func checkAgainstReference(t *testing.T, p Params, uc, um, uc2, um2 float64, steps int) *refScaler {
+	t.Helper()
+	s := NewScaler(oracleCore, oracleMem, p)
+	ref := newRefScaler(oracleCore, oracleMem, p)
+	for k := 0; k < steps; k++ {
+		a, b := uc, um
+		if k%2 == 1 {
+			a, b = uc2, um2
+		}
+		d := s.Step(a, b)
+		if want := ref.step(a, b); d != want {
+			t.Fatalf("step %d Step(%v,%v) = %+v, reference %+v", k, a, b, d, want)
+		}
+		if d.CoreLevel < 0 || d.CoreLevel >= len(oracleCore) || d.MemLevel < 0 || d.MemLevel >= len(oracleMem) {
+			t.Fatalf("step %d Step(%v,%v) = %+v out of range", k, a, b, d)
+		}
+		for i := range oracleCore {
+			for j := range oracleMem {
+				w, rw := s.Weight(i, j), ref.weights[i*len(oracleMem)+j]
+				if math.Float64bits(w) != math.Float64bits(rw) {
+					t.Fatalf("step %d Step(%v,%v): weight(%d,%d) = %v, reference %v", k, a, b, i, j, w, rw)
+				}
+				if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+					t.Fatalf("step %d Step(%v,%v) left weight(%d,%d) = %v", k, a, b, i, j, w)
 				}
 			}
 		}
+	}
+	return ref
+}
+
+// TestScalerStepMatchesReference runs the differential oracle on fixed
+// cases that reach the paths a short fuzz run may not: renormalization,
+// subnormal weights, and renormalization while the top weight is tied.
+//
+// Renormalization divides by the exact maximum, so it can round lower
+// weights together but never lifts one to tie the maximum: any w below
+// the maximum m satisfies w/m ≤ 1 − 2⁻⁵³ before rounding, and that value
+// is representable. A tie at the top after renormalization is therefore
+// one that was already there, which the tied case covers; Update still
+// rescans after renormalizing so it never depends on this argument.
+func TestScalerStepMatchesReference(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name                     string
+		alphaCore, alphaMem, phi float64
+		uc, um, uc2, um2         float64
+		steps                    int
+		renorm, subnormal, tied  bool
+	}{
+		{name: "paper params", alphaCore: 0.15, alphaMem: 0.02, phi: 0.3,
+			uc: 0.62, um: 0.41, uc2: 0.1, um2: 0.93, steps: 200},
+		{name: "non-finite samples", alphaCore: 0.15, alphaMem: 0.02, phi: 0.3,
+			uc: nan, um: inf, uc2: -inf, um2: -3.7, steps: 200},
+		{name: "renormalization with subnormal weights", alphaCore: 0.5, alphaMem: 0.5, phi: 0.5,
+			uc: 0.5, um: 0.25, uc2: 0.5, um2: 0.25, steps: 4000,
+			renorm: true, subnormal: true},
+		{name: "renormalization with a tied top weight", alphaCore: 0.5, alphaMem: 0.5, phi: 1,
+			uc: 0.5, um: 0.3, uc2: 0.5, um2: 0.9, steps: 4000,
+			renorm: true, tied: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := oracleParams(c.alphaCore, c.alphaMem, c.phi)
+			ref := checkAgainstReference(t, p, c.uc, c.um, c.uc2, c.um2, c.steps)
+			if c.renorm && !ref.renormalized {
+				t.Error("case never renormalized")
+			}
+			if c.subnormal && !ref.subnormal {
+				t.Error("case never produced a subnormal weight")
+			}
+			if c.tied && !ref.tiedAtRenorm {
+				t.Error("case never renormalized with a tied top weight")
+			}
+		})
+	}
+}
+
+// FuzzScalerStep drives the scaler and the pre-fusion reference with
+// arbitrary (including non-finite) utilizations and parameters for up to
+// 4,096 steps, requiring the same decision and bit-identical weights after
+// every step, in-range levels, and a finite weight table.
+func FuzzScalerStep(f *testing.F) {
+	f.Add(0.5, 0.5, 0.5, 0.5, 0.15, 0.02, 0.3, uint16(64))
+	f.Add(math.NaN(), math.Inf(1), math.Inf(-1), -3.7, 0.15, 0.02, 0.3, uint16(64))
+	f.Add(1e308, -1e308, -0.0, 2.0, 0.15, 0.02, 0.3, uint16(64))
+	f.Add(0.5, 0.25, 0.5, 0.25, 0.5, 0.5, 0.5, uint16(4000))
+	f.Add(0.5, 0.3, 0.5, 0.9, 0.5, 0.5, 1.0, uint16(4000))
+	f.Fuzz(func(t *testing.T, uc, um, uc2, um2, alphaCore, alphaMem, phi float64, n uint16) {
+		checkAgainstReference(t, oracleParams(alphaCore, alphaMem, phi), uc, um, uc2, um2, int(n%4096)+1)
 	})
 }
 

@@ -7,7 +7,8 @@ import (
 )
 
 // Guard metrics (see docs/OBSERVABILITY.md). No-ops unless telemetry is
-// enabled; Sample and Step stay allocation-free either way.
+// enabled. Sample and Step only bump the guard's own Counts; FlushMetrics
+// adds them here in one Add each, which core.Run does when a run ends.
 var (
 	metricGuardHeldSamples = telemetry.NewCounter("greengpu_guard_held_samples_total",
 		"Dropped sensor samples replaced by the last good reading (hold-last-good).")
@@ -131,8 +132,9 @@ func (c GuardCounts) Sub(earlier GuardCounts) GuardCounts {
 // it belongs to one simulated machine's event loop. All methods are
 // allocation-free.
 type Guard struct {
-	cfg    GuardConfig
-	counts GuardCounts
+	cfg     GuardConfig
+	counts  GuardCounts
+	flushed GuardCounts // counts already added to the package metrics
 
 	last Decision // level pair the guard believes is in force
 
@@ -161,6 +163,17 @@ func NewGuard(cfg GuardConfig, initial Decision) *Guard {
 // Counts returns the recovery actions taken so far.
 func (g *Guard) Counts() GuardCounts { return g.counts }
 
+// FlushMetrics adds the recovery actions taken since the last flush to the
+// greengpu_guard_* metrics, one Add per kind.
+func (g *Guard) FlushMetrics() {
+	d := g.counts.Sub(g.flushed)
+	metricGuardHeldSamples.Add(d.HeldSamples)
+	metricGuardRetries.Add(d.Retries)
+	metricGuardDeferred.Add(d.DeferredApplies)
+	metricGuardWatchdog.Add(d.WatchdogTrips)
+	g.flushed = g.counts
+}
+
 // Enforced returns the decision the guard currently believes is in force.
 func (g *Guard) Enforced() Decision { return g.last }
 
@@ -179,7 +192,6 @@ func (g *Guard) Sample(uc, um float64) (float64, float64, bool) {
 		return uc, um, false
 	}
 	g.counts.HeldSamples++
-	metricGuardHeldSamples.Inc()
 	return g.lastUc, g.lastUm, true
 }
 
@@ -207,7 +219,6 @@ func (g *Guard) Step(want Decision, gate func() (TransitionResult, int)) Decisio
 		}
 		g.last = g.pending
 		g.counts.DeferredApplies++
-		metricGuardDeferred.Inc()
 	}
 
 	// Nothing to change.
@@ -230,7 +241,6 @@ func (g *Guard) Step(want Decision, gate func() (TransitionResult, int)) Decisio
 	case TransitionApplied:
 		if retrying {
 			g.counts.Retries++
-			metricGuardRetries.Inc()
 		}
 		g.last = want
 		g.pendingIn = 0
@@ -239,7 +249,6 @@ func (g *Guard) Step(want Decision, gate func() (TransitionResult, int)) Decisio
 	case TransitionDeferred:
 		if retrying {
 			g.counts.Retries++
-			metricGuardRetries.Inc()
 		}
 		if delay <= 0 {
 			delay = 1
@@ -251,7 +260,6 @@ func (g *Guard) Step(want Decision, gate func() (TransitionResult, int)) Decisio
 	case TransitionFailed:
 		if retrying {
 			g.counts.Retries++
-			metricGuardRetries.Inc()
 		}
 		g.fails++
 		g.wait = g.backoff
@@ -261,7 +269,6 @@ func (g *Guard) Step(want Decision, gate func() (TransitionResult, int)) Decisio
 		}
 		if g.fails >= g.cfg.WatchdogK {
 			g.counts.WatchdogTrips++
-			metricGuardWatchdog.Inc()
 			g.failsafeLeft = g.cfg.FailsafeHold
 			// The failsafe is the platform's reset state and is modelled
 			// as always reachable — it does not pass through the gate.

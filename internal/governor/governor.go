@@ -17,13 +17,62 @@ import (
 )
 
 // Package metrics (see docs/OBSERVABILITY.md). No-ops unless telemetry is
-// enabled.
+// enabled. Next adds each decision at once; a decision function from
+// Tally.Bind counts into the tally, which its owner flushes with one Add
+// per metric (core.Run does so when a run ends).
 var (
 	metricDecisions = telemetry.NewCounter("greengpu_governor_decisions_total",
 		"CPU governor sampling decisions (Policy.Next calls) across all runs.")
 	metricJumpsToMax = telemetry.NewCounter("greengpu_governor_jumps_to_max_total",
 		"Ondemand decisions that jumped straight to the highest P-state.")
 )
+
+// Tally counts governor decisions, jumps to the top level and held samples
+// locally, so a run's worth of them reaches the package metrics in one Add
+// each instead of one contended atomic per decision.
+type Tally struct {
+	decisions, jumpsToMax, holds uint64
+}
+
+// Flush adds the tally to the package metrics and zeroes it.
+func (t *Tally) Flush() {
+	if t.decisions > 0 {
+		metricDecisions.Add(t.decisions)
+	}
+	if t.jumpsToMax > 0 {
+		metricJumpsToMax.Add(t.jumpsToMax)
+	}
+	if t.holds > 0 {
+		metricHardenedHolds.Add(t.holds)
+	}
+	*t = Tally{}
+}
+
+// decider is implemented by every policy in this package: Next's logic,
+// counting into t. Each policy's Next is decide plus an immediate flush.
+type decider interface {
+	decide(util float64, current, nLevels int, t *Tally) int
+}
+
+// Bind returns p's decision function with this package's metrics counted
+// into t rather than added at once: call it once per run, then once per
+// decision. Policies defined outside this package decide through Next.
+func (t *Tally) Bind(p Policy) func(util float64, current, nLevels int) int {
+	if d, ok := p.(decider); ok {
+		return func(util float64, current, nLevels int) int {
+			return d.decide(util, current, nLevels, t)
+		}
+	}
+	return p.Next
+}
+
+// next is the body shared by every policy's Next.
+func next(d decider, util float64, current, nLevels int) int {
+	var t Tally
+	l := d.decide(util, current, nLevels, &t)
+	t.Flush()
+	return l
+}
 
 // Policy decides the next frequency level from the observed utilization.
 // Levels are indices into an ascending frequency ladder with nLevels
@@ -69,14 +118,18 @@ func (o *Ondemand) Name() string { return "ondemand" }
 // Next implements Policy: above UpThreshold jump to the top level; below
 // DownThreshold step down one level; otherwise hold.
 func (o *Ondemand) Next(util float64, current, nLevels int) int {
+	return next(o, util, current, nLevels)
+}
+
+func (o *Ondemand) decide(util float64, current, nLevels int, t *Tally) int {
 	if nLevels <= 0 {
 		panic("governor: nLevels must be positive")
 	}
-	metricDecisions.Inc()
+	t.decisions++
 	current = clampLevel(current, nLevels)
 	switch {
 	case util > o.UpThreshold:
-		metricJumpsToMax.Inc()
+		t.jumpsToMax++
 		return nLevels - 1
 	case util < o.DownThreshold && current > 0:
 		return current - 1
@@ -118,10 +171,14 @@ func (c *Conservative) Name() string { return "conservative" }
 // Next implements Policy: one step up above UpThreshold, one step down
 // below DownThreshold, hold in between.
 func (c *Conservative) Next(util float64, current, nLevels int) int {
+	return next(c, util, current, nLevels)
+}
+
+func (c *Conservative) decide(util float64, current, nLevels int, t *Tally) int {
 	if nLevels <= 0 {
 		panic("governor: nLevels must be positive")
 	}
-	metricDecisions.Inc()
+	t.decisions++
 	current = clampLevel(current, nLevels)
 	switch {
 	case util > c.UpThreshold && current < nLevels-1:
@@ -141,11 +198,15 @@ type BestPerformance struct{}
 func (BestPerformance) Name() string { return "best-performance" }
 
 // Next implements Policy.
-func (BestPerformance) Next(_ float64, _, nLevels int) int {
+func (b BestPerformance) Next(util float64, current, nLevels int) int {
+	return next(b, util, current, nLevels)
+}
+
+func (BestPerformance) decide(_ float64, _, nLevels int, t *Tally) int {
 	if nLevels <= 0 {
 		panic("governor: nLevels must be positive")
 	}
-	metricDecisions.Inc()
+	t.decisions++
 	return nLevels - 1
 }
 
@@ -156,11 +217,15 @@ type PowerSave struct{}
 func (PowerSave) Name() string { return "powersave" }
 
 // Next implements Policy.
-func (PowerSave) Next(_ float64, _, nLevels int) int {
+func (p PowerSave) Next(util float64, current, nLevels int) int {
+	return next(p, util, current, nLevels)
+}
+
+func (PowerSave) decide(_ float64, _, nLevels int, t *Tally) int {
 	if nLevels <= 0 {
 		panic("governor: nLevels must be positive")
 	}
-	metricDecisions.Inc()
+	t.decisions++
 	return 0
 }
 

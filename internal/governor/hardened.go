@@ -16,6 +16,7 @@ var metricHardenedHolds = telemetry.NewCounter("greengpu_governor_held_samples_t
 // only ever sees sane inputs, and callers only ever see sane outputs.
 type Hardened struct {
 	policy   Policy
+	inner    decider // policy's counting form; nil for foreign policies
 	lastGood float64
 	holds    uint64
 }
@@ -23,7 +24,8 @@ type Hardened struct {
 // Harden wraps a policy. The last-good reading starts at 0 (idle), the
 // same fallback dvfs.sanitizeUtil uses before any sample has arrived.
 func Harden(p Policy) *Hardened {
-	return &Hardened{policy: p}
+	d, _ := p.(decider)
+	return &Hardened{policy: p, inner: d}
 }
 
 // Name implements Policy.
@@ -37,13 +39,23 @@ func (h *Hardened) Unwrap() Policy { return h.policy }
 
 // Next implements Policy.
 func (h *Hardened) Next(util float64, current, nLevels int) int {
+	return next(h, util, current, nLevels)
+}
+
+func (h *Hardened) decide(util float64, current, nLevels int, t *Tally) int {
 	if util != util || util-util != 0 { // NaN or ±Inf
 		util = h.lastGood
 		h.holds++
-		metricHardenedHolds.Inc()
+		t.holds++
 	} else {
 		util = units.Clamp(util, 0, 1)
 		h.lastGood = util
 	}
-	return clampLevel(h.policy.Next(util, current, nLevels), nLevels)
+	var l int
+	if h.inner != nil {
+		l = h.inner.decide(util, current, nLevels, t)
+	} else {
+		l = h.policy.Next(util, current, nLevels)
+	}
+	return clampLevel(l, nLevels)
 }

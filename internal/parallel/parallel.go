@@ -159,11 +159,12 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 	progress := func() {
 		mu.Lock()
 		settled++
-		done := settled
-		mu.Unlock()
 		if c.onProgress != nil {
-			c.onProgress(done, n)
+			// Called under the lock: that is what serializes the calls
+			// and keeps done strictly increasing.
+			c.onProgress(settled, n)
 		}
+		mu.Unlock()
 	}
 
 	for w := 0; w < c.workers; w++ {

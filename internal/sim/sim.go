@@ -13,7 +13,8 @@
 //
 // The engine recycles event nodes through a free list, so steady-state
 // Schedule/fire churn (device phase completions, controller ticks) allocates
-// nothing. Schedule returns an Event handle — a small value, not a pointer
+// nothing; a Ticker goes further and re-queues one node it owns in place on
+// every tick. Schedule returns an Event handle — a small value, not a pointer
 // to engine-owned memory — that carries a generation counter. When a node
 // fires or is cancelled it returns to the pool and its generation is bumped;
 // a handle whose generation no longer matches is stale and every operation
@@ -66,12 +67,13 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // event is a pooled queue node. Nodes are owned by the engine and recycled
 // on fire/cancel; external code only ever sees Event handles.
 type event struct {
-	at    time.Duration
-	seq   uint64
-	fn    func()
-	name  string
-	index int32  // heap index, -1 while pooled
-	gen   uint64 // bumped on every recycle; stale handles mismatch
+	at     time.Duration
+	seq    uint64
+	fn     func()
+	name   string
+	ticker *Ticker // owning ticker, which fires instead of fn; nil otherwise
+	index  int32   // heap index, -1 while pooled
+	gen    uint64  // bumped on every recycle; stale handles mismatch
 }
 
 // Event is a handle to a scheduled callback. It is a small value, safe to
@@ -113,6 +115,7 @@ func (e *Engine) alloc() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.name = ""
+	ev.ticker = nil
 	ev.index = -1
 	ev.gen++
 	e.free = append(e.free, ev)
@@ -175,13 +178,18 @@ func (e *Engine) Cancel(ev Event) {
 // The node is recycled before the callback runs, so a callback that
 // schedules new work may be handed the node it is firing from — handles
 // held by the callback's creator are already stale by then and cannot
-// interfere with the new event.
+// interfere with the new event. A ticker's node is the exception: the
+// ticker keeps it and re-queues it after its callback.
 func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
 	ev := e.queue.pop()
 	e.now = ev.at
+	if t := ev.ticker; t != nil {
+		t.fire()
+		return true
+	}
 	fn := ev.fn
 	e.recycle(ev)
 	fn()
@@ -230,10 +238,8 @@ func (e *Engine) Stop() { e.stopped = true }
 type Ticker struct {
 	engine  *Engine
 	period  time.Duration
-	name    string
 	fn      func()
-	tick    func() // bound once at Every; re-arming reuses it, no per-tick closure
-	ev      Event
+	node    *event // owned until Stop; re-queued in place on every tick
 	stopped bool
 }
 
@@ -243,28 +249,41 @@ func (e *Engine) Every(period time.Duration, name string, fn func()) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: Every(%v) with non-positive period", period))
 	}
-	t := &Ticker{engine: e, period: period, name: name, fn: fn}
-	t.tick = func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	}
+	t := &Ticker{engine: e, period: period, fn: fn, node: e.alloc()}
+	t.node.name, t.node.ticker = name, t
 	t.arm()
 	return t
 }
 
+// arm queues the ticker's node one period from now. It takes the next
+// sequence number exactly as Schedule would, so re-arming in place orders
+// every tick as a fresh After call would.
 func (t *Ticker) arm() {
-	t.ev = t.engine.After(t.period, t.name, t.tick)
+	e, n := t.engine, t.node
+	n.at, n.seq = AddTime(e.now, t.period), e.seq
+	e.seq++
+	e.queue.push(n)
+}
+
+// fire runs one tick; Step calls it with the node already dequeued.
+func (t *Ticker) fire() {
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels future firings. A tick already being processed completes.
+// The ticker's node returns to the engine's pool.
 func (t *Ticker) Stop() {
+	if t.stopped {
+		return
+	}
 	t.stopped = true
-	t.engine.Cancel(t.ev)
+	if n := t.node; n.index >= 0 {
+		t.engine.queue.remove(int(n.index))
+	}
+	t.engine.recycle(t.node)
 }
 
 // Period returns the ticker's firing period.

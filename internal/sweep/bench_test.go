@@ -67,8 +67,8 @@ func BenchmarkSweepPredicted(b *testing.B) {
 
 // BenchmarkSweepNaive measures the same 36 points evaluated the pre-batch
 // way: one fresh machine and one full event-driven simulation per point.
-// The committed BENCH_sweep.json pins the batched engine at ≥10× this
-// baseline's points/s.
+// The committed BENCH_sweep.json records the batched engine's lead over
+// this baseline (docs/PERF.md "Sweeps").
 func BenchmarkSweepNaive(b *testing.B) {
 	e := testEngine(b)
 	spec := ladderSpec()
@@ -88,6 +88,30 @@ func BenchmarkSweepNaive(b *testing.B) {
 			if _, err := core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), prof, cfg); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(pts)*b.N)/b.Elapsed().Seconds(), "points/s")
+}
+
+// BenchmarkSweepHolistic measures the 6×6 ladder in holistic mode
+// (GreenGPU proper): every point takes the full event-by-event simulation,
+// so points/s is the cost of the tier-2 controller ticks, the device
+// models and the division tier — the layer the batch fast path never
+// covers.
+func BenchmarkSweepHolistic(b *testing.B) {
+	e := testEngine(b)
+	spec := ladderSpec()
+	spec.Mode = core.Holistic
+	pts, err := e.Expand(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run(spec); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()

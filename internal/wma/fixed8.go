@@ -61,12 +61,16 @@ func (t *Fixed8Table) Weight(i int) float64 {
 }
 
 // Update applies one round: every expert's weight is multiplied by
-// (1 − (1−β)·loss) using Q8.8 integer arithmetic. Loss values outside
-// [0,1] (or NaN) panic, as in the float table.
-func (t *Fixed8Table) Update(loss func(i int) float64) {
+// (1 − (1−β)·losses[i]) using Q8.8 integer arithmetic. It returns the
+// index of the highest-weighted expert afterwards, as Best would. Loss
+// values outside [0,1] (or NaN) panic, as in the float table, and
+// len(losses) must equal Len.
+func (t *Fixed8Table) Update(losses []float64) int {
+	if len(losses) != len(t.weights) {
+		panic(fmt.Sprintf("wma: %d losses for %d experts", len(losses), len(t.weights)))
+	}
 	oneMinusBeta := uint32(256) - t.beta8 // Q0.8
-	for i := range t.weights {
-		l := loss(i)
+	for i, l := range losses {
 		if l < 0 || l > 1 || math.IsNaN(l) {
 			panic(fmt.Sprintf("wma: loss for expert %d is %v, must be in [0,1]", i, l))
 		}
@@ -90,6 +94,7 @@ func (t *Fixed8Table) Update(loss func(i int) float64) {
 	} else if m == 0 {
 		t.Reset()
 	}
+	return t.Best()
 }
 
 // Best returns the index of the highest-weighted expert, lowest index on

@@ -12,14 +12,11 @@
 // Because weights decay multiplicatively and never grow, a long run would
 // underflow float64. The table therefore renormalizes automatically
 // (dividing all weights by the maximum) whenever the maximum drops below a
-// threshold; renormalization preserves both the argmax and all weight
-// ratios, so it is unobservable to the algorithm.
+// threshold; renormalization preserves the argmax and, up to rounding, all
+// weight ratios, so it is unobservable to the algorithm.
 package wma
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // renormBelow triggers automatic renormalization when the maximum weight
 // decays beneath it. Any value far above the denormal range works.
@@ -74,28 +71,39 @@ func (t *Table) Weights() []float64 {
 	return out
 }
 
-// Update applies one round of multiplicative updates. loss(i) must return
-// expert i's loss for the round, in [0,1]; values outside that range panic,
-// since they would let weights grow or go negative and break the WMA regret
-// guarantee.
-func (t *Table) Update(loss func(i int) float64) {
+// Update applies one round of multiplicative updates and returns the index
+// of the highest-weighted expert afterwards (as Best would). losses[i] is
+// expert i's loss for the round and must be in [0,1]; values outside that
+// range panic, since they would let weights grow or go negative and break
+// the WMA regret guarantee. len(losses) must equal Len.
+//
+// The argmax is tracked during the update pass itself. Renormalization
+// divides every weight by the maximum; the maximum stays on top, but
+// rounding can merge lower weights, so when it fires Update takes the
+// argmax from a fresh scan rather than relying on the rounding argument.
+func (t *Table) Update(losses []float64) int {
+	if len(losses) != len(t.weights) {
+		panic(fmt.Sprintf("wma: %d losses for %d experts", len(losses), len(t.weights)))
+	}
 	oneMinusBeta := 1 - t.beta
-	max := 0.0 // weights are always > 0, so 0 seeds the max scan safely
-	for i := range t.weights {
-		l := loss(i)
-		if l < 0 || l > 1 || math.IsNaN(l) {
+	ws := t.weights[:len(losses)] // same length; lets the compiler drop bounds checks
+	best, max := 0, 0.0           // weights are always > 0, so 0 seeds the max scan safely
+	for i, l := range losses {
+		if !(l >= 0 && l <= 1) { // also catches NaN
 			panic(fmt.Sprintf("wma: loss for expert %d is %v, must be in [0,1]", i, l))
 		}
-		w := t.weights[i] * (1 - oneMinusBeta*l)
-		t.weights[i] = w
+		w := ws[i] * (1 - oneMinusBeta*l)
+		ws[i] = w
 		if w > max {
-			max = w
+			best, max = i, w
 		}
 	}
 	t.rounds++
 	if max < renormBelow {
 		t.Renormalize()
+		best = t.Best()
 	}
+	return best
 }
 
 // Best returns the index of the highest-weighted expert. Ties break toward

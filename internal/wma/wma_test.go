@@ -48,12 +48,9 @@ func TestInitialState(t *testing.T) {
 func TestUpdateDiscountsLosers(t *testing.T) {
 	tab := New(3, 0.2)
 	// Expert 1 has zero loss; others lose maximally.
-	tab.Update(func(i int) float64 {
-		if i == 1 {
-			return 0
-		}
-		return 1
-	})
+	if best := tab.Update([]float64{1, 0, 1}); best != 1 {
+		t.Errorf("Update returned %d, want 1", best)
+	}
 	if tab.Best() != 1 {
 		t.Errorf("Best = %d, want 1", tab.Best())
 	}
@@ -73,14 +70,14 @@ func TestBestSwitchesWithEvidence(t *testing.T) {
 	tab := New(2, 0.2)
 	// Round 1-3: expert 0 better.
 	for i := 0; i < 3; i++ {
-		tab.Update(func(i int) float64 { return []float64{0.1, 0.5}[i] })
+		tab.Update([]float64{0.1, 0.5})
 	}
 	if tab.Best() != 0 {
 		t.Fatalf("Best = %d, want 0", tab.Best())
 	}
 	// Workload change: expert 1 better. Needs enough rounds to overtake.
 	for i := 0; i < 10; i++ {
-		tab.Update(func(i int) float64 { return []float64{0.5, 0.1}[i] })
+		tab.Update([]float64{0.5, 0.1})
 	}
 	if tab.Best() != 1 {
 		t.Errorf("Best = %d after regime change, want 1", tab.Best())
@@ -97,14 +94,14 @@ func TestLossOutOfRangePanics(t *testing.T) {
 					t.Errorf("loss %v did not panic", bad)
 				}
 			}()
-			tab.Update(func(int) float64 { return bad })
+			tab.Update([]float64{bad, bad})
 		}()
 	}
 }
 
 func TestReset(t *testing.T) {
 	tab := New(2, 0.2)
-	tab.Update(func(i int) float64 { return float64(i) })
+	tab.Update([]float64{0, 1})
 	tab.Reset()
 	if tab.Weight(1) != 1 || tab.Rounds() != 0 {
 		t.Errorf("Reset did not restore state")
@@ -125,7 +122,7 @@ func TestAutoRenormalization(t *testing.T) {
 	// Drive both experts with heavy loss long enough to underflow without
 	// renormalization: 0.2^k underflows around k=450.
 	for i := 0; i < 5000; i++ {
-		tab.Update(func(i int) float64 { return []float64{1, 0.9}[i] })
+		tab.Update([]float64{1, 0.9})
 	}
 	if tab.Best() != 1 {
 		t.Errorf("Best = %d, want 1", tab.Best())
@@ -137,7 +134,7 @@ func TestAutoRenormalization(t *testing.T) {
 
 func TestRenormalizePreservesArgmaxAndRatios(t *testing.T) {
 	tab := New(3, 0.2)
-	tab.Update(func(i int) float64 { return []float64{0.3, 0.1, 0.9}[i] })
+	tab.Update([]float64{0.3, 0.1, 0.9})
 	ratioBefore := tab.Weight(0) / tab.Weight(1)
 	bestBefore := tab.Best()
 	tab.Renormalize()
@@ -178,14 +175,11 @@ func TestWeightBoundsProperty(t *testing.T) {
 			if math.IsNaN(l) {
 				l = 0
 			}
-			base := l
-			tab.Update(func(i int) float64 {
-				v := base * float64(i+1) / 4
-				if v > 1 {
-					v = 1
-				}
-				return v
-			})
+			round := make([]float64, tab.Len())
+			for i := range round {
+				round[i] = math.Min(l*float64(i+1)/4, 1)
+			}
+			tab.Update(round)
 		}
 		b := tab.Best()
 		if b < 0 || b >= tab.Len() {
@@ -211,13 +205,13 @@ func TestDominantExpertWinsProperty(t *testing.T) {
 		n := 5
 		w := int(winner) % n
 		tab := New(n, 0.2)
+		round := make([]float64, n)
+		for i := range round {
+			round[i] = 0.6
+		}
+		round[w] = 0.1
 		for r := 0; r < int(rounds)%50+1; r++ {
-			tab.Update(func(i int) float64 {
-				if i == w {
-					return 0.1
-				}
-				return 0.6
-			})
+			tab.Update(round)
 		}
 		return tab.Best() == w
 	}

@@ -216,20 +216,26 @@ func MustCalibrate(spec Spec, gpu gpusim.Config, cpu cpusim.Config) *Profile {
 // one iteration (e.g. (1−r)·UnitsPerIteration under division ratio r).
 // Zero or negative units return an empty kernel that completes immediately.
 func (p *Profile) GPUKernel(name string, workUnits float64) *gpusim.Kernel {
-	k := &gpusim.Kernel{Name: name}
+	return &gpusim.Kernel{Name: name, Phases: p.AppendGPUPhases(nil, workUnits)}
+}
+
+// AppendGPUPhases appends GPUKernel's phases for workUnits to dst and
+// returns the extended slice, so a caller running one kernel at a time can
+// reuse a single phase buffer. Zero or negative units append nothing.
+func (p *Profile) AppendGPUPhases(dst []gpusim.Phase, workUnits float64) []gpusim.Phase {
 	if workUnits <= 0 {
-		return k
+		return dst
 	}
 	for _, ph := range p.Phases {
 		u := workUnits * ph.Fraction
-		k.Phases = append(k.Phases, gpusim.Phase{
+		dst = append(dst, gpusim.Phase{
 			Label: ph.Label,
 			Ops:   ph.OpsPerUnit * u,
 			Bytes: ph.BytesPerUnit * u,
 			Stall: ph.StallPerUnit * u,
 		})
 	}
-	return k
+	return dst
 }
 
 // CPUOps returns the CPU operation count for the given work units.
