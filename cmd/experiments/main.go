@@ -99,6 +99,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -342,16 +343,8 @@ func runSweep(specText string, env *experiments.Env, r *runner) error {
 	if err != nil {
 		return err
 	}
-	eng := &sweep.Engine{
-		GPU:       env.GPUConfig,
-		CPU:       env.CPUConfig,
-		Bus:       env.BusConfig,
-		Profiles:  env.Profiles,
-		Jobs:      env.Jobs,
-		Cache:     env.Cache,
-		FaultPlan: env.FaultPlan,
-	}
-	results, err := eng.Run(spec)
+	eng := env.SweepEngine()
+	results, err := eng.Run(context.Background(), spec)
 	if err != nil {
 		return err
 	}
@@ -372,15 +365,7 @@ func runPredict(o *options, env *experiments.Env, r *runner) error {
 		return err
 	}
 	opts := predict.Options{Strategy: strategy, TopM: o.predictTopM}
-	eng := &sweep.Engine{
-		GPU:       env.GPUConfig,
-		CPU:       env.CPUConfig,
-		Bus:       env.BusConfig,
-		Profiles:  env.Profiles,
-		Jobs:      env.Jobs,
-		Cache:     env.Cache,
-		FaultPlan: env.FaultPlan,
-	}
+	eng := env.SweepEngine()
 	spots, err := eng.PredictSweetSpots(spec, opts)
 	if err != nil {
 		return err
@@ -404,7 +389,7 @@ func runFleet(specText string, env *experiments.Env, r *runner, stderr io.Writer
 	if env.Cache != nil {
 		before = env.Cache.Stats()
 	}
-	res, err := eng.Run(spec)
+	res, err := eng.Run(context.Background(), spec)
 	if err != nil {
 		return err
 	}

@@ -432,6 +432,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "iterations must be non-negative")
 		return
 	}
+	if req.Iterations > sweep.MaxRecords {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("iterations %d exceeds the %d iteration-record cap", req.Iterations, sweep.MaxRecords))
+		return
+	}
 	lv := core.Levels{
 		Core: len(s.cfg.GPU.CoreLevels) - 1,
 		Mem:  len(s.cfg.GPU.MemLevels) - 1,
@@ -575,13 +580,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Async {
 		s.startJob(w, jobSweep, req.Spec, release, func(ctx context.Context, j *job) {
-			results, err := s.eng.RunContext(ctx, spec)
+			results, err := s.eng.Run(ctx, spec)
 			s.finishJob(j, ctx, err, func() { j.sweepRes = results })
 		})
 		return
 	}
 	defer release()
-	results, err := s.eng.RunContext(r.Context(), spec)
+	results, err := s.eng.Run(r.Context(), spec)
 	if err != nil {
 		s.evalError(w, r, err)
 		return
@@ -690,13 +695,13 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Async {
 		s.startJob(w, jobFleet, req.Spec, release, func(ctx context.Context, j *job) {
-			res, err := s.fleng.RunContext(ctx, spec)
+			res, err := s.fleng.Run(ctx, spec)
 			s.finishJob(j, ctx, err, func() { j.fleetRes = res })
 		})
 		return
 	}
 	defer release()
-	res, err := s.fleng.RunContext(r.Context(), spec)
+	res, err := s.fleng.Run(r.Context(), spec)
 	if err != nil {
 		s.evalError(w, r, err)
 		return

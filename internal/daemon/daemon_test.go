@@ -123,7 +123,7 @@ func TestSimulateMatchesEngine(t *testing.T) {
 	spec := sweep.Spec{Workloads: []string{"kmeans"}, Iterations: 4,
 		CPULevel: -1, CoreLevels: []int{len(srv.cfg.GPU.CoreLevels) - 1},
 		MemLevels: []int{len(srv.cfg.GPU.MemLevels) - 1}}
-	results, err := srv.eng.Run(spec)
+	results, err := srv.eng.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSweepCSVMatchesCLITable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := srv.eng.Run(spec)
+	results, err := srv.eng.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +239,42 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
+// TestWorkCapRejectsBeforeEval: requests whose results would exceed
+// sweep.MaxRecords iteration records are 400s on every evaluating
+// endpoint, decided before admission and before any point is evaluated.
+func TestWorkCapRejectsBeforeEval(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.MaxInflight = 1 })
+	for _, tc := range []struct{ name, path, body string }{
+		{"simulate iterations", "/v1/simulate", `{"workload":"kmeans","iterations":100000000}`},
+		{"sweep draws", "/v1/sweep", `{"spec":"draws=1000000"}`},
+		{"sweep iters", "/v1/sweep", `{"spec":"workloads=kmeans core=0 mem=0 iters=100000000"}`},
+		// Within the static checks; over the cap once the full ladders and
+		// every profile's own iteration count are resolved.
+		{"sweep resolved ladder", "/v1/sweep", `{"spec":"core=all mem=all iters=1000"}`},
+		{"sweep resolved draws", "/v1/sweep", `{"spec":"draws=100000 iters=0"}`},
+		{"fleet iters", "/v1/fleet", `{"spec":"nodes=1000 iters=100000000"}`},
+		{"async sweep", "/v1/sweep", `{"spec":"draws=1000000","async":true}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if want := fmt.Sprint(sweep.MaxRecords); !strings.Contains(string(data), want) {
+			t.Errorf("%s: error %q does not name the %s cap", tc.name, data, want)
+		}
+	}
+	// Nothing was admitted: with a single admission slot, an ordinary
+	// sweep still runs.
+	if code := postJSON(t, ts.URL+"/v1/sweep", `{"spec":"workloads=kmeans draws=2 iters=2"}`, nil); code != 200 {
+		t.Errorf("ordinary sweep after rejections: status %d", code)
+	}
+}
+
 func TestFleetMatchesEngine(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	const specText = "nodes=500 faults=0,1"
@@ -251,7 +287,7 @@ func TestFleetMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := srv.fleng.Run(spec)
+	want, err := srv.fleng.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,13 +460,13 @@ func TestCancelReleasesSlotAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := srv.eng.Run(spec)
+	warm, err := srv.eng.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pristine := &sweep.Engine{GPU: srv.cfg.GPU, CPU: srv.cfg.CPU, Bus: srv.cfg.Bus,
 		Profiles: srv.cfg.Profiles, Jobs: 1}
-	want, err := pristine.Run(spec)
+	want, err := pristine.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,7 +261,7 @@ func (s *Server) recoverJobs(pending []jobstore.Record) {
 			spec, err := sweep.ParseSpec(rec.Spec)
 			if err == nil {
 				run = func(ctx context.Context) {
-					results, rerr := s.eng.RunContext(ctx, spec)
+					results, rerr := s.eng.Run(ctx, spec)
 					s.finishJob(j, ctx, rerr, func() { j.sweepRes = results })
 				}
 			} else {
@@ -271,7 +271,7 @@ func (s *Server) recoverJobs(pending []jobstore.Record) {
 			spec, err := fleet.ParseSpec(rec.Spec)
 			if err == nil {
 				run = func(ctx context.Context) {
-					res, rerr := s.fleng.RunContext(ctx, spec)
+					res, rerr := s.fleng.Run(ctx, spec)
 					s.finishJob(j, ctx, rerr, func() { j.fleetRes = res })
 				}
 			} else {

@@ -27,6 +27,7 @@ import (
 	"greengpu/internal/gpusim"
 	"greengpu/internal/parallel"
 	"greengpu/internal/runcache"
+	"greengpu/internal/sweep"
 	"greengpu/internal/testbed"
 	"greengpu/internal/workload"
 )
@@ -225,6 +226,21 @@ func (e *Env) derive(gpu gpusim.Config, cpu cpusim.Config, b bus.Config) (*Env, 
 	return env2, nil
 }
 
+// SweepEngine returns a batch sweep engine over the environment's devices
+// and profiles that shares its worker pool, run cache and chaos plan, so
+// batched points behave exactly like the per-point studies.
+func (e *Env) SweepEngine() *sweep.Engine {
+	return &sweep.Engine{
+		GPU:       e.GPUConfig,
+		CPU:       e.CPUConfig,
+		Bus:       e.BusConfig,
+		Profiles:  e.Profiles,
+		Jobs:      e.Jobs,
+		Cache:     e.Cache,
+		FaultPlan: e.FaultPlan,
+	}
+}
+
 // mapPoints fans fn out over the items on the environment's worker pool,
 // returning the results in input order. It is the single scheduling choke
 // point of the experiments layer: every figure/table fan-out goes through
@@ -236,5 +252,5 @@ func (e *Env) derive(gpu gpusim.Config, cpu cpusim.Config, b bus.Config) (*Env, 
 func mapPoints[T, R any](e *Env, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
 	return parallel.Map(context.Background(), items,
 		func(_ context.Context, i int, item T) (R, error) { return fn(i, item) },
-		parallel.Workers(e.Jobs))
+		e.Jobs)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -45,7 +46,7 @@ func (e *Env) FleetStudy() ([]FleetRow, error) {
 	rows := make([]FleetRow, 0, len(FleetStudySizes)*len(FleetStudyLevels))
 	for _, nodes := range FleetStudySizes {
 		for _, level := range FleetStudyLevels {
-			res, err := eng.Run(fleet.Spec{
+			res, err := eng.Run(context.Background(), fleet.Spec{
 				Nodes:          nodes,
 				Seed:           fleet.DefaultSeed,
 				Modes:          []core.Mode{core.Baseline, core.FreqScaling, core.Holistic},

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -89,19 +90,11 @@ func (e *Env) PredictValidation() ([]PredictValidationRow, error) {
 // the peak CPU P-state, runs the analytic search on the same grid, and
 // scores model and search against the exhaustive results.
 func (e *Env) predictValidateLadder(label string, opts predict.Options) ([]PredictValidationRow, error) {
-	eng := &sweep.Engine{
-		GPU:       e.GPUConfig,
-		CPU:       e.CPUConfig,
-		Bus:       e.BusConfig,
-		Profiles:  e.Profiles,
-		Jobs:      e.Jobs,
-		Cache:     e.Cache,
-		FaultPlan: e.FaultPlan,
-	}
+	eng := e.SweepEngine()
 	// Iterations 4 matches the sweet-spot study, so ladder points share
 	// their run-cache keys with it.
 	spec := sweep.Spec{Iterations: 4, CPULevel: -1}
-	brute, err := eng.Run(spec)
+	brute, err := eng.Run(context.Background(), spec)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -35,18 +36,9 @@ type SweetSpotRow struct {
 // converges). The batch goes through the sweep engine, so the grid shares
 // level tables and the environment's run cache.
 func (e *Env) SweetSpot() ([]SweetSpotRow, error) {
-	eng := &sweep.Engine{
-		GPU:       e.GPUConfig,
-		CPU:       e.CPUConfig,
-		Bus:       e.BusConfig,
-		Profiles:  e.Profiles,
-		Jobs:      e.Jobs,
-		Cache:     e.Cache,
-		FaultPlan: e.FaultPlan,
-	}
 	// Iterations 4 matches the per-point frequency studies (Fig. 1), so
 	// ladder points share their run-cache keys with them.
-	results, err := eng.Run(sweep.Spec{Iterations: 4, CPULevel: -1})
+	results, err := e.SweepEngine().Run(context.Background(), sweep.Spec{Iterations: 4, CPULevel: -1})
 	if err != nil {
 		return nil, err
 	}

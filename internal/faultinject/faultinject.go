@@ -284,25 +284,6 @@ const (
 	saltStraggler uint64 = 0xd1ce0009
 )
 
-// channel is one fault class's stateless draw stream: a derived seed plus a
-// draw counter. Draw k is parallel.Uniform(seed, k) — no stream state, so
-// sequences replay identically under any scheduling.
-type channel struct {
-	seed uint64
-	k    uint64
-}
-
-func newChannel(base, salt uint64) channel {
-	return channel{seed: parallel.TaskSeed(base^salt, 0)}
-}
-
-// next consumes one uniform draw in [0,1).
-func (c *channel) next() float64 {
-	u := parallel.Uniform(c.seed, c.k)
-	c.k++
-	return u
-}
-
 // Injector applies one run's fault plan. It is deliberately not safe for
 // concurrent use: an injector belongs to exactly one simulated machine,
 // whose event loop is single-threaded. All methods are allocation-free.
@@ -310,16 +291,16 @@ type Injector struct {
 	plan   Plan
 	counts Counts
 
-	gpuNoise  channel
-	gpuDrop   channel
-	gpuStale  channel
-	cpuNoise  channel
-	cpuDrop   channel
-	cpuStale  channel
-	transGPU  channel
-	transCPU  channel
-	meter     channel
-	straggler channel
+	gpuNoise  parallel.Stream
+	gpuDrop   parallel.Stream
+	gpuStale  parallel.Stream
+	cpuNoise  parallel.Stream
+	cpuDrop   parallel.Stream
+	cpuStale  parallel.Stream
+	transGPU  parallel.Stream
+	transCPU  parallel.Stream
+	meter     parallel.Stream
+	straggler parallel.Stream
 
 	// Last delivered sensor values, replayed by the stale classes.
 	lastUc, lastUm float64
@@ -337,18 +318,18 @@ func New(p Plan) *Injector {
 	return &Injector{
 		plan: p,
 		// The GPU noise channel reproduces the sensor-noise ablation's
-		// historical derivation exactly: sigma is mixed into the seed,
-		// and the channel has no salt.
-		gpuNoise:  channel{seed: parallel.TaskSeed(p.Seed^math.Float64bits(p.GPUNoiseSigma), 0)},
-		gpuDrop:   newChannel(p.Seed, saltGPUDrop),
-		gpuStale:  newChannel(p.Seed, saltGPUStale),
-		cpuNoise:  channel{seed: parallel.TaskSeed(p.Seed^math.Float64bits(p.CPUNoiseSigma)^saltCPUNoise, 0)},
-		cpuDrop:   newChannel(p.Seed, saltCPUDrop),
-		cpuStale:  newChannel(p.Seed, saltCPUStale),
-		transGPU:  newChannel(p.Seed, saltTransGPU),
-		transCPU:  newChannel(p.Seed, saltTransCPU),
-		meter:     newChannel(p.Seed, saltMeter),
-		straggler: newChannel(p.Seed, saltStraggler),
+		// historical derivation exactly: sigma's bits are its only salt.
+		// The CPU noise channel mixes its sigma in the same way.
+		gpuNoise:  parallel.NewStream(p.Seed, math.Float64bits(p.GPUNoiseSigma)),
+		gpuDrop:   parallel.NewStream(p.Seed, saltGPUDrop),
+		gpuStale:  parallel.NewStream(p.Seed, saltGPUStale),
+		cpuNoise:  parallel.NewStream(p.Seed, math.Float64bits(p.CPUNoiseSigma)^saltCPUNoise),
+		cpuDrop:   parallel.NewStream(p.Seed, saltCPUDrop),
+		cpuStale:  parallel.NewStream(p.Seed, saltCPUStale),
+		transGPU:  parallel.NewStream(p.Seed, saltTransGPU),
+		transCPU:  parallel.NewStream(p.Seed, saltTransCPU),
+		meter:     parallel.NewStream(p.Seed, saltMeter),
+		straggler: parallel.NewStream(p.Seed, saltStraggler),
 	}
 }
 
@@ -364,17 +345,17 @@ func (in *Injector) Counts() Counts { return in.counts }
 // Classes are evaluated drop, then stale, then noise — a poll that fails
 // outright never reads the stale file, and noise perturbs only fresh reads.
 func (in *Injector) GPUSensor(uc, um float64) (float64, float64) {
-	if in.plan.GPUDropRate > 0 && in.gpuDrop.next() < in.plan.GPUDropRate {
+	if in.plan.GPUDropRate > 0 && in.gpuDrop.Next() < in.plan.GPUDropRate {
 		in.counts.GPUSensorDropped++
 		return math.NaN(), math.NaN()
 	}
-	if in.plan.GPUStaleRate > 0 && in.gpuStale.next() < in.plan.GPUStaleRate && in.haveGPU {
+	if in.plan.GPUStaleRate > 0 && in.gpuStale.Next() < in.plan.GPUStaleRate && in.haveGPU {
 		in.counts.GPUSensorStale++
 		return in.lastUc, in.lastUm
 	}
 	if sigma := in.plan.GPUNoiseSigma; sigma > 0 {
-		a := in.gpuNoise.next()
-		b := in.gpuNoise.next()
+		a := in.gpuNoise.Next()
+		b := in.gpuNoise.Next()
 		uc = units.Clamp(uc+(a*2-1)*sigma, 0, 1)
 		um = units.Clamp(um+(b*2-1)*sigma, 0, 1)
 		in.counts.GPUSensorNoisy++
@@ -387,16 +368,16 @@ func (in *Injector) GPUSensor(uc, um float64) (float64, float64) {
 // CPUSensor transforms one CPU utilization sample, with the same
 // drop → stale → noise evaluation order as GPUSensor.
 func (in *Injector) CPUSensor(u float64) float64 {
-	if in.plan.CPUDropRate > 0 && in.cpuDrop.next() < in.plan.CPUDropRate {
+	if in.plan.CPUDropRate > 0 && in.cpuDrop.Next() < in.plan.CPUDropRate {
 		in.counts.CPUSensorDropped++
 		return math.NaN()
 	}
-	if in.plan.CPUStaleRate > 0 && in.cpuStale.next() < in.plan.CPUStaleRate && in.haveCPU {
+	if in.plan.CPUStaleRate > 0 && in.cpuStale.Next() < in.plan.CPUStaleRate && in.haveCPU {
 		in.counts.CPUSensorStale++
 		return in.lastCPU
 	}
 	if sigma := in.plan.CPUNoiseSigma; sigma > 0 {
-		a := in.cpuNoise.next()
+		a := in.cpuNoise.Next()
 		u = units.Clamp(u+(a*2-1)*sigma, 0, 1)
 		in.counts.CPUSensorNoisy++
 	}
@@ -416,13 +397,13 @@ func (in *Injector) CPUTransition() (outcome TransitionOutcome, delay int) {
 	return in.transition(&in.transCPU)
 }
 
-func (in *Injector) transition(ch *channel) (TransitionOutcome, int) {
+func (in *Injector) transition(ch *parallel.Stream) (TransitionOutcome, int) {
 	pr := in.plan.TransitionRejectRate
 	pd := in.plan.TransitionDelayRate
 	if pr == 0 && pd == 0 {
 		return TransitionOK, 0
 	}
-	u := ch.next()
+	u := ch.Next()
 	switch {
 	case u < pr:
 		in.counts.TransRejected++
@@ -444,7 +425,7 @@ func (in *Injector) Meter() MeterFault {
 	if pd == 0 && ps == 0 {
 		return MeterOK
 	}
-	u := in.meter.next()
+	u := in.meter.Next()
 	switch {
 	case u < pd:
 		in.counts.MeterDropouts++
@@ -476,7 +457,7 @@ func (in *Injector) Straggler() float64 {
 	if in.plan.StragglerRate == 0 {
 		return 1
 	}
-	if in.straggler.next() < in.plan.StragglerRate {
+	if in.straggler.Next() < in.plan.StragglerRate {
 		in.counts.Stragglers++
 		return in.plan.StragglerFactor
 	}

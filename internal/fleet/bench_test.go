@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"testing"
 
 	"greengpu/internal/runcache"
@@ -37,7 +38,7 @@ func BenchmarkFleetDedup(b *testing.B) {
 	b.ResetTimer()
 	var last *Result
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run(spec)
+		res, err := e.Run(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func BenchmarkFleetNaive(b *testing.B) {
 // loop: attribution of group scalars back to 10k nodes.
 func BenchmarkFleetAggregate(b *testing.B) {
 	e := &Engine{}
-	res, err := e.Run(benchSpec())
+	res, err := e.Run(context.Background(), benchSpec())
 	if err != nil {
 		b.Fatal(err)
 	}

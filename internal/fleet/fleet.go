@@ -136,44 +136,36 @@ type classRT struct {
 
 // resolve builds the per-class runtimes and the resolved workload-name
 // axis. Every class shares one workload axis: the Rodinia calibration
-// produces the same nine names for any device pair.
+// produces the same nine names, in the same order, for any device pair.
 func (e *Engine) resolve(spec *Spec) ([]classRT, []string, error) {
 	cls := spec.classes()
 	rts := make([]classRT, len(cls))
-	var names []string
 	for i, cl := range cls {
 		profiles, err := workload.Rodinia(cl.GPU, cl.CPU)
 		if err != nil {
 			return nil, nil, err
 		}
-		if i == 0 {
-			names = spec.Workloads
-			if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-				names = make([]string, len(profiles))
-				for j, p := range profiles {
-					names[j] = p.Name
-				}
-			}
+		profs, err := workload.Select(profiles, spec.Workloads)
+		if err != nil {
+			return nil, nil, err
 		}
 		eng := &sweep.Engine{
 			GPU:       cl.GPU,
 			CPU:       cl.CPU,
 			Bus:       cl.Bus,
-			Profiles:  profiles,
+			Profiles:  profs,
 			Cache:     e.Cache,
 			FaultPlan: e.FaultPlan,
 		}
-		batch, err := eng.NewBatch(names...)
+		batch, err := eng.NewBatch()
 		if err != nil {
 			return nil, nil, err
 		}
-		profs := make([]*workload.Profile, len(names))
-		for j, n := range names {
-			if profs[j], err = workload.ByName(profiles, n); err != nil {
-				return nil, nil, err
-			}
-		}
 		rts[i] = classRT{class: cl, batch: batch, profs: profs}
+	}
+	names := make([]string, len(rts[0].profs))
+	for j, p := range rts[0].profs {
+		names[j] = p.Name
 	}
 	return rts, names, nil
 }
@@ -205,17 +197,12 @@ type groupMeta struct {
 // internal/parallel workers, memoized in the shared run cache), and fans
 // the results back out into per-node attribution and fleet aggregates.
 // Output is byte-identical at any Jobs value and to RunNaive.
-// It is RunContext under a background context.
-func (e *Engine) Run(spec Spec) (*Result, error) {
-	return e.RunContext(context.Background(), spec)
-}
-
-// RunContext is Run with request-scoped cancellation: when ctx is
-// canceled, groups that have not started simulating are skipped, groups
-// already running complete (so an attached run cache never holds partial
-// entries), and the error is ctx.Err(). The daemon routes client
-// disconnects through this path.
-func (e *Engine) RunContext(ctx context.Context, spec Spec) (*Result, error) {
+//
+// When ctx is canceled, groups that have not started simulating are
+// skipped, groups already running complete (so an attached run cache
+// never holds partial entries), and the error is ctx.Err(). The daemon
+// routes client disconnects through this path.
+func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,19 +216,37 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		plans[i] = PlanForLevel(spec.Seed, lv)
 	}
 
+	// group finds or adds the group of one configuration: tuples whose
+	// canonical configurations coincide share a fingerprint and merge into
+	// one group. A configuration that is not cacheable (impossible for
+	// plain spec axes, kept for robustness) is its own group.
+	byKey := make(map[runcache.Key]int32)
+	var groups []Group
+	var metas []groupMeta
+	group := func(ci, wi int, mode core.Mode, level int, cfg core.Config) int32 {
+		g := int32(len(groups))
+		key, ok := rts[ci].batch.Key(wls[wi], cfg)
+		if ok {
+			if prev, seen := byKey[key]; seen {
+				return prev
+			}
+			byKey[key] = g
+		}
+		groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
+			Mode: mode, FaultLevel: level, Key: key})
+		metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
+		return g
+	}
+
 	// Node generation and grouping. The loop is sequential and stateless
 	// per node, so group discovery order — and therefore all output — is
 	// a pure function of the spec. The fingerprint is computed once per
-	// distinct (class, workload, mode, level) tuple, not per node; tuples
-	// whose canonical configurations coincide merge into one group.
+	// distinct (class, workload, mode, level) tuple, not per node.
 	C, W, M, F := len(rts), len(wls), len(modes), len(levels)
 	tupleGroup := make([]int32, C*W*M*F)
 	for i := range tupleGroup {
 		tupleGroup[i] = -1
 	}
-	byKey := make(map[runcache.Key]int32)
-	var groups []Group
-	var metas []groupMeta
 	nodeGroup := make([]int32, spec.Nodes)
 	for i := 0; i < spec.Nodes; i++ {
 		s := parallel.TaskSeed(spec.Seed, i)
@@ -252,26 +257,7 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		t := ((ci*W+wi)*M+mi)*F + fi
 		g := tupleGroup[t]
 		if g < 0 {
-			cfg := e.nodeConfig(&spec, modes[mi], plans[fi])
-			g = int32(len(groups))
-			if key, ok := rts[ci].batch.Key(wls[wi], cfg); ok {
-				if prev, seen := byKey[key]; seen {
-					g = prev
-				} else {
-					byKey[key] = g
-				}
-				if g == int32(len(groups)) {
-					groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
-						Mode: modes[mi], FaultLevel: levels[fi], Key: key})
-					metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
-				}
-			} else {
-				// Not cacheable (impossible for plain spec axes, kept for
-				// robustness): the tuple is its own group.
-				groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
-					Mode: modes[mi], FaultLevel: levels[fi]})
-				metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
-			}
+			g = group(ci, wi, modes[mi], levels[fi], e.nodeConfig(&spec, modes[mi], plans[fi]))
 			tupleGroup[t] = g
 		}
 		groups[g].Count++
@@ -290,28 +276,9 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	if spec.DeadlineFactor > 0 {
 		for g := 0; g < nodeGroups; g++ {
 			ci, wi := metas[g].class, metas[g].workload
-			if refIdx[ci*W+wi] >= 0 {
-				continue
+			if refIdx[ci*W+wi] < 0 {
+				refIdx[ci*W+wi] = group(ci, wi, core.Baseline, 0, e.nodeConfig(&spec, core.Baseline, nil))
 			}
-			cfg := e.nodeConfig(&spec, core.Baseline, nil)
-			r := int32(len(groups))
-			if key, ok := rts[ci].batch.Key(wls[wi], cfg); ok {
-				if prev, seen := byKey[key]; seen {
-					r = prev
-				} else {
-					byKey[key] = r
-				}
-				if r == int32(len(groups)) {
-					groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
-						Mode: core.Baseline, FaultLevel: 0, Key: key})
-					metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
-				}
-			} else {
-				groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
-					Mode: core.Baseline, FaultLevel: 0})
-				metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
-			}
-			refIdx[ci*W+wi] = r
 		}
 	}
 
@@ -329,7 +296,7 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		func(_ context.Context, _ int, g int) (evalOut, error) {
 			r, fast, err := rts[metas[g].class].batch.Eval(wls[metas[g].workload], metas[g].cfg)
 			return evalOut{res: r, fast: fast}, err
-		}, parallel.Workers(e.Jobs))
+		}, e.Jobs)
 	if err != nil {
 		return nil, err
 	}

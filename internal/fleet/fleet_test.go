@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestRunMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range []*Engine{{Jobs: 8}, {Jobs: 8, Cache: cache}} {
-		res, err := e.Run(spec)
+		res, err := e.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func TestRunMatchesNaiveUnderAmbientPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&Engine{Jobs: 8, FaultPlan: &plan}).Run(spec)
+	res, err := (&Engine{Jobs: 8, FaultPlan: &plan}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestRunMatchesNaiveUnderAmbientPlan(t *testing.T) {
 // worker counts and cache modes, cold and warm.
 func TestRunDeterminism(t *testing.T) {
 	spec := testSpec(500)
-	base, err := (&Engine{Jobs: 1}).Run(spec)
+	base, err := (&Engine{Jobs: 1}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestRunDeterminism(t *testing.T) {
 		{"jobs=8 warm cache", warm},
 		{"jobs=3", &Engine{Jobs: 3}},
 	} {
-		res, err := tc.e.Run(spec)
+		res, err := tc.e.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -122,7 +123,7 @@ func TestRunDeterminism(t *testing.T) {
 // node's group matches an independent re-derivation of its draws.
 func TestNodeAttribution(t *testing.T) {
 	spec := testSpec(300)
-	res, err := (&Engine{Jobs: 4}).Run(spec)
+	res, err := (&Engine{Jobs: 4}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestNodeAttribution(t *testing.T) {
 // allocations.
 func TestAggregateAllocs(t *testing.T) {
 	spec := testSpec(2000)
-	res, err := (&Engine{Jobs: 4}).Run(spec)
+	res, err := (&Engine{Jobs: 4}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestAggregateAllocs(t *testing.T) {
 // deadlines and misses.
 func TestDeadlineAccounting(t *testing.T) {
 	spec := testSpec(400)
-	res, err := (&Engine{Jobs: 4}).Run(spec)
+	res, err := (&Engine{Jobs: 4}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestDeadlineAccounting(t *testing.T) {
 	}
 
 	spec.DeadlineFactor = 0
-	res, err = (&Engine{Jobs: 4}).Run(spec)
+	res, err = (&Engine{Jobs: 4}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestDeadlineAccounting(t *testing.T) {
 // axis cross product, and the dedup ratio reflects it.
 func TestDedupCollapses(t *testing.T) {
 	spec := testSpec(5000)
-	res, err := (&Engine{Jobs: 4}).Run(spec)
+	res, err := (&Engine{Jobs: 4}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,12 +295,24 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted, want error", bad)
 		}
 	}
+	// The daemon returns these texts as 400 bodies.
+	for in, want := range map[string]string{
+		"nodes":          `fleet: token "nodes" is not key=value`,
+		"bogus=1":        `fleet: unknown key "bogus"`,
+		"workloads=a,,b": `fleet: empty workload in "workloads=a,,b"`,
+		"nodes=ten":      `fleet: bad value in "nodes=ten": strconv.Atoi: parsing "ten": invalid syntax`,
+		"iters=1000000":  `fleet: spec asks for more than 262144 iteration records`,
+	} {
+		if _, err := ParseSpec(in); err == nil || err.Error() != want {
+			t.Errorf("ParseSpec(%q) error %v, want %s", in, err, want)
+		}
+	}
 }
 
 // TestRunRejectsUnknownWorkload checks resolution errors surface.
 func TestRunRejectsUnknownWorkload(t *testing.T) {
 	spec := Spec{Nodes: 10, Workloads: []string{"no-such-kernel"}}
-	if _, err := (&Engine{}).Run(spec); err == nil {
+	if _, err := (&Engine{}).Run(context.Background(), spec); err == nil {
 		t.Error("Run accepted an unknown workload")
 	}
 	if _, err := (&Engine{}).RunNaive(spec); err == nil {

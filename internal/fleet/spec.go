@@ -45,6 +45,7 @@ import (
 	"greengpu/internal/sweep"
 	"greengpu/internal/testbed"
 	"greengpu/internal/units"
+	"greengpu/internal/workload"
 )
 
 // DefaultSeed seeds fleet generation when a spec does not name one.
@@ -174,7 +175,37 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("fleet: fault level %d out of range [0,%d]", lv, MaxFaultLevel)
 		}
 	}
+	// Iterations 0 runs each profile's own count, which the registry
+	// bounds; only an explicit count can ask for unbounded work.
+	if s.Iterations > sweep.MaxRecords/s.maxConfigs() {
+		return fmt.Errorf("fleet: spec asks for more than %d iteration records", sweep.MaxRecords)
+	}
 	return nil
+}
+
+// rodiniaWorkloads is the size of the default workload axis.
+var rodiniaWorkloads = len(workload.Specs())
+
+// maxConfigs bounds the distinct configurations a valid spec simulates:
+// at most one per node and one per distinct (class, workload, mode, fault
+// level) tuple, plus one deadline reference per (class, workload) pair.
+// Each axis holds at most its listed values and at most its registry.
+func (s *Spec) maxConfigs() int {
+	c := len(classNames)
+	if len(s.Classes) > 0 {
+		c = min(len(s.Classes), c)
+	}
+	w := rodiniaWorkloads
+	if len(s.Workloads) > 0 && s.Workloads[0] != "all" {
+		w = min(len(s.Workloads), w)
+	}
+	m := min(max(len(s.Modes), 1), int(core.Holistic)+1)
+	f := min(max(len(s.FaultLevels), 1), MaxFaultLevel+1)
+	n := min(s.Nodes, c*w*m*f)
+	if s.DeadlineFactor > 0 {
+		n += c * w
+	}
+	return n
 }
 
 // classes resolves the spec's class axis against the registry.
@@ -259,11 +290,7 @@ func PlanForLevel(seed uint64, level int) *faultinject.Plan {
 // fleet groups share run-cache keys with them and with ad-hoc sweeps.
 func ParseSpec(s string) (Spec, error) {
 	spec := Spec{Nodes: 1000, Seed: DefaultSeed, Iterations: 4, DeadlineFactor: 1.1}
-	for _, tok := range strings.Fields(s) {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok || v == "" {
-			return Spec{}, fmt.Errorf("fleet: token %q is not key=value", tok)
-		}
+	err := sweep.ParseTokens("fleet", s, &spec.Workloads, func(k, v string) (bool, error) {
 		var err error
 		switch k {
 		case "nodes":
@@ -273,15 +300,6 @@ func ParseSpec(s string) (Spec, error) {
 		case "classes":
 			if v != "all" {
 				spec.Classes = strings.Split(v, ",")
-			}
-		case "workloads":
-			if v != "all" {
-				spec.Workloads = strings.Split(v, ",")
-				for _, w := range spec.Workloads {
-					if w == "" {
-						return Spec{}, fmt.Errorf("fleet: empty workload in %q", tok)
-					}
-				}
 			}
 		case "modes":
 			for _, name := range strings.Split(v, ",") {
@@ -304,11 +322,12 @@ func ParseSpec(s string) (Spec, error) {
 		case "deadline":
 			spec.DeadlineFactor, err = strconv.ParseFloat(v, 64)
 		default:
-			return Spec{}, fmt.Errorf("fleet: unknown key %q", k)
+			return false, nil
 		}
-		if err != nil {
-			return Spec{}, fmt.Errorf("fleet: bad value in %q: %w", tok, err)
-		}
+		return true, err
+	})
+	if err != nil {
+		return Spec{}, err
 	}
 	if err := spec.Validate(); err != nil {
 		return Spec{}, err

@@ -206,24 +206,6 @@ const (
 	saltBitFlip uint64 = 0x10fa0006
 )
 
-// channel is one fault class's stateless draw stream: a derived seed plus
-// a draw counter, identical in shape to faultinject's.
-type channel struct {
-	seed uint64
-	k    uint64
-}
-
-func newChannel(base, salt uint64) channel {
-	return channel{seed: parallel.TaskSeed(base^salt, 0)}
-}
-
-// next consumes one uniform draw in [0,1).
-func (c *channel) next() float64 {
-	u := parallel.Uniform(c.seed, c.k)
-	c.k++
-	return u
-}
-
 // FaultFS wraps an FS with an injected fault plan. Unlike the simulation
 // injectors it is safe for concurrent use: the run cache serves many
 // goroutines through one FS, so every draw and count is mutex-guarded.
@@ -233,12 +215,12 @@ type FaultFS struct {
 
 	mu      sync.Mutex
 	counts  Counts
-	write   channel
-	short   channel
-	sync    channel
-	read    channel
-	rename  channel
-	bitFlip channel
+	write   parallel.Stream
+	short   parallel.Stream
+	sync    parallel.Stream
+	read    parallel.Stream
+	rename  parallel.Stream
+	bitFlip parallel.Stream
 }
 
 // Wrap returns fsys with the plan's faults injected. A nil-rate (zero)
@@ -254,12 +236,12 @@ func Wrap(fsys FS, p Plan) FS {
 	return &FaultFS{
 		inner:   fsys,
 		plan:    p,
-		write:   newChannel(p.Seed, saltWrite),
-		short:   newChannel(p.Seed, saltShort),
-		sync:    newChannel(p.Seed, saltSync),
-		read:    newChannel(p.Seed, saltRead),
-		rename:  newChannel(p.Seed, saltRename),
-		bitFlip: newChannel(p.Seed, saltBitFlip),
+		write:   parallel.NewStream(p.Seed, saltWrite),
+		short:   parallel.NewStream(p.Seed, saltShort),
+		sync:    parallel.NewStream(p.Seed, saltSync),
+		read:    parallel.NewStream(p.Seed, saltRead),
+		rename:  parallel.NewStream(p.Seed, saltRename),
+		bitFlip: parallel.NewStream(p.Seed, saltBitFlip),
 	}
 }
 
@@ -310,7 +292,7 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 // in place; otherwise it delegates.
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	f.mu.Lock()
-	inject := f.plan.RenameErrRate > 0 && f.rename.next() < f.plan.RenameErrRate
+	inject := f.plan.RenameErrRate > 0 && f.rename.Next() < f.plan.RenameErrRate
 	if inject {
 		f.counts.RenameErrors++
 	}
@@ -350,12 +332,12 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	fs.mu.Lock()
 	var short bool
 	switch {
-	case fs.plan.WriteErrRate > 0 && fs.write.next() < fs.plan.WriteErrRate:
+	case fs.plan.WriteErrRate > 0 && fs.write.Next() < fs.plan.WriteErrRate:
 		fs.counts.WriteErrors++
 		fs.mu.Unlock()
 		metricWriteErrors.Inc()
 		return 0, fmt.Errorf("write %s: %w", f.Name(), ErrNoSpace)
-	case fs.plan.ShortWriteRate > 0 && fs.short.next() < fs.plan.ShortWriteRate && len(p) > 1:
+	case fs.plan.ShortWriteRate > 0 && fs.short.Next() < fs.plan.ShortWriteRate && len(p) > 1:
 		fs.counts.ShortWrites++
 		short = true
 	}
@@ -377,7 +359,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 func (f *faultFile) Sync() error {
 	fs := f.fs
 	fs.mu.Lock()
-	inject := fs.plan.SyncErrRate > 0 && fs.sync.next() < fs.plan.SyncErrRate
+	inject := fs.plan.SyncErrRate > 0 && fs.sync.Next() < fs.plan.SyncErrRate
 	if inject {
 		fs.counts.SyncErrors++
 	}
@@ -398,16 +380,16 @@ func (f *faultFile) Read(p []byte) (int, error) {
 	}
 	fs := f.fs
 	fs.mu.Lock()
-	inject := fs.plan.ReadCorruptRate > 0 && fs.read.next() < fs.plan.ReadCorruptRate
+	inject := fs.plan.ReadCorruptRate > 0 && fs.read.Next() < fs.plan.ReadCorruptRate
 	var pos int
 	var bit uint
 	if inject {
 		fs.counts.ReadCorruptions++
-		pos = int(fs.bitFlip.next() * float64(n))
+		pos = int(fs.bitFlip.Next() * float64(n))
 		if pos >= n {
 			pos = n - 1
 		}
-		bit = uint(fs.bitFlip.next() * 8)
+		bit = uint(fs.bitFlip.Next() * 8)
 		if bit > 7 {
 			bit = 7
 		}

@@ -30,7 +30,7 @@ func BenchmarkMapSpeedup(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := Map(context.Background(), items, func(_ context.Context, _ int, n int) (float64, error) {
 					return spin(n), nil
-				}, Workers(workers))
+				}, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -46,7 +46,7 @@ func BenchmarkMapOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := Map(context.Background(), items, func(_ context.Context, i int, _ int) (int, error) {
 			return i, nil
-		}, Workers(8))
+		}, 8)
 		if err != nil {
 			b.Fatal(err)
 		}

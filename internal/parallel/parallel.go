@@ -6,16 +6,16 @@
 //
 // The determinism contract has three legs:
 //
-//   - Map and Grid return results indexed by input position, so the output
-//     layout never depends on completion order.
+//   - Map returns results indexed by input position, so the output layout
+//     never depends on completion order.
 //   - Errors aggregate by input position, not by time: when several tasks
 //     fail, the error of the lowest-indexed failing task is returned, and
 //     the shared context is cancelled after the first observed failure so
 //     in-flight work can stop early. Which tasks were skipped may vary
 //     between runs, but the returned error never does.
-//   - TaskSeed/TaskRand/Uniform (seed.go) derive independent random
-//     streams from (base seed, task index) so no task reads another's
-//     stream, regardless of scheduling.
+//   - TaskSeed/Uniform/Stream (seed.go) derive independent random streams
+//     from (base seed, task index) so no task reads another's stream,
+//     regardless of scheduling.
 //
 // Tasks must not share mutable state; each should build whatever machinery
 // it needs (a fresh simulation engine, a private policy instance) from
@@ -73,60 +73,27 @@ func taskStart() time.Time {
 	return time.Now()
 }
 
-// config carries the resolved scheduling options.
-type config struct {
-	workers    int
-	onProgress func(done, total int)
-}
-
-// Option customizes a Map or Grid call.
-type Option func(*config)
-
-// Workers bounds the number of concurrent tasks. n <= 0 selects one worker
-// per available CPU (runtime.GOMAXPROCS); n == 1 runs the tasks inline on
-// the calling goroutine, in input order.
-func Workers(n int) Option {
-	return func(c *config) { c.workers = n }
-}
-
-// OnProgress registers a callback invoked after each task finishes (or is
-// skipped due to cancellation), with the number of settled tasks and the
-// total. Calls are serialized and done is strictly increasing, but the
-// tasks they report on may complete in any order.
-func OnProgress(fn func(done, total int)) Option {
-	return func(c *config) { c.onProgress = fn }
-}
-
-func resolve(opts []Option) config {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.workers <= 0 {
-		c.workers = runtime.GOMAXPROCS(0)
-	}
-	return c
-}
-
-// Map runs fn over every item on a bounded worker pool and returns the
-// results in input order. On failure it returns the error of the
-// lowest-indexed failing task; the context passed to fn is cancelled as
-// soon as any task fails, and tasks not yet started are skipped. A nil or
-// empty item slice returns (nil, ctx.Err()).
-func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, index int, item T) (R, error), opts ...Option) ([]R, error) {
+// Map runs fn over every item on a pool of at most workers goroutines and
+// returns the results in input order. workers <= 0 selects one worker per
+// available CPU (runtime.GOMAXPROCS); workers == 1 runs the tasks inline on
+// the calling goroutine, in input order. On failure it returns the error
+// of the lowest-indexed failing task; the context passed to fn is
+// cancelled as soon as any task fails, and tasks not yet started are
+// skipped. A nil or empty item slice returns (nil, ctx.Err()).
+func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, index int, item T) (R, error), workers int) ([]R, error) {
 	n := len(items)
 	if n == 0 {
 		return nil, ctx.Err()
 	}
-	c := resolve(opts)
-	if c.workers > n {
-		c.workers = n
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
 	}
 
 	results := make([]R, n)
-	errs := make([]error, n)
-
-	if c.workers == 1 {
+	if workers == 1 {
 		// Inline sequential path: no goroutines, strict input order.
 		for i := range items {
 			if err := ctx.Err(); err != nil {
@@ -139,35 +106,21 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 				return nil, err
 			}
 			results[i] = r
-			if c.onProgress != nil {
-				c.onProgress(i+1, n)
-			}
 		}
 		return results, nil
 	}
 
+	errs := make([]error, n)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		settled int
+		next atomic.Int64
+		wg   sync.WaitGroup
 	)
 	next.Store(-1)
-	progress := func() {
-		mu.Lock()
-		settled++
-		if c.onProgress != nil {
-			// Called under the lock: that is what serializes the calls
-			// and keeps done strictly increasing.
-			c.onProgress(settled, n)
-		}
-		mu.Unlock()
-	}
 
-	for w := 0; w < c.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -181,7 +134,6 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 					// stays deterministic (only genuine task failures
 					// participate).
 					metricSkipped.Inc()
-					progress()
 					continue
 				}
 				start := taskStart()
@@ -193,7 +145,6 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 				} else {
 					results[i] = r
 				}
-				progress()
 			}
 		}()
 	}
@@ -208,31 +159,4 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 		return nil, err
 	}
 	return results, nil
-}
-
-// Grid runs fn over the cartesian product rows × cols and returns the
-// results as a row-major matrix (result[i][j] corresponds to rows[i],
-// cols[j]). Scheduling, error aggregation and options behave exactly as in
-// Map over the flattened product.
-func Grid[A, B, R any](ctx context.Context, rows []A, cols []B, fn func(ctx context.Context, i, j int, row A, col B) (R, error), opts ...Option) ([][]R, error) {
-	nr, nc := len(rows), len(cols)
-	if nr == 0 || nc == 0 {
-		return nil, ctx.Err()
-	}
-	flat := make([]int, nr*nc)
-	for i := range flat {
-		flat[i] = i
-	}
-	out, err := Map(ctx, flat, func(ctx context.Context, k int, _ int) (R, error) {
-		i, j := k/nc, k%nc
-		return fn(ctx, i, j, rows[i], cols[j])
-	}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	m := make([][]R, nr)
-	for i := 0; i < nr; i++ {
-		m[i] = out[i*nc : (i+1)*nc : (i+1)*nc]
-	}
-	return m, nil
 }

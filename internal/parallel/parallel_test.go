@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,7 +18,7 @@ func TestMapOrderedResults(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 100} {
 		got, err := Map(context.Background(), items, func(_ context.Context, i, v int) (int, error) {
 			return v * v, nil
-		}, Workers(workers))
+		}, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -35,7 +34,7 @@ func TestMapEmpty(t *testing.T) {
 	got, err := Map(context.Background(), nil, func(_ context.Context, i, v int) (int, error) {
 		t.Fatal("fn called on empty input")
 		return 0, nil
-	})
+	}, 0)
 	if err != nil || got != nil {
 		t.Fatalf("empty map: got %v, %v", got, err)
 	}
@@ -55,7 +54,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 				return 0, fmt.Errorf("error at %d", i)
 			}
 			return i, nil
-		}, Workers(8))
+		}, 8)
 		if err == nil || err.Error() != "error at 5" {
 			t.Fatalf("got %v, want error at 5", err)
 		}
@@ -75,7 +74,7 @@ func TestMapCancelsAfterFailure(t *testing.T) {
 		case <-time.After(50 * time.Millisecond):
 		}
 		return 0, nil
-	}, Workers(4))
+	}, 4)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -89,14 +88,14 @@ func TestMapParentCancellation(t *testing.T) {
 	cancel()
 	_, err := Map(ctx, []int{1, 2, 3}, func(ctx context.Context, i, v int) (int, error) {
 		return v, ctx.Err()
-	}, Workers(2))
+	}, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	// Sequential path too.
 	_, err = Map(ctx, []int{1, 2, 3}, func(ctx context.Context, i, v int) (int, error) {
 		return v, nil
-	}, Workers(1))
+	}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("sequential: got %v, want context.Canceled", err)
 	}
@@ -117,71 +116,12 @@ func TestMapBoundsWorkers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		cur.Add(-1)
 		return 0, nil
-	}, Workers(workers))
+	}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > workers {
 		t.Errorf("peak concurrency %d exceeds %d workers", p, workers)
-	}
-}
-
-func TestMapProgress(t *testing.T) {
-	var mu sync.Mutex
-	var seen []int
-	items := make([]int, 20)
-	_, err := Map(context.Background(), items, func(_ context.Context, i, _ int) (int, error) {
-		return i, nil
-	}, Workers(4), OnProgress(func(done, total int) {
-		if total != 20 {
-			t.Errorf("total = %d, want 20", total)
-		}
-		mu.Lock()
-		seen = append(seen, done)
-		mu.Unlock()
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 20 {
-		t.Fatalf("got %d progress calls, want 20", len(seen))
-	}
-	for i, d := range seen {
-		if d != i+1 {
-			t.Fatalf("progress out of order: call %d reported done=%d", i, d)
-		}
-	}
-}
-
-func TestGridShapeAndValues(t *testing.T) {
-	rows := []int{10, 20, 30}
-	cols := []int{1, 2}
-	for _, workers := range []int{1, 4} {
-		m, err := Grid(context.Background(), rows, cols, func(_ context.Context, i, j, r, c int) (int, error) {
-			return r + c, nil
-		}, Workers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(m) != 3 || len(m[0]) != 2 {
-			t.Fatalf("shape %dx%d, want 3x2", len(m), len(m[0]))
-		}
-		for i, r := range rows {
-			for j, c := range cols {
-				if m[i][j] != r+c {
-					t.Errorf("m[%d][%d] = %d, want %d", i, j, m[i][j], r+c)
-				}
-			}
-		}
-	}
-}
-
-func TestGridEmpty(t *testing.T) {
-	m, err := Grid(context.Background(), []int{}, []int{1}, func(_ context.Context, i, j, r, c int) (int, error) {
-		return 0, nil
-	})
-	if m != nil || err != nil {
-		t.Fatalf("empty grid: got %v, %v", m, err)
 	}
 }
 
@@ -203,17 +143,6 @@ func TestTaskSeedStableAndDistinct(t *testing.T) {
 	}
 }
 
-func TestTaskRandIndependentOfOrder(t *testing.T) {
-	// Drawing from task 5's stream must not depend on whether other tasks
-	// drew first.
-	first := TaskRand(7, 5).Float64()
-	TaskRand(7, 3).Float64()
-	TaskRand(7, 4).Float64()
-	if got := TaskRand(7, 5).Float64(); got != first {
-		t.Errorf("task stream depends on other tasks: %v vs %v", got, first)
-	}
-}
-
 func TestUniformRangeAndMoments(t *testing.T) {
 	const n = 100000
 	var sum float64
@@ -232,6 +161,19 @@ func TestUniformRangeAndMoments(t *testing.T) {
 	}
 	if Uniform(1, 0) != Uniform(1, 0) {
 		t.Error("Uniform not stable")
+	}
+}
+
+// TestStreamIsSaltedUniform pins the stream to its definition: draw k of
+// NewStream(base, salt) is Uniform(TaskSeed(base^salt, 0), k), the
+// derivation every frozen fault-injection sequence depends on.
+func TestStreamIsSaltedUniform(t *testing.T) {
+	s := NewStream(2012, 0xd1ce0001)
+	seed := TaskSeed(2012^0xd1ce0001, 0)
+	for k := uint64(0); k < 8; k++ {
+		if got, want := s.Next(), Uniform(seed, k); got != want {
+			t.Fatalf("draw %d = %v, want %v", k, got, want)
+		}
 	}
 }
 

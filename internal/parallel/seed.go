@@ -1,7 +1,5 @@
 package parallel
 
-import "math/rand"
-
 // Deterministic per-task randomness. Experiments that inject randomness
 // (sensor noise, fault timing) must not share one sequential PRNG stream
 // across tasks: under a worker pool the interleaving — and therefore every
@@ -25,19 +23,33 @@ func TaskSeed(base uint64, index int) uint64 {
 	return splitmix64(base ^ splitmix64(uint64(index)+0x632be59bd9b4e019))
 }
 
-// TaskRand returns a PRNG seeded by TaskSeed(base, index). The returned
-// source is not safe for concurrent use; it is meant to live inside one
-// task.
-func TaskRand(base uint64, index int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(TaskSeed(base, index))))
-}
-
 // Uniform maps (seed, draw index) to a uniform float64 in [0, 1) without
 // any stream state: draw k of a task is the same value no matter how many
 // other tasks ran, or in what order. Use consecutive k for consecutive
 // draws.
 func Uniform(seed, k uint64) float64 {
 	return float64(splitmix64(seed^splitmix64(k))>>11) / (1 << 53)
+}
+
+// Stream is a stateless draw stream: a derived seed plus a draw counter.
+// Draw k is Uniform(seed, k), so a stream replays identically under any
+// scheduling. The fault injectors give each fault class its own stream,
+// salted so that enabling one class never shifts another's sequence.
+type Stream struct {
+	seed uint64
+	k    uint64
+}
+
+// NewStream returns the stream seeded by TaskSeed(base^salt, 0).
+func NewStream(base, salt uint64) Stream {
+	return Stream{seed: TaskSeed(base^salt, 0)}
+}
+
+// Next consumes one uniform draw in [0,1).
+func (s *Stream) Next() float64 {
+	u := Uniform(s.seed, s.k)
+	s.k++
+	return u
 }
 
 // Pick maps (seed, draw index) to a uniform choice in [0, n) with the same

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"testing"
 
 	"greengpu/internal/core"
@@ -28,7 +29,7 @@ func BenchmarkSweepBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(spec); err != nil {
+		if _, err := e.Run(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +111,7 @@ func BenchmarkSweepHolistic(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(spec); err != nil {
+		if _, err := e.Run(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}

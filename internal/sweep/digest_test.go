@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -40,7 +41,7 @@ func TestHolisticSweepDigest(t *testing.T) {
 	for cpu := 0; cpu < len(e.CPU.PStates); cpu++ {
 		for iters := 3; iters <= 5; iters++ {
 			spec := Spec{Mode: core.Holistic, Iterations: iters, CPULevel: cpu}
-			results, err := e.Run(spec)
+			results, err := e.Run(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}

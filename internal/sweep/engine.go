@@ -3,6 +3,8 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"greengpu/internal/bus"
@@ -73,58 +75,89 @@ type PointResult struct {
 // Expand resolves a spec into its ordered point list: workloads outermost,
 // then the core ladder, then the memory ladder (draws replace the ladder).
 // The order is part of the engine's determinism contract — results are
-// returned in exactly this order at any Jobs value.
+// returned in exactly this order at any Jobs value. Expand rejects a spec
+// whose points, at their resolved iteration counts, would produce more
+// than MaxRecords iteration records, before it allocates them.
 func (e *Engine) Expand(spec Spec) ([]Point, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	names := spec.Workloads
-	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-		names = make([]string, len(e.Profiles))
-		for i, p := range e.Profiles {
-			names[i] = p.Name
-		}
-	}
-	for _, n := range names {
-		if _, err := workload.ByName(e.Profiles, n); err != nil {
-			return nil, err
-		}
-	}
+	pts, _, err := e.expand(&spec)
+	return pts, err
+}
 
+// expand is Expand that also returns the selected profiles, in selection
+// order, for the batch that evaluates the points.
+func (e *Engine) expand(spec *Spec) ([]Point, []*workload.Profile, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, nil, err
+	}
+	profs, err := workload.Select(e.Profiles, spec.Workloads)
+	if err != nil {
+		return nil, nil, err
+	}
 	if spec.Draws > 0 {
-		pts := make([]Point, 0, len(names)*spec.Draws)
-		for _, n := range names {
+		if err := checkRecords(profs, spec.Draws, spec.Iterations); err != nil {
+			return nil, nil, err
+		}
+		pts := make([]Point, 0, len(profs)*spec.Draws)
+		for _, p := range profs {
 			for d := 0; d < spec.Draws; d++ {
-				pts = append(pts, Point{Workload: n, Draw: d, Core: -1, Mem: -1, CPU: -1})
+				pts = append(pts, Point{Workload: p.Name, Draw: d, Core: -1, Mem: -1, CPU: -1})
 			}
 		}
-		return pts, nil
+		return pts, profs, nil
 	}
-
-	cores, err := resolveLadder(spec.CoreLevels, len(e.GPU.CoreLevels), "core")
+	cores, mems, cpuLvl, err := e.ladder(spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	mems, err := resolveLadder(spec.MemLevels, len(e.GPU.MemLevels), "mem")
-	if err != nil {
-		return nil, err
+	if err := checkRecords(profs, len(cores)*len(mems), spec.Iterations); err != nil {
+		return nil, nil, err
 	}
-	cpuLvl := spec.CPULevel
-	if cpuLvl == -1 {
-		cpuLvl = len(e.CPU.PStates) - 1
-	}
-	if cpuLvl >= len(e.CPU.PStates) {
-		return nil, fmt.Errorf("sweep: CPU P-state %d out of range [0,%d)", cpuLvl, len(e.CPU.PStates))
-	}
-	pts := make([]Point, 0, len(names)*len(cores)*len(mems))
-	for _, n := range names {
+	pts := make([]Point, 0, len(profs)*len(cores)*len(mems))
+	for _, p := range profs {
 		for _, c := range cores {
 			for _, m := range mems {
-				pts = append(pts, Point{Workload: n, Draw: -1, Core: c, Mem: m, CPU: cpuLvl})
+				pts = append(pts, Point{Workload: p.Name, Draw: -1, Core: c, Mem: m, CPU: cpuLvl})
 			}
 		}
 	}
-	return pts, nil
+	return pts, profs, nil
+}
+
+// checkRecords rejects n points per profile whose iteration records, at
+// each profile's resolved iteration count, would exceed MaxRecords.
+func checkRecords(profs []*workload.Profile, n, iters int) error {
+	total := 0
+	for _, p := range profs {
+		it := iters
+		if it == 0 {
+			it = max(p.Iterations, 1)
+		}
+		if n > (MaxRecords-total)/it {
+			return errTooManyRecords
+		}
+		total += n * it
+	}
+	return nil
+}
+
+// ladder resolves a ladder spec's axes against the engine's devices: the
+// core and memory indices to sweep (the full ladder when the spec names
+// none) and the CPU P-state (-1 selects the top state).
+func (e *Engine) ladder(spec *Spec) (cores, mems []int, cpu int, err error) {
+	if cores, err = resolveLadder(spec.CoreLevels, len(e.GPU.CoreLevels), "core"); err != nil {
+		return nil, nil, 0, err
+	}
+	if mems, err = resolveLadder(spec.MemLevels, len(e.GPU.MemLevels), "mem"); err != nil {
+		return nil, nil, 0, err
+	}
+	cpu = spec.CPULevel
+	if cpu == -1 {
+		cpu = len(e.CPU.PStates) - 1
+	}
+	if cpu >= len(e.CPU.PStates) {
+		return nil, nil, 0, fmt.Errorf("sweep: CPU P-state %d out of range [0,%d)", cpu, len(e.CPU.PStates))
+	}
+	return cores, mems, cpu, nil
 }
 
 // resolveLadder checks explicit indices against the device ladder, or
@@ -152,10 +185,16 @@ func resolveLadder(sel []int, n int, domain string) ([]int, error) {
 func (e *Engine) baseConfig(spec *Spec) core.Config {
 	cfg := core.DefaultConfig(spec.Mode)
 	cfg.Iterations = spec.Iterations
-	if e.FaultPlan != nil {
+	e.inheritPlan(&cfg)
+	return cfg
+}
+
+// inheritPlan installs the engine's ambient chaos plan on a configuration
+// that carries no plan of its own.
+func (e *Engine) inheritPlan(cfg *core.Config) {
+	if cfg.FaultPlan == nil && e.FaultPlan != nil {
 		cfg.FaultPlan = e.FaultPlan
 	}
-	return cfg
 }
 
 // config specializes the batch's base configuration for one point.
@@ -182,82 +221,147 @@ func specialize(cfg *core.Config, spec *Spec, pt Point, lv *core.Levels) {
 
 // Batch is one batch's shared precomputation — the validated device level
 // tables plus the per-workload phase columns — detached from any particular
-// spec so external callers (the fleet engine) can evaluate ad-hoc
-// configurations through the same fast-or-fallback machinery Engine.Run
-// uses. A Batch is immutable after construction and safe for concurrent
-// use.
+// spec so external callers (the fleet engine, the daemon) can evaluate
+// ad-hoc configurations through the same evaluation body Engine.Run uses.
+// A Batch is immutable after construction and safe for concurrent use.
 type Batch struct {
 	e   *Engine
 	gt  *gpusim.Tables
 	ct  *cpusim.Tables
-	wts map[string]*workloadTables
-}
-
-// deviceTables validates the bus and builds both devices' frequency-level
-// tables — the spec-independent half of a batch's shared precomputation.
-func (e *Engine) deviceTables() (*gpusim.Tables, *cpusim.Tables, error) {
-	if err := e.Bus.Validate(); err != nil {
-		return nil, nil, err
-	}
-	gt, err := gpusim.BuildTables(e.GPU)
-	if err != nil {
-		return nil, nil, err
-	}
-	ct, err := cpusim.BuildTables(e.CPU)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gt, ct, nil
+	wts []workloadTables
 }
 
 // NewBatch validates the engine's device configurations and precomputes
-// the shared tables for the named workloads (every profile the engine
-// knows when none are named).
-func (e *Engine) NewBatch(names ...string) (*Batch, error) {
-	gt, ct, err := e.deviceTables()
+// the shared tables for every profile the engine knows.
+func (e *Engine) NewBatch() (*Batch, error) {
+	b, err := e.newBatch(e.Profiles)
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
-		names = make([]string, len(e.Profiles))
-		for i, p := range e.Profiles {
-			names[i] = p.Name
-		}
-	}
-	wts := make(map[string]*workloadTables, len(names))
-	for _, n := range names {
-		if _, ok := wts[n]; ok {
-			continue
-		}
-		prof, err := workload.ByName(e.Profiles, n)
-		if err != nil {
-			return nil, err
-		}
-		wts[n] = newWorkloadTables(prof, gt, &e.Bus)
-	}
-	return &Batch{e: e, gt: gt, ct: ct, wts: wts}, nil
+	return &b, nil
 }
 
-// Eval evaluates the named workload under one explicit configuration:
-// closed form when the configuration is expressible, full simulation
-// otherwise, through the run cache when one is attached and the
-// configuration is cacheable. A nil cfg.FaultPlan inherits the engine's
-// ambient plan, mirroring Engine.Run. The bool reports whether the
-// closed-form evaluator produced the result.
+// newBatch is the one builder of a batch's tables: it validates the bus,
+// builds both devices' frequency-level tables, and tabulates each profile
+// against them. It returns the batch by value so Run and
+// PredictSweetSpots keep theirs off the heap.
+func (e *Engine) newBatch(profs []*workload.Profile) (Batch, error) {
+	if err := e.Bus.Validate(); err != nil {
+		return Batch{}, err
+	}
+	gt, err := gpusim.BuildTables(e.GPU)
+	if err != nil {
+		return Batch{}, err
+	}
+	ct, err := cpusim.BuildTables(e.CPU)
+	if err != nil {
+		return Batch{}, err
+	}
+	wts := make([]workloadTables, len(profs))
+	for i, p := range profs {
+		wts[i].build(p, gt, &e.Bus)
+	}
+	return Batch{e: e, gt: gt, ct: ct, wts: wts}, nil
+}
+
+// table returns the named workload's tables, or nil when the batch does
+// not hold the workload.
+func (b *Batch) table(name string) *workloadTables {
+	for i := range b.wts {
+		if b.wts[i].prof.Name == name {
+			return &b.wts[i]
+		}
+	}
+	return nil
+}
+
+// Eval evaluates the named workload under one explicit configuration
+// through the batch's evaluation body. A nil cfg.FaultPlan inherits the
+// engine's ambient plan, mirroring Engine.Run. The bool reports whether
+// the closed-form evaluator produced the result.
 func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
-	e := b.e
-	wt, ok := b.wts[name]
-	if !ok {
+	wt := b.table(name)
+	if wt == nil {
 		return nil, false, fmt.Errorf("sweep: workload %q not in batch", name)
 	}
-	if cfg.FaultPlan == nil && e.FaultPlan != nil {
-		cfg.FaultPlan = e.FaultPlan
-	}
+	b.e.inheritPlan(&cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
-	fast := fastEligible(&cfg)
 	metricPoints.Inc()
+	return b.eval(wt, &cfg, fastEligible(&cfg))
+}
+
+// Key returns the run-cache fingerprint the batch would use for the named
+// workload under cfg (after inheriting the engine's ambient fault plan),
+// or false when the configuration is not cacheable. External dedup layers
+// group by this key so their groups collapse exactly when the cache would
+// collapse them.
+func (b *Batch) Key(name string, cfg core.Config) (runcache.Key, bool) {
+	wt := b.table(name)
+	if wt == nil {
+		return runcache.Key{}, false
+	}
+	b.e.inheritPlan(&cfg)
+	if !runcache.Cacheable(&cfg) {
+		return runcache.Key{}, false
+	}
+	return runcache.KeyOf(&b.e.GPU, &b.e.CPU, &b.e.Bus, wt.prof, &cfg, ""), true
+}
+
+// Run expands and evaluates the spec, returning results in Expand order.
+// When ctx is canceled, points that have not started are skipped, points
+// already running complete (so an attached run cache never holds partial
+// entries), and the error is ctx.Err(). The daemon routes client
+// disconnects through this path.
+func (e *Engine) Run(ctx context.Context, spec Spec) ([]PointResult, error) {
+	pts, profs, err := e.expand(&spec)
+	if err != nil {
+		return nil, err
+	}
+	b, err := e.newBatch(profs)
+	if err != nil {
+		return nil, err
+	}
+	base := e.baseConfig(&spec)
+	if err := base.Validate(); err != nil {
+		return nil, err
+	}
+	eligible := fastEligible(&base)
+	metricBatches.Inc()
+	metricPoints.Add(uint64(len(pts)))
+	return parallel.Map(ctx, pts,
+		func(_ context.Context, _ int, pt Point) (PointResult, error) {
+			return b.evalPoint(&spec, &base, eligible, pt)
+		}, e.Jobs)
+}
+
+// evalPoint evaluates one point of a spec: the batch-validated base
+// configuration specialized to the point, through the evaluation body.
+// Per-draw plans (validated by core.Run on the fallback path) are the only
+// per-point deviation from the base, and they never take the closed form.
+// Value receivers keep a stack-constructed batch out of the heap when
+// closures capture it.
+func (b Batch) evalPoint(spec *Spec, base *core.Config, eligible bool, pt Point) (PointResult, error) {
+	cfg := *base
+	var lv core.Levels
+	specialize(&cfg, spec, pt, &lv)
+	r, fast, err := b.eval(b.table(pt.Workload), &cfg, eligible && pt.Draw < 0)
+	return PointResult{Point: pt, Result: r, Fast: fast}, err
+}
+
+// eval is the evaluation body every point goes through. It takes the
+// closed form when eligible (fastEligible of cfg, which spec callers
+// derive once from their shared base) holds and the workload's iteration
+// limit admits the run, and core.Run on a fresh machine otherwise. It goes
+// through the run cache when one is attached and cfg is cacheable, and
+// counts the point as fast or fallback. The bool reports whether the
+// closed form produced the result; it depends only on the batch and cfg,
+// so it is the same on a cache hit and a miss.
+func (b Batch) eval(wt *workloadTables, cfg *core.Config, eligible bool) (*core.Result, bool, error) {
+	e := b.e
+	iters := wt.iterations(cfg)
+	fast := eligible && iters <= wt.maxIters
 	if fast {
 		metricFastPath.Inc()
 	} else {
@@ -265,15 +369,15 @@ func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
 	}
 	compute := func() (*core.Result, error) {
 		if fast {
-			return e.fastRun(wt, b.gt, b.ct, &cfg)
+			return b.fastRun(wt, cfg, iters)
 		}
-		return core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), wt.prof, cfg)
+		return core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), wt.prof, *cfg)
 	}
-	if e.Cache == nil || !runcache.Cacheable(&cfg) {
+	if e.Cache == nil || !runcache.Cacheable(cfg) {
 		r, err := compute()
 		return r, fast, err
 	}
-	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, wt.prof, &cfg, "")
+	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, wt.prof, cfg, "")
 	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
 		r, err := compute()
 		return runcache.Value{Result: r}, err
@@ -284,121 +388,10 @@ func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
 	return v.Result, fast, nil
 }
 
-// Key returns the run-cache fingerprint the batch would use for the named
-// workload under cfg (after inheriting the engine's ambient fault plan),
-// or false when the configuration is not cacheable. External dedup layers
-// group by this key so their groups collapse exactly when the cache would
-// collapse them.
-func (b *Batch) Key(name string, cfg core.Config) (runcache.Key, bool) {
-	wt, ok := b.wts[name]
-	if !ok {
-		return runcache.Key{}, false
-	}
-	if cfg.FaultPlan == nil && b.e.FaultPlan != nil {
-		cfg.FaultPlan = b.e.FaultPlan
-	}
-	if !runcache.Cacheable(&cfg) {
-		return runcache.Key{}, false
-	}
-	return runcache.KeyOf(&b.e.GPU, &b.e.CPU, &b.e.Bus, wt.prof, &cfg, ""), true
-}
-
-// Run expands and evaluates the spec, returning results in Expand order.
-// It is RunContext under a background context.
-func (e *Engine) Run(spec Spec) ([]PointResult, error) {
-	return e.RunContext(context.Background(), spec)
-}
-
-// RunContext is Run with request-scoped cancellation: when ctx is
-// canceled, points that have not started are skipped, points already
-// running complete (so an attached run cache never holds partial
-// entries), and the error is ctx.Err(). The daemon routes client
-// disconnects through this path.
-func (e *Engine) RunContext(ctx context.Context, spec Spec) ([]PointResult, error) {
-	pts, err := e.Expand(spec)
-	if err != nil {
-		return nil, err
-	}
-	gt, ct, err := e.deviceTables()
-	if err != nil {
-		return nil, err
-	}
-	wts := make(map[string]*workloadTables)
-	for _, pt := range pts {
-		if _, ok := wts[pt.Workload]; ok {
-			continue
-		}
-		prof, err := workload.ByName(e.Profiles, pt.Workload)
-		if err != nil {
-			return nil, err
-		}
-		wts[pt.Workload] = newWorkloadTables(prof, gt, &e.Bus)
-	}
-	// A value batch, captured by value in the map closure: same allocation
-	// profile as capturing the tables individually.
-	b := Batch{e: e, gt: gt, ct: ct, wts: wts}
-	base := e.baseConfig(&spec)
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
-	baseFast := fastEligible(&base)
-	metricBatches.Inc()
-	metricPoints.Add(uint64(len(pts)))
-	return parallel.Map(ctx, pts,
-		func(_ context.Context, _ int, pt Point) (PointResult, error) {
-			return b.evalPoint(&spec, &base, baseFast, pt)
-		}, parallel.Workers(e.Jobs))
-}
-
-// evalPoint evaluates one point: closed form when the configuration is
-// expressible, full simulation otherwise, through the run cache when one
-// is attached and the point is cacheable. Value receivers keep a
-// stack-constructed batch out of the heap when closures capture it.
-func (b Batch) evalPoint(spec *Spec, base *core.Config, baseFast bool, pt Point) (PointResult, error) {
-	return b.evalPointWT(b.wts[pt.Workload], spec, base, baseFast, pt)
-}
-
-// evalPointWT is evalPoint against an explicit workload table — the form
-// the predicted search uses, where tables are built lazily per workload
-// instead of batched in the map.
-func (b Batch) evalPointWT(wt *workloadTables, spec *Spec, base *core.Config, baseFast bool, pt Point) (PointResult, error) {
-	e := b.e
-	cfg := *base
-	var lv core.Levels
-	specialize(&cfg, spec, pt, &lv)
-	// Per-draw plans (validated by core.Run on the fallback path) are the
-	// only per-point deviation from the batch-validated base config.
-	fast := baseFast && pt.Draw < 0
-	if fast {
-		metricFastPath.Inc()
-	} else {
-		metricFallback.Inc()
-	}
-	compute := func() (*core.Result, error) {
-		if fast {
-			return e.fastRun(wt, b.gt, b.ct, &cfg)
-		}
-		return core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), wt.prof, cfg)
-	}
-	if e.Cache == nil || !runcache.Cacheable(&cfg) {
-		r, err := compute()
-		return PointResult{Point: pt, Result: r, Fast: fast}, err
-	}
-	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, wt.prof, &cfg, "")
-	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
-		r, err := compute()
-		return runcache.Value{Result: r}, err
-	})
-	if err != nil {
-		return PointResult{}, err
-	}
-	return PointResult{Point: pt, Result: v.Result, Fast: fast}, nil
-}
-
 // fastEligible reports whether the closed-form evaluator expresses the
-// configuration exactly: the baseline mode's event sequence with no
-// dynamic control, no fault injection, and no observers. Everything else
-// falls back to a full simulation.
+// configuration: the baseline mode's event sequence with no dynamic
+// control, no fault injection, and no observers. Everything else falls
+// back to a full simulation.
 func fastEligible(cfg *core.Config) bool {
 	return cfg.Mode == core.Baseline &&
 		(cfg.StaticRatio == nil || *cfg.StaticRatio == 0) &&
@@ -412,6 +405,11 @@ func fastEligible(cfg *core.Config) bool {
 		cfg.OnIteration == nil
 }
 
+// maxPhases is the number of positive-length phases the closed-form loop
+// holds in its fixed, stack-allocated phase array. Profiles with more
+// phases (none on the testbed) take core.Run.
+const maxPhases = 16
+
 // workloadTables is the per-workload shared precomputation of a batch:
 // the host→device bus time and, per kernel phase, the per-domain busy
 // times tabulated against each ladder (the separable halves of the phase
@@ -422,6 +420,12 @@ type workloadTables struct {
 	busTime time.Duration // host→device transfer service time
 	gamma   float64
 	phases  []phaseTables
+
+	// maxIters is the longest run, in iterations, the closed-form loop
+	// expresses at every ladder point: the run ends before sim.MaxTime,
+	// so the clock never saturates. 0 when the profile has more phases
+	// than the loop holds or one iteration can already reach the horizon.
+	maxIters int
 }
 
 type phaseTables struct {
@@ -430,13 +434,14 @@ type phaseTables struct {
 	tm    []time.Duration // memory busy time per memory level
 }
 
-// newWorkloadTables precomputes the profile's batch tables, with exactly
-// the arithmetic (and operation order) the live path uses in
-// Profile.GPUKernel, Bus.TransferTime and GPU.startSegment.
-func newWorkloadTables(prof *workload.Profile, gt *gpusim.Tables, b *bus.Config) *workloadTables {
+// build precomputes the profile's batch tables, with exactly the
+// arithmetic (and operation order) the live path uses in
+// Profile.GPUKernel, Bus.TransferTime and GPU.startSegment, and the
+// closed form's iteration limit.
+func (wt *workloadTables) build(prof *workload.Profile, gt *gpusim.Tables, b *bus.Config) {
 	const gpuUnits = (1 - 0) * workload.UnitsPerIteration // baseline: r = 0
 	xfer := prof.TransferBytes(gpuUnits)
-	wt := &workloadTables{
+	*wt = workloadTables{
 		prof:    prof,
 		busTime: b.Latency + b.Bandwidth.TransferTime(xfer),
 		gamma:   gt.Gamma(),
@@ -460,21 +465,51 @@ func newWorkloadTables(prof *workload.Profile, gt *gpusim.Tables, b *bus.Config)
 		}
 		wt.phases[i] = pt
 	}
-	return wt
+	if len(wt.phases) > maxPhases {
+		return
+	}
+	// A phase's time grows with each domain's busy time (γ ∈ [0,1]), so
+	// the slowest columns bound every ladder point's iteration span.
+	span := wt.busTime
+	for i := range wt.phases {
+		ph := &wt.phases[i]
+		t := gpusim.UnifyPhaseTime(slices.Max(ph.tc), slices.Max(ph.tm), ph.stall, wt.gamma)
+		if t <= 0 {
+			continue
+		}
+		if t >= sim.MaxTime-span {
+			return // one iteration can already reach the horizon
+		}
+		span += t
+	}
+	wt.maxIters = math.MaxInt
+	if span > 0 {
+		wt.maxIters = int((sim.MaxTime - 1) / span)
+	}
+}
+
+// iterations resolves cfg's iteration count for this workload exactly as
+// core.Run does: the override when positive, else the profile's count,
+// and at least one.
+func (wt *workloadTables) iterations(cfg *core.Config) int {
+	iters := wt.prof.Iterations
+	if cfg.Iterations > 0 {
+		iters = cfg.Iterations
+	}
+	return max(iters, 1) // the framework loop always runs one iteration
 }
 
 // fastRun replays the baseline event sequence in closed form, with the
-// engine's exact accrual arithmetic (same operands, same order, same
-// saturation rule), so the Result is byte-identical to core.Run on a fresh
-// machine.
+// engine's exact accrual arithmetic (same operands, same order), so the
+// Result is byte-identical to core.Run on a fresh machine. The caller
+// guarantees the run fits the closed form (iters <= wt.maxIters), so no
+// event time reaches the clock's saturation range.
 //
 // Every baseline iteration is identical — same levels, same demands, same
 // bus window — so the per-phase durations and energy increments are
 // derived once per point and replayed per iteration as pure accumulation.
-// The one thing that could differ between iterations is clock saturation
-// near MaxTime; when the run could get anywhere near it, the evaluator
-// uses the exact per-event loop instead.
-func (e *Engine) fastRun(wt *workloadTables, gt *gpusim.Tables, ct *cpusim.Tables, cfg *core.Config) (*core.Result, error) {
+func (b Batch) fastRun(wt *workloadTables, cfg *core.Config, iters int) (*core.Result, error) {
+	e, gt := b.e, b.gt
 	c := len(e.GPU.CoreLevels) - 1
 	m := len(e.GPU.MemLevels) - 1
 	cpuLvl := len(e.CPU.PStates) - 1
@@ -486,59 +521,39 @@ func (e *Engine) fastRun(wt *workloadTables, gt *gpusim.Tables, ct *cpusim.Table
 		}
 		c, m, cpuLvl = l.Core, l.Mem, l.CPU
 	}
-	iters := wt.prof.Iterations
-	if cfg.Iterations > 0 {
-		iters = cfg.Iterations
-	}
-	if iters < 1 {
-		iters = 1 // the framework loop always runs one iteration
-	}
-
 	cpuBusy := 0
 	if cfg.SpinWait {
 		cpuBusy = 1
 	}
-	pe := pointEval{
-		core: c, mem: m, cpu: cpuLvl,
-		idleP: gt.Power(c, m, 0, 0),
-		cpuP:  ct.PowerAt(cpuLvl, cpuBusy),
-		spin:  cfg.SpinWait,
-	}
+	idleP := gt.Power(c, m, 0, 0)
+	cpuP := b.ct.PowerAt(cpuLvl, cpuBusy)
+	spin := cfg.SpinWait
 
 	// Per-point precompute: phase durations and energies at (c, m),
-	// pulled from the batch's shared per-domain columns. A point with an
-	// oversized phase list or a run long enough to approach the clock's
-	// saturation range takes the per-event evaluator instead.
-	exact := len(wt.phases) > len(pe.phases)
+	// pulled from the batch's shared per-domain columns into a fixed-size
+	// array on the evaluator's stack.
+	var phases [maxPhases]phaseEval
+	nPhases := 0
 	span := wt.busTime
-	if !exact {
-		for p := range wt.phases {
-			ph := &wt.phases[p]
-			tc, tm := ph.tc[c], ph.tm[m]
-			t := gpusim.UnifyPhaseTime(tc, tm, ph.stall, wt.gamma)
-			if t <= 0 {
-				continue // zero-length phase: completes without accrual
-			}
-			uc := units.Clamp(tc.Seconds()/t.Seconds(), 0, 1)
-			um := units.Clamp(tm.Seconds()/t.Seconds(), 0, 1)
-			pe.phases[pe.nPhases] = phaseEval{
-				dt:     t,
-				energy: gt.Power(c, m, uc, um).Over(t),
-			}
-			pe.nPhases++
-			if t > sim.MaxTime-span {
-				exact = true
-				break
-			}
-			span += t
+	for p := range wt.phases {
+		ph := &wt.phases[p]
+		tc, tm := ph.tc[c], ph.tm[m]
+		t := gpusim.UnifyPhaseTime(tc, tm, ph.stall, wt.gamma)
+		if t <= 0 {
+			continue // zero-length phase: completes without accrual
 		}
-	}
-	if exact || (span > 0 && time.Duration(iters) > sim.MaxTime/span) {
-		return e.fastRunExact(wt, gt, &pe, cfg, iters), nil
+		uc := units.Clamp(tc.Seconds()/t.Seconds(), 0, 1)
+		um := units.Clamp(tm.Seconds()/t.Seconds(), 0, 1)
+		phases[nPhases] = phaseEval{
+			dt:     t,
+			energy: gt.Power(c, m, uc, um).Over(t),
+		}
+		nPhases++
+		span += t
 	}
 	iterWall := span
-	idleE := pe.idleP.Over(wt.busTime)
-	cpuEIter := pe.cpuP.Over(span)
+	idleE := idleP.Over(wt.busTime)
+	cpuEIter := cpuP.Over(span)
 
 	res := newFastResult(wt.prof.Name, cfg.Mode, iters)
 	var now time.Duration
@@ -551,15 +566,15 @@ func (e *Engine) fastRun(wt *workloadTables, gt *gpusim.Tables, ct *cpusim.Table
 		if wt.busTime > 0 {
 			gpuE += idleE
 		}
-		for p := 0; p < pe.nPhases; p++ {
-			gpuE += pe.phases[p].energy
+		for p := 0; p < nPhases; p++ {
+			gpuE += phases[p].energy
 		}
 		// The CPU side has no work (r = 0): it accrues once per
 		// iteration over the whole wall time, spinning one core when
 		// SpinWait models the synchronous CUDA wait.
 		if iterWall > 0 {
 			cpuE += cpuEIter
-			if pe.spin {
+			if spin {
 				spinT += iterWall
 				spinE += cpuEIter
 			}
@@ -583,18 +598,6 @@ func (e *Engine) fastRun(wt *workloadTables, gt *gpusim.Tables, ct *cpusim.Table
 	res.SpinTime = spinT
 	res.SpinEnergy = spinE
 	return res, nil
-}
-
-// pointEval is one point's evaluation state. The phase array is fixed-size
-// so the whole struct lives on the evaluator's stack; profiles with more
-// phases (none on the testbed) use the per-event evaluator.
-type pointEval struct {
-	core, mem, cpu int
-	idleP          units.Power
-	cpuP           units.Power
-	spin           bool
-	nPhases        int
-	phases         [16]phaseEval
 }
 
 // phaseEval is one positive-length phase at the point's levels.
@@ -621,68 +624,6 @@ func newFastResult(name string, mode core.Mode, iters int) *core.Result {
 		buf.res.Iterations = make([]core.IterationStats, iters)
 	}
 	return &buf.res
-}
-
-// fastRunExact is the saturation-safe evaluator: it advances the clock
-// event by event with the engine's saturation rule (sim.AddTime for phase
-// ends, the bus's plain add for transfer windows), re-deriving each
-// phase's time and utilizations per iteration exactly as the device does.
-func (e *Engine) fastRunExact(wt *workloadTables, gt *gpusim.Tables, pe *pointEval, cfg *core.Config, iters int) *core.Result {
-	res := newFastResult(wt.prof.Name, cfg.Mode, iters)
-	c, m := pe.core, pe.mem
-	var now time.Duration
-	var gpuE, cpuE, spinE units.Energy
-	var spinT time.Duration
-	for i := 0; i < iters; i++ {
-		startGPU, startCPU := gpuE, cpuE
-		iterStart := now
-		busEnd := iterStart + wt.busTime
-		if dt := busEnd - now; dt > 0 {
-			gpuE += pe.idleP.Over(dt)
-		}
-		now = busEnd
-		for p := range wt.phases {
-			ph := &wt.phases[p]
-			tc, tm := ph.tc[c], ph.tm[m]
-			t := gpusim.UnifyPhaseTime(tc, tm, ph.stall, wt.gamma)
-			if t <= 0 {
-				continue
-			}
-			next := sim.AddTime(now, t)
-			if dt := next - now; dt > 0 {
-				uc := units.Clamp(tc.Seconds()/t.Seconds(), 0, 1)
-				um := units.Clamp(tm.Seconds()/t.Seconds(), 0, 1)
-				gpuE += gt.Power(c, m, uc, um).Over(dt)
-			}
-			now = next
-		}
-		iterWall := now - iterStart
-		if iterWall > 0 {
-			cpuEIter := pe.cpuP.Over(iterWall)
-			cpuE += cpuEIter
-			if pe.spin {
-				spinT += iterWall
-				spinE += cpuEIter
-			}
-		}
-		st := &res.Iterations[i]
-		st.Index = i
-		st.TG = iterWall
-		st.WallTime = iterWall
-		st.CoreLevel = c
-		st.MemLevel = m
-		st.CPULevel = pe.cpu
-		st.EnergyGPU = gpuE - startGPU
-		st.EnergyCPU = cpuE - startCPU
-		st.Energy = st.EnergyGPU + st.EnergyCPU
-	}
-	res.TotalTime = now
-	res.EnergyGPU = gpuE
-	res.EnergyCPU = cpuE
-	res.Energy = res.EnergyGPU + res.EnergyCPU
-	res.SpinTime = spinT
-	res.SpinEnergy = spinE
-	return res
 }
 
 // Table renders results as the suite's standard trace table: one row per

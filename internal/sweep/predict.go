@@ -54,41 +54,23 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 	if spec.Draws > 0 {
 		return nil, fmt.Errorf("sweep: predict needs a ladder spec, not Monte Carlo draws")
 	}
-	names := spec.Workloads
-	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-		names = make([]string, len(e.Profiles))
-		for i, p := range e.Profiles {
-			names[i] = p.Name
-		}
-	}
-	cores, err := resolveLadder(spec.CoreLevels, len(e.GPU.CoreLevels), "core")
+	profs, err := workload.Select(e.Profiles, spec.Workloads)
 	if err != nil {
 		return nil, err
 	}
-	mems, err := resolveLadder(spec.MemLevels, len(e.GPU.MemLevels), "mem")
+	cores, mems, cpuLvl, err := e.ladder(&spec)
 	if err != nil {
 		return nil, err
 	}
-	cpuLvl := spec.CPULevel
-	if cpuLvl == -1 {
-		cpuLvl = len(e.CPU.PStates) - 1
-	}
-	if cpuLvl >= len(e.CPU.PStates) {
-		return nil, fmt.Errorf("sweep: CPU P-state %d out of range [0,%d)", cpuLvl, len(e.CPU.PStates))
-	}
-	gt, ct, err := e.deviceTables()
+	b, err := e.newBatch(profs)
 	if err != nil {
 		return nil, err
 	}
-	// Workload tables are built lazily per workload below; the value batch
-	// carries only the shared device tables so the sample closure captures
-	// it without a heap allocation.
-	b := Batch{e: e, gt: gt, ct: ct}
 	base := e.baseConfig(&spec)
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	baseFast := fastEligible(&base)
+	eligible := fastEligible(&base)
 
 	coreF := make([]units.Frequency, len(cores))
 	for i, c := range cores {
@@ -100,17 +82,13 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 	}
 	variant := predictVariant(opts, cores, mems, cpuLvl)
 
-	out := make([]SpotResult, 0, len(names))
-	for _, n := range names {
-		prof, err := workload.ByName(e.Profiles, n)
-		if err != nil {
-			return nil, err
-		}
-		wt := newWorkloadTables(prof, gt, &e.Bus)
+	out := make([]SpotResult, 0, len(profs))
+	for _, prof := range profs {
+		n := prof.Name
 		search := func() (predict.Outcome, error) {
 			oc, err := predict.SweetSpot(coreF, memF, func(ci, mi int) (predict.Sample, error) {
 				pt := Point{Workload: n, Draw: -1, Core: cores[ci], Mem: mems[mi], CPU: cpuLvl}
-				pr, err := b.evalPointWT(wt, &spec, &base, baseFast, pt)
+				pr, err := b.evalPoint(&spec, &base, eligible, pt)
 				if err != nil {
 					return predict.Sample{}, err
 				}
@@ -164,6 +142,9 @@ func (e *Engine) memoizedSearch(base *core.Config, prof *workload.Profile, varia
 // sub-ladder.
 func predictVariant(opts predict.Options, cores, mems []int, cpuLvl int) string {
 	var b strings.Builder
+	// One allocation: the fixed fields plus up to three digits and a
+	// separator per level index.
+	b.Grow(64 + 4*(len(cores)+len(mems)))
 	fmt.Fprintf(&b, "predict:%s:%s:topm=%d:refine=%d:cpu=%d:cores=",
 		opts.Strategy, opts.Objective, opts.TopM, opts.MaxRefine, cpuLvl)
 	for i, c := range cores {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -31,7 +32,7 @@ func denseEngine(t testing.TB) *Engine {
 // memory inner), strict less-than keeps the earliest.
 func bruteSpots(t testing.TB, e *Engine, spec Spec) map[string]PointResult {
 	t.Helper()
-	results, err := e.Run(spec)
+	results, err := e.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +225,8 @@ func TestPredictFlightRecord(t *testing.T) {
 // closed-form evaluator cannot express — dynamic control modes, an armed
 // ambient fault plan, Monte Carlo draws — and checks each point both
 // bypasses the fast path and is counted on the fallback telemetry metric.
-// A baseline control row pins the complementary fast-path count, and a
-// clock-saturating profile shows horizon saturation stays on the fast path
-// (the exact evaluator) while still matching the per-point engine.
+// A baseline control row pins the complementary fast-path count;
+// TestRunSaturationStaysFast covers runs that reach the clock's horizon.
 func TestRunFallbackMatrix(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
@@ -255,7 +255,7 @@ func TestRunFallbackMatrix(t *testing.T) {
 			e.FaultPlan = tc.plan
 			fastBefore := telemetry.Default.CounterValue(telemetry.MetricSweepFastPath)
 			fallBefore := telemetry.Default.CounterValue(telemetry.MetricSweepFallback)
-			results, err := e.Run(tc.spec)
+			results, err := e.Run(context.Background(), tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,8 +279,9 @@ func TestRunFallbackMatrix(t *testing.T) {
 }
 
 // TestRunSaturationStaysFast: a profile whose span drives the clock into
-// its saturation range takes the exact closed-form evaluator — still the
-// fast path — and remains byte-identical to the per-point engine.
+// its saturation range is one the closed-form loop cannot express, so its
+// points fall back to core.Run (Fast is false) and stay byte-identical to
+// the per-point engine.
 func TestRunSaturationStaysFast(t *testing.T) {
 	e := testEngine(t)
 	// 4 × 2.4e9 s crosses the ~292-year clock horizon inside the FINAL
@@ -301,14 +302,14 @@ func TestRunSaturationStaysFast(t *testing.T) {
 	e.Profiles = append(e.Profiles, sat)
 	spec := Spec{Workloads: []string{"saturate"}, Iterations: 4, CPULevel: -1,
 		CoreLevels: []int{0, 5}, MemLevels: []int{0, 5}}
-	got, err := e.Run(spec)
+	got, err := e.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := naiveRun(t, e, spec)
 	for i := range got {
-		if !got[i].Fast {
-			t.Errorf("point %d (%+v) left the fast path", i, got[i].Point)
+		if got[i].Fast {
+			t.Errorf("point %d (%+v) took the closed form into clock saturation", i, got[i].Point)
 		}
 		if !reflect.DeepEqual(got[i].Result, want[i]) {
 			t.Errorf("point %d (%+v): saturated result diverges from per-point run", i, got[i].Point)

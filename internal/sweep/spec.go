@@ -22,13 +22,15 @@
 //     repeated CI runs, and concurrent processes (see runcache file
 //     locking) share hits.
 //
-// Points whose configuration the closed form cannot express — scaling or
-// dividing modes, armed fault plans — fall back to a full simulation on a
-// fresh machine, preserving correctness for every spec.
+// Points the closed form cannot express — scaling or dividing modes, armed
+// fault plans, profiles with more phases than its loop holds, runs that
+// could reach the simulation clock's horizon — fall back to a full
+// simulation on a fresh machine, preserving correctness for every spec.
 package sweep
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -70,9 +72,22 @@ type Spec struct {
 // study stay comparable.
 const DefaultSeed = 2012
 
+// MaxRecords caps the iteration records one request can make the engines
+// produce: points × resolved iterations for a sweep, distinct
+// configurations × iterations for a fleet, the iteration count of one
+// simulated point. Every record is one core.IterationStats (about 208
+// bytes), so the cap bounds a request's results to about 52 MiB. The
+// largest studies stay far below it: the 24×24 predict validation
+// evaluates 20,736 records.
+const MaxRecords = 1 << 18
+
+// errTooManyRecords is the error for a spec over MaxRecords.
+var errTooManyRecords = fmt.Errorf("sweep: spec asks for more than %d iteration records", MaxRecords)
+
 // Validate reports the first statically checkable problem with the spec.
 // Level indices and workload names are resolved against a concrete engine
-// by Engine.Expand.
+// by Engine.Expand, which also checks MaxRecords against the resolved
+// points and iteration counts.
 func (s *Spec) Validate() error {
 	switch {
 	case s.Mode < core.Baseline || s.Mode > core.Holistic:
@@ -83,6 +98,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: CPULevel must be -1 (peak) or a P-state index")
 	case s.Draws < 0:
 		return fmt.Errorf("sweep: Draws must be non-negative")
+	case s.Iterations > MaxRecords || s.Draws > MaxRecords/max(s.Iterations, 1):
+		// Every spec has at least one point and one iteration per point.
+		return errTooManyRecords
 	}
 	for _, w := range s.Workloads {
 		if strings.TrimSpace(w) == "" {
@@ -125,22 +143,9 @@ type Point struct {
 // (Fig. 1), so ladder points share their run-cache keys.
 func ParseSpec(s string) (Spec, error) {
 	spec := Spec{CPULevel: -1, Iterations: 4, Seed: DefaultSeed}
-	for _, tok := range strings.Fields(s) {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok || v == "" {
-			return Spec{}, fmt.Errorf("sweep: token %q is not key=value", tok)
-		}
+	err := ParseTokens("sweep", s, &spec.Workloads, func(k, v string) (bool, error) {
 		var err error
 		switch k {
-		case "workloads":
-			if v != "all" {
-				spec.Workloads = strings.Split(v, ",")
-				for _, w := range spec.Workloads {
-					if w == "" {
-						return Spec{}, fmt.Errorf("sweep: empty workload in %q", tok)
-					}
-				}
-			}
 		case "core":
 			spec.CoreLevels, err = parseLevels(v)
 		case "mem":
@@ -160,16 +165,50 @@ func ParseSpec(s string) (Spec, error) {
 		case "mode":
 			spec.Mode, err = ParseMode(v)
 		default:
-			return Spec{}, fmt.Errorf("sweep: unknown key %q", k)
+			return false, nil
 		}
-		if err != nil {
-			return Spec{}, fmt.Errorf("sweep: bad value in %q: %w", tok, err)
-		}
+		return true, err
+	})
+	if err != nil {
+		return Spec{}, err
 	}
 	if err := spec.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return spec, nil
+}
+
+// ParseTokens is the key=value tokenizer behind the sweep and fleet spec
+// mini-languages. It splits s on whitespace, parses the shared
+// "workloads=a,b | all" key into *workloads (leaving it as is for "all"),
+// and hands every other key to set, which reports whether it knows the
+// key. Errors carry the language's name as their prefix: a token without
+// a value, an unknown key, an empty workload name, and set's own value
+// errors, wrapped with the offending token.
+func ParseTokens(lang, s string, workloads *[]string, set func(k, v string) (bool, error)) error {
+	for _, tok := range strings.Fields(s) {
+		k, v, ok := strings.Cut(tok, "=")
+		if !ok || v == "" {
+			return fmt.Errorf("%s: token %q is not key=value", lang, tok)
+		}
+		if k == "workloads" {
+			if v != "all" {
+				*workloads = strings.Split(v, ",")
+				if slices.Contains(*workloads, "") {
+					return fmt.Errorf("%s: empty workload in %q", lang, tok)
+				}
+			}
+			continue
+		}
+		known, err := set(k, v)
+		if !known {
+			return fmt.Errorf("%s: unknown key %q", lang, k)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: bad value in %q: %w", lang, tok, err)
+		}
+	}
+	return nil
 }
 
 // parseLevels parses a ladder selector: "all", a single index, an

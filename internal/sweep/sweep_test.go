@@ -2,13 +2,12 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
 	"greengpu/internal/core"
-	"greengpu/internal/cpusim"
 	"greengpu/internal/faultinject"
-	"greengpu/internal/gpusim"
 	"greengpu/internal/runcache"
 	"greengpu/internal/testbed"
 	"greengpu/internal/workload"
@@ -56,7 +55,7 @@ func naiveRun(t testing.TB, e *Engine, spec Spec) []*core.Result {
 func TestFastPathMatchesNaive(t *testing.T) {
 	e := testEngine(t)
 	spec := Spec{Iterations: 4, CPULevel: -1}
-	got, err := e.Run(spec)
+	got, err := e.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func TestFastPathIterationDefaults(t *testing.T) {
 	for _, iters := range []int{0, 1, 7} {
 		spec := Spec{Workloads: []string{"kmeans"}, Iterations: iters, CPULevel: 0,
 			CoreLevels: []int{0, 5}, MemLevels: []int{0, 5}}
-		got, err := e.Run(spec)
+		got, err := e.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +99,9 @@ func TestFastPathIterationDefaults(t *testing.T) {
 	}
 }
 
-// TestSpinWaitOff covers the non-spinning CPU accrual path.
+// TestSpinWaitOff covers the non-spinning CPU accrual path: a baseline
+// configuration with SpinWait off still takes the closed form through
+// Batch.Eval and matches core.Run.
 func TestSpinWaitOff(t *testing.T) {
 	e := testEngine(t)
 	spec := Spec{Workloads: []string{"nbody"}, Iterations: 2, CPULevel: -1,
@@ -109,7 +110,10 @@ func TestSpinWaitOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, ct, wt := mustTables(t, e, "nbody")
+	b, err := e.NewBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pt := range pts {
 		cfg := e.config(&spec, pt)
 		cfg.SpinWait = false
@@ -118,9 +122,12 @@ func TestSpinWaitOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.fastRun(wt, gt, ct, &cfg)
+		got, fast, err := b.Eval(pt.Workload, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !fast {
+			t.Error("SpinWait=false point left the closed form")
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("SpinWait=false result diverges:\n got %+v\nwant %+v", got, want)
@@ -129,23 +136,6 @@ func TestSpinWaitOff(t *testing.T) {
 			t.Errorf("SpinWait=false accrued spin: %v %v", got.SpinTime, got.SpinEnergy)
 		}
 	}
-}
-
-func mustTables(t testing.TB, e *Engine, name string) (*gpusim.Tables, *cpusim.Tables, *workloadTables) {
-	t.Helper()
-	gt, err := gpusim.BuildTables(e.GPU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := cpusim.BuildTables(e.CPU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := workload.ByName(e.Profiles, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gt, ct, newWorkloadTables(prof, gt, &e.Bus)
 }
 
 // TestJobsDeterminism pins the sharding contract: identical results at any
@@ -166,7 +156,7 @@ func TestJobsDeterminism(t *testing.T) {
 				plan := faultinject.Default(2012)
 				e.FaultPlan = &plan
 			}
-			got, err := e.Run(spec)
+			got, err := e.Run(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +183,7 @@ func TestDraws(t *testing.T) {
 	for _, jobs := range []int{1, 8} {
 		e := testEngine(t)
 		e.Jobs = jobs
-		got, err := e.Run(spec)
+		got, err := e.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +220,7 @@ func TestCacheSharing(t *testing.T) {
 	}
 	e.Cache = cache
 	spec := Spec{Workloads: []string{"kmeans"}, Iterations: 4, CPULevel: -1}
-	first, err := e.Run(spec)
+	first, err := e.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +228,7 @@ func TestCacheSharing(t *testing.T) {
 	if miss == 0 {
 		t.Fatal("first batch recorded no misses")
 	}
-	second, err := e.Run(spec)
+	second, err := e.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +257,40 @@ func TestExpandErrors(t *testing.T) {
 		{Draws: -1},
 		{Mode: core.Mode(42)},
 	} {
-		if _, err := e.Run(spec); err == nil {
+		if _, err := e.Run(context.Background(), spec); err == nil {
 			t.Errorf("spec %+v: expected error", spec)
+		}
+	}
+}
+
+// TestRecordCap pins MaxRecords at its boundary: Validate rejects what it
+// can see statically, Expand rejects what only the resolved ladders and
+// profile iteration counts reveal, and both accept a spec exactly at the
+// cap.
+func TestRecordCap(t *testing.T) {
+	e := testEngine(t)
+	kmeans, err := workload.ByName(e.Profiles, "kmeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := []string{"kmeans"}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		ok   bool
+	}{
+		{"iters at cap", Spec{Workloads: one, CPULevel: -1, CoreLevels: []int{0}, MemLevels: []int{0}, Iterations: MaxRecords}, true},
+		{"iters over cap", Spec{Workloads: one, CPULevel: -1, CoreLevels: []int{0}, MemLevels: []int{0}, Iterations: MaxRecords + 1}, false},
+		{"draws at cap", Spec{Workloads: one, Iterations: 4, Draws: MaxRecords / 4}, true},
+		{"draws over cap", Spec{Workloads: one, Iterations: 4, Draws: MaxRecords/4 + 1}, false},
+		{"profile iterations at cap", Spec{Workloads: one, Draws: MaxRecords / kmeans.Iterations}, true},
+		{"profile iterations over cap", Spec{Workloads: one, Draws: MaxRecords/kmeans.Iterations + 1}, false},
+		{"full ladder over cap", Spec{CPULevel: -1, Iterations: MaxRecords / 36}, false},
+		{"overflowing draws", Spec{Iterations: 1 << 40, Draws: 1 << 40}, false},
+	} {
+		_, err := e.Expand(tc.spec)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Expand error %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }
@@ -308,6 +330,18 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q): expected error", bad)
 		}
 	}
+	// The daemon returns these texts as 400 bodies; the shared tokenizer
+	// keeps them byte-identical.
+	for in, want := range map[string]string{
+		"core":           `sweep: token "core" is not key=value`,
+		"bogus=1":        `sweep: unknown key "bogus"`,
+		"workloads=a,,b": `sweep: empty workload in "workloads=a,,b"`,
+		"core=x":         `sweep: bad value in "core=x": strconv.Atoi: parsing "x": invalid syntax`,
+	} {
+		if _, err := ParseSpec(in); err == nil || err.Error() != want {
+			t.Errorf("ParseSpec(%q) error %v, want %s", in, err, want)
+		}
+	}
 }
 
 // TestTableByteIdentity is the rendered golden: the batch's table must be
@@ -315,7 +349,7 @@ func TestParseSpec(t *testing.T) {
 func TestTableByteIdentity(t *testing.T) {
 	e := testEngine(t)
 	spec := Spec{Iterations: 4, CPULevel: -1}
-	got, err := e.Run(spec)
+	got, err := e.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

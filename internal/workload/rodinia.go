@@ -164,6 +164,24 @@ func Rodinia(gpu gpusim.Config, cpu cpusim.Config) ([]*Profile, error) {
 	return profiles, nil
 }
 
+// Select resolves a workload selection against profiles: an empty
+// selection or ["all"] selects every profile in order; otherwise each name
+// must resolve (ByName) and the result follows the selection's order.
+func Select(profiles []*Profile, names []string) ([]*Profile, error) {
+	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
+		return profiles, nil
+	}
+	out := make([]*Profile, len(names))
+	for i, n := range names {
+		p, err := ByName(profiles, n)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
 // ByName returns the named profile from the calibrated set.
 func ByName(profiles []*Profile, name string) (*Profile, error) {
 	for _, p := range profiles {
