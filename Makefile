@@ -1,9 +1,10 @@
-# Local entry points mirroring .github/workflows/ci.yml — `make check`
-# runs exactly what CI runs.
+# Every check is written once, in this file: the workflows under
+# .github/workflows only call these targets, and `make check` runs every
+# target they call.
 
 GO ?= go
 
-.PHONY: fmt fmtcheck vet build test race bench bench-stable bench-json bench-gate bench-sweep-json bench-sweep-gate bench-fleet-json bench-fleet-gate bench-daemon-json bench-daemon-gate bench-gates bench-experiments daemon-smoke daemon-crash-smoke golden determinism chaos predict-gate lint-docs linkcheck check
+.PHONY: fmt fmtcheck vet build test race bench bench-gates bench-refresh bench-experiments fuzz daemon-smoke daemon-crash-smoke golden chaos lint-docs linkcheck check
 
 fmt:
 	gofmt -w .
@@ -27,102 +28,34 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# bench-stable runs the hot-path micro-benchmarks with a fixed iteration
-# count and five repetitions, the shape benchstat wants. Compare two trees
-# with:
-#
-#	make bench-stable > old.txt          # on the baseline commit
-#	make bench-stable > new.txt          # on the candidate commit
-#	benchstat old.txt new.txt            # (golang.org/x/perf/cmd/benchstat)
-#
-# -benchtime=100x pins work per iteration so run-to-run variance comes only
-# from the machine, and five counts give benchstat a distribution to test.
-bench-stable:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=100x \
-		./internal/sim ./internal/dvfs
+# bench-gates runs every benchmark suite once and gates each against its
+# committed BENCH_*.json: ±25% ns/op, no allocs/op increase, no missing
+# benchmark, and each suite's declared metrics as contracts. It leaves the
+# fresh reports in bench-fresh/. bench-refresh SUITE=<name> rewrites one
+# suite's baseline from one pass, so refreshing one suite on a slow host
+# never loosens another. The suites live in one table in cmd/benchjson.
+bench-gates:
+	$(GO) run ./cmd/benchjson gate
 
-# bench-json snapshots the hot-path benchmarks as machine-readable JSON.
-# CI uploads the file as an artifact; the committed copy is the trajectory
-# baseline reviewers diff against (see docs/PERF.md). The five counts are
-# collapsed to min ns/op per benchmark by benchjson — the noise-robust
-# estimator on shared machines, where interference only ever adds time.
-bench-json:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=50000x \
-		./internal/sim ./internal/dvfs | $(GO) run ./cmd/benchjson > BENCH_sim.json
+bench-refresh:
+	$(GO) run ./cmd/benchjson refresh $(SUITE)
 
-# bench-gate is the regression gate CI enforces: a fresh benchmark run must
-# stay within ±25% ns/op of the committed BENCH_sim.json and must never
-# increase allocs/op (allocation counts are deterministic — any increase is
-# a real escape, not noise). Refresh the baseline with `make bench-json`
-# when an intentional change shifts the numbers.
-bench-gate:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=50000x \
-		./internal/sim ./internal/dvfs | $(GO) run ./cmd/benchjson -compare BENCH_sim.json -tolerance 0.25
+# fuzz runs every fuzz target in the tree for FUZZTIME each. Targets are
+# discovered, so a new Fuzz function needs no edit here, and each runs
+# under an anchored pattern because one name may prefix another
+# (FuzzParseFrequency, FuzzParseFrequencySuffixStability).
+FUZZTIME ?= 20s
 
-# bench-sweep-json snapshots the massive-sweep engine benchmarks — the
-# batched ladder² evaluation and its per-point naive baseline — as
-# BENCH_sweep.json. The committed copy is the throughput contract; it
-# also records BenchmarkSweepBatched's lead over BenchmarkSweepNaive (see
-# docs/PERF.md "Sweeps").
-bench-sweep-json:
-	$(GO) test -run='^$$' -bench=BenchmarkSweep -benchmem -count=5 -benchtime=2000x \
-		./internal/sweep | $(GO) run ./cmd/benchjson > BENCH_sweep.json
-
-# bench-sweep-gate is the sweep regression gate CI enforces: a fresh run
-# must stay within ±25% ns/op of the committed BENCH_sweep.json and must
-# never increase allocs/op. The sweep engine's custom metrics are declared
-# contracts, not notes: points/s and the predictor's evalreduction must
-# not regress beyond the tolerance, and fullevals (the predicted search's
-# full-evaluation budget, deterministic) must not grow. Refresh with
-# `make bench-sweep-json` on intentional changes.
-bench-sweep-gate:
-	$(GO) test -run='^$$' -bench=BenchmarkSweep -benchmem -count=5 -benchtime=2000x \
-		./internal/sweep | $(GO) run ./cmd/benchjson -compare BENCH_sweep.json -tolerance 0.25 \
-		-gate-metrics 'points/s,evalreduction,fullevals:lower'
-
-# bench-fleet-json snapshots the fleet engine benchmarks — the
-# dedup-compressed 10k-node evaluation, its naive per-node baseline, and
-# the zero-allocation aggregation loop — as BENCH_fleet.json. The
-# committed copy is the throughput contract: BenchmarkFleetDedup's nodes/s
-# must be at least 50x BenchmarkFleetNaive's, and its dedupratio is
-# deterministic (see docs/PERF.md "Fleet"). The naive baseline runs
-# without -benchmem: at ~629k allocs/op its count flickers by ±1 from
-# runtime background allocation, which would flake the hard "no allocs/op
-# increase" gate; its ns/op and nodes/s stay gated.
-FLEET_BENCH = { $(GO) test -run='^$$' -bench='BenchmarkFleet(Dedup|Aggregate)' -benchmem \
-		-count=5 -benchtime=200x ./internal/fleet; \
-	$(GO) test -run='^$$' -bench=BenchmarkFleetNaive -count=5 -benchtime=20x ./internal/fleet; }
-
-bench-fleet-json:
-	$(FLEET_BENCH) | $(GO) run ./cmd/benchjson > BENCH_fleet.json
-
-# bench-fleet-gate is the fleet regression gate CI enforces: a fresh run
-# must stay within ±25% ns/op of the committed BENCH_fleet.json, must
-# never increase allocs/op, and must hold the declared nodes/s and
-# dedupratio contracts. Refresh with `make bench-fleet-json` on
-# intentional changes.
-bench-fleet-gate:
-	$(FLEET_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_fleet.json -tolerance 0.25 \
-		-gate-metrics 'nodes/s,dedupratio'
-
-# bench-daemon-json snapshots the greengpud HTTP load benchmarks — real
-# requests over loopback against a warm run cache (see docs/SERVICE.md
-# "Capacity planning"). No -benchmem: HTTP handler allocation counts are
-# scheduler-dependent and an alloc gate on them would be flaky.
-DAEMON_BENCH = $(GO) test -run='^$$' -bench=BenchmarkDaemon -count=5 -benchtime=2000x \
-		./internal/daemon
-
-bench-daemon-json:
-	$(DAEMON_BENCH) | $(GO) run ./cmd/benchjson > BENCH_daemon.json
-
-# bench-daemon-gate is the daemon load-test gate CI enforces: a fresh run
-# must stay within ±25% ns/op of the committed BENCH_daemon.json and must
-# hold the declared req/s and points/s throughput contracts — the
-# "sustained point-requests per second on a warm cache" headline. Refresh
-# with `make bench-daemon-json` on intentional changes.
-bench-daemon-gate:
-	$(DAEMON_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_daemon.json -tolerance 0.25 \
-		-gate-metrics 'req/s,points/s'
+fuzz:
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list" >&2; exit 1; }; \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ { names = names " " $$1 } \
+		/^ok/ { n = split(names, a, " "); for (i = 1; i <= n; i++) print $$2 "," a[i]; names = "" }'); \
+	[ -n "$$targets" ] || { echo "fuzz: no fuzz targets found" >&2; exit 1; }; \
+	for t in $$targets; do \
+		pkg=$${t%,*}; name=$${t#*,}; \
+		echo "fuzz $$name ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run='^$$' -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # daemon-smoke boots a real greengpud, drives it with curl, and enforces
 # the byte-identity contract: the daemon's ?format=csv responses must be
@@ -219,31 +152,23 @@ daemon-crash-smoke:
 		cat /tmp/greengpu-crash/daemon1.log /tmp/greengpu-crash/daemon2.log >&2; exit 1; }
 	rm -rf /tmp/greengpu-crash /tmp/greengpud-crash /tmp/greengpu-crash-exp
 
-# bench-gates runs the sweep and fleet benchmark suites once and checks
-# both committed baselines in a single combined benchjson gate — the
-# multi-file -compare form. One benchmark pass, one verdict, instead of
-# one gate invocation per file.
-bench-gates:
-	{ $(GO) test -run='^$$' -bench=BenchmarkSweep -benchmem -count=5 -benchtime=2000x ./internal/sweep; \
-	  $(FLEET_BENCH); } | \
-		$(GO) run ./cmd/benchjson -compare BENCH_sweep.json,BENCH_fleet.json -tolerance 0.25 \
-		-gate-metrics 'points/s,evalreduction,nodes/s,dedupratio,fullevals:lower'
-
 # bench-experiments times the full experiment suite without a cache, with a
 # cold cache, and against the warm cache, recording the wall-clock numbers
 # and hit/miss counters in BENCH_experiments.json (see docs/PERF.md).
 bench-experiments:
 	$(GO) run ./cmd/experiments -bench-cache BENCH_experiments.json -jobs 8
 
-# golden regenerates every experiment CSV and diffs against the committed
-# results/ directory — the zero-output-drift gate for perf work. The run
-# cache must be invisible in the output, so the gate regenerates under
-# every cache mode: disabled, in-memory, and disk (cold then warm against
-# the same directory), at -jobs 1 and -jobs 8.
+# golden regenerates every experiment under every run-cache mode —
+# disabled, in-memory, and disk (cold then warm against the same
+# directory), at -jobs 1 and -jobs 8, plus once with telemetry on — and
+# requires byte-identical output from each: every CSV equal to the
+# committed results/ directory, and stdout equal to the first mode's. It
+# is the zero-output-drift gate for perf work and the end-to-end proof
+# that neither the run cache nor the worker count is visible in output.
 golden:
 	$(GO) build -o /tmp/greengpu-golden-bin ./cmd/experiments
 	rm -rf /tmp/greengpu-golden /tmp/greengpu-golden-cache
-	for args in \
+	first=""; for args in \
 		"-no-cache -jobs 1" \
 		"-no-cache -jobs 8" \
 		"-jobs 1" \
@@ -252,21 +177,15 @@ golden:
 		"-cache-dir /tmp/greengpu-golden-cache -jobs 8" \
 		"-jobs 8 -metrics /tmp/greengpu-golden-m.prom -flight-recorder 64 -flight-recorder-out /tmp/greengpu-golden-f.json"; do \
 		rm -rf /tmp/greengpu-golden; \
-		/tmp/greengpu-golden-bin -run all -out /tmp/greengpu-golden $$args > /dev/null 2>/dev/null || exit 1; \
+		/tmp/greengpu-golden-bin -run all -out /tmp/greengpu-golden $$args > /tmp/greengpu-golden-out.txt 2>/dev/null || exit 1; \
 		diff -r results /tmp/greengpu-golden || { echo "golden mismatch with: $$args" >&2; exit 1; }; \
+		if [ -z "$$first" ]; then first="$$args"; mv /tmp/greengpu-golden-out.txt /tmp/greengpu-golden-first.txt; \
+		else diff -u /tmp/greengpu-golden-first.txt /tmp/greengpu-golden-out.txt \
+			|| { echo "golden stdout with: $$args differs from: $$first" >&2; exit 1; }; fi; \
 	done
 	rm -rf /tmp/greengpu-golden /tmp/greengpu-golden-cache /tmp/greengpu-golden-bin \
-		/tmp/greengpu-golden-m.prom /tmp/greengpu-golden-f.json
-
-# The parallel engine's guarantee, end to end: the experiments binary must
-# produce byte-identical output for any -jobs value.
-determinism:
-	$(GO) build -o /tmp/greengpu-experiments ./cmd/experiments
-	/tmp/greengpu-experiments -run table2,sweep -jobs 1 -out /tmp/greengpu-seq > /tmp/greengpu-seq.txt
-	/tmp/greengpu-experiments -run table2,sweep -jobs 8 -out /tmp/greengpu-par > /tmp/greengpu-par.txt
-	diff -u /tmp/greengpu-seq.txt /tmp/greengpu-par.txt
-	diff -r /tmp/greengpu-seq /tmp/greengpu-par
-	rm -rf /tmp/greengpu-experiments /tmp/greengpu-seq /tmp/greengpu-par /tmp/greengpu-seq.txt /tmp/greengpu-par.txt
+		/tmp/greengpu-golden-m.prom /tmp/greengpu-golden-f.json \
+		/tmp/greengpu-golden-out.txt /tmp/greengpu-golden-first.txt
 
 # chaos runs the whole experiment suite in chaos mode — every run injected
 # with the moderate all-classes fault plan (see docs/ROBUSTNESS.md) — and
@@ -284,19 +203,6 @@ chaos:
 	rm -rf /tmp/greengpu-chaos /tmp/greengpu-chaos-seq /tmp/greengpu-chaos-par \
 		/tmp/greengpu-chaos-seq.txt /tmp/greengpu-chaos-par.txt
 
-# predict-gate regenerates the prediction validation study and checks it
-# against CI's accuracy thresholds (see cmd/predictgate): every sweet spot
-# within one ladder step of brute force or within 5% measured energy
-# regret, and median relative energy prediction error within 5%. The
-# regenerated CSV must also match the committed results/ copy, so the gate
-# fails when the predictor drifts even inside the thresholds.
-predict-gate:
-	rm -rf /tmp/greengpu-predict
-	$(GO) run ./cmd/experiments -run predict -jobs 8 -out /tmp/greengpu-predict > /dev/null
-	diff /tmp/greengpu-predict/predict_validation.csv results/predict_validation.csv
-	$(GO) run ./cmd/predictgate /tmp/greengpu-predict/predict_validation.csv
-	rm -rf /tmp/greengpu-predict
-
 # lint-docs enforces godoc hygiene on every exported identifier (see
 # cmd/lintdocs); linkcheck verifies the relative links in the markdown docs
 # (see cmd/linkcheck).
@@ -306,4 +212,4 @@ lint-docs:
 linkcheck:
 	$(GO) run ./cmd/linkcheck README.md DESIGN.md ROADMAP.md CHANGES.md docs
 
-check: fmtcheck vet build race bench determinism chaos daemon-smoke daemon-crash-smoke bench-gate bench-sweep-gate bench-fleet-gate bench-daemon-gate predict-gate lint-docs linkcheck
+check: fmtcheck vet build race bench golden chaos daemon-smoke daemon-crash-smoke fuzz bench-gates lint-docs linkcheck

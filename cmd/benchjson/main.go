@@ -1,35 +1,20 @@
-// Command benchjson converts `go test -bench` text output on stdin into a
-// machine-readable JSON document on stdout, so benchmark trajectories can be
-// committed and diffed across PRs (see docs/PERF.md and `make bench-json`).
+// Command benchjson runs the repository's benchmark suites and gates them
+// against their committed baselines, the BENCH_*.json trajectory files
+// (see docs/PERF.md "Trajectory snapshots").
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./internal/sim | benchjson > BENCH_sim.json
+//	benchjson gate            # every suite once, each gated against its baseline
+//	benchjson refresh SUITE   # one suite once, rewriting its baseline
 //
-// With -compare, benchjson becomes a regression gate instead of a
-// converter: the fresh run on stdin is checked against a committed
-// baseline, and the process exits non-zero when any benchmark slows down
-// beyond the ns/op tolerance, gains a single alloc/op, or disappears:
-//
-//	go test -bench=. -benchmem ./internal/sim | benchjson -compare BENCH_sim.json
-//
-// -compare accepts a comma-separated list of baselines, merging them into
-// one combined gate: a single fresh run covering several packages is
-// checked against every committed report in one invocation, so CI needs
-// one gate step instead of one per file. Entries are keyed by (package,
-// benchmark), so reports from different packages never collide:
-//
-//	go test -bench=. -benchmem ./internal/sim ./internal/sweep ./internal/fleet |
-//	    benchjson -compare BENCH_sim.json,BENCH_sweep.json,BENCH_fleet.json
-//
-// Custom metrics (b.ReportMetric output) normally drift freely — they
-// carry no universal better-direction, so changes print as notes. A
-// benchmark suite that treats specific metrics as contracts declares them
-// with -gate-metrics, promoting out-of-tolerance regressions on those
-// units to hard failures. Each entry is a unit name, higher-is-better by
-// default, with an optional :lower suffix for cost-like metrics:
-//
-//	... | benchjson -compare BENCH_sweep.json -gate-metrics 'points/s,fullevals:lower'
+// A suite is one row of the suites table: its baseline file, the go test
+// invocations that measure it, and the custom metrics it declares as
+// contracts (compare documents the gate policy). The table is the only
+// place a suite is written; `make bench-gates` and `make bench-refresh
+// SUITE=<name>` are its callers. gate prints one verdict per suite, leaves
+// each fresh report in freshDir, and exits non-zero if any suite failed.
+// Refresh is per suite so that refreshing one suite on a slow host never
+// loosens another.
 //
 // The parser understands the standard benchmark line format
 //
@@ -43,15 +28,99 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// tolerance is the allowed fractional drift of ns/op, and of each declared
+// metric in its regressing direction, against the committed baseline.
+const tolerance = 0.25
+
+// freshDir receives each gated suite's fresh report, named like its
+// baseline. It is gitignored; CI uploads it as the run's benchmark
+// snapshot.
+const freshDir = "bench-fresh"
+
+// A run is one go test invocation of a suite.
+type run struct {
+	bench     string // -bench regexp
+	benchmem  bool   // record B/op and allocs/op, and so gate allocs/op
+	benchtime string // fixed iteration count, e.g. "2000x"
+	pkgs      []string
+}
+
+// args returns the go test arguments of the run. Five counts per benchmark
+// give aggregate's min-ns/op estimator a distribution to choose from.
+func (r run) args() []string {
+	a := []string{"test", "-run=^$", "-bench=" + r.bench}
+	if r.benchmem {
+		a = append(a, "-benchmem")
+	}
+	a = append(a, "-count=5", "-benchtime="+r.benchtime)
+	return append(a, r.pkgs...)
+}
+
+// A suite is one committed baseline, the go test runs that measure it, and
+// the custom metrics it declares as contracts (unit → higher is better).
+type suite struct {
+	name     string
+	baseline string
+	runs     []run
+	gated    map[string]bool
+}
+
+var suites = []suite{
+	{
+		// The event engine and the DVFS controller: the hot paths of every
+		// simulated run.
+		name: "sim", baseline: "BENCH_sim.json",
+		runs: []run{{bench: ".", benchmem: true, benchtime: "50000x",
+			pkgs: []string{"./internal/sim", "./internal/dvfs"}}},
+	},
+	{
+		// The batched ladder evaluation, its per-point naive baseline, the
+		// predicted search and the holistic full-simulation path.
+		// fullevals (the predicted search's full-evaluation budget) is
+		// deterministic and must not grow.
+		name: "sweep", baseline: "BENCH_sweep.json",
+		runs: []run{{bench: "BenchmarkSweep", benchmem: true, benchtime: "2000x",
+			pkgs: []string{"./internal/sweep"}}},
+		gated: map[string]bool{"points/s": true, "evalreduction": true, "fullevals": false},
+	},
+	{
+		// The dedup-compressed 10k-node evaluation, the zero-allocation
+		// aggregation loop, and the naive per-node baseline. The naive run
+		// has no -benchmem: at ~629k allocs/op its count flickers by ±1
+		// from runtime background allocation, which would flake the
+		// allocs/op gate; its ns/op and nodes/s stay gated.
+		name: "fleet", baseline: "BENCH_fleet.json",
+		runs: []run{
+			{bench: "BenchmarkFleet(Dedup|Aggregate)", benchmem: true, benchtime: "200x",
+				pkgs: []string{"./internal/fleet"}},
+			{bench: "BenchmarkFleetNaive", benchtime: "20x",
+				pkgs: []string{"./internal/fleet"}},
+		},
+		gated: map[string]bool{"nodes/s": true, "dedupratio": true},
+	},
+	{
+		// greengpud serving real requests over loopback against a warm run
+		// cache (see docs/SERVICE.md "Capacity planning"). No -benchmem:
+		// HTTP handler allocation counts depend on the scheduler.
+		name: "daemon", baseline: "BENCH_daemon.json",
+		runs: []run{{bench: "BenchmarkDaemon", benchtime: "2000x",
+			pkgs: []string{"./internal/daemon"}}},
+		gated: map[string]bool{"req/s": true, "points/s": true},
+	},
+}
 
 // Result is one benchmark line.
 type Result struct {
@@ -74,42 +143,106 @@ type Report struct {
 }
 
 func main() {
-	compareFile := flag.String("compare", "", "baseline JSON file(s) to gate against instead of emitting JSON; comma-separated files merge into one combined gate")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op slowdown vs the baseline (with -compare)")
-	gateMetrics := flag.String("gate-metrics", "", "comma-separated custom metric units whose regressions fail the gate (with -compare); append :lower for lower-is-better units, e.g. 'points/s,fullevals:lower'")
-	flag.Parse()
-
-	gated, err := parseGateMetrics(*gateMetrics)
+	var err error
+	switch args := os.Args[1:]; {
+	case len(args) == 1 && args[0] == "gate":
+		err = gateAll(os.Stdout)
+	case len(args) == 2 && args[0] == "refresh":
+		err = refresh(args[1])
+	default:
+		err = errors.New("usage: benchjson gate | benchjson refresh SUITE")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	rep, err := parse(os.Stdin)
+}
+
+// gateAll gates every suite, printing one verdict line per suite, and
+// fails if any suite failed.
+func gateAll(w io.Writer) error {
+	if err := os.MkdirAll(freshDir, 0o755); err != nil {
+		return err
+	}
+	var failed []string
+	for _, s := range suites {
+		if err := s.gate(w); err != nil {
+			fmt.Fprintf(w, "suite %s: FAIL: %v\n", s.name, err)
+			failed = append(failed, s.name)
+			continue
+		}
+		fmt.Fprintf(w, "suite %s: ok\n", s.name)
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("bench gates failed: %s", strings.Join(failed, ", "))
+	}
+	return nil
+}
+
+// gate measures the suite once, leaves the fresh report in freshDir, and
+// compares it with the committed baseline.
+func (s suite) gate(w io.Writer) error {
+	fresh, err := s.measure()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return err
+	}
+	if err := writeReport(filepath.Join(freshDir, s.baseline), fresh); err != nil {
+		return err
+	}
+	base, err := loadReport(s.baseline)
+	if err != nil {
+		return err
+	}
+	aggregate(base)
+	if n := compare(base, fresh, tolerance, s.gated, w); n > 0 {
+		return fmt.Errorf("%d benchmark regression(s) vs %s", n, s.baseline)
+	}
+	return nil
+}
+
+// refresh measures the named suite once and rewrites its baseline.
+func refresh(name string) error {
+	var names []string
+	for _, s := range suites {
+		if s.name == name {
+			rep, err := s.measure()
+			if err != nil {
+				return err
+			}
+			return writeReport(s.baseline, rep)
+		}
+		names = append(names, s.name)
+	}
+	return fmt.Errorf("unknown suite %q (want one of %s)", name, strings.Join(names, ", "))
+}
+
+// measure runs the suite's go test invocations once each and returns the
+// aggregated report. On failure the captured output goes to stderr.
+func (s suite) measure() (*Report, error) {
+	var out bytes.Buffer
+	for _, r := range s.runs {
+		cmd := exec.Command("go", r.args()...)
+		cmd.Stdout, cmd.Stderr = &out, os.Stderr
+		if err := cmd.Run(); err != nil {
+			os.Stderr.Write(out.Bytes())
+			return nil, fmt.Errorf("go %s: %w", strings.Join(r.args(), " "), err)
+		}
+	}
+	rep, err := parse(&out)
+	if err != nil {
+		return nil, err
 	}
 	aggregate(rep)
-	if *compareFile != "" {
-		base, err := loadBaseline(*compareFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		aggregate(base)
-		failures := compare(base, rep, *tolerance, gated, os.Stdout)
-		if failures > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark regression(s) vs %s\n", failures, *compareFile)
-			os.Exit(1)
-		}
-		return
+	return rep, nil
+}
+
+// writeReport writes rep as indented JSON, the committed baseline format.
+func writeReport(path string, rep *Report) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // aggregate collapses repeated runs of the same benchmark (go test -count=N)
@@ -139,32 +272,6 @@ func aggregate(rep *Report) {
 	rep.Benchmarks = out
 }
 
-// loadBaseline loads the -compare baseline: a comma-separated list of
-// JSON reports whose benchmark lists concatenate, in argument order, into
-// one combined gate. The gate keys entries by (package, benchmark), so
-// reports from different packages never collide; if two files do record
-// the same benchmark, aggregate keeps the fastest entry, exactly as it
-// does for go test -count=N repeats within one file. Header fields come
-// from the first report.
-func loadBaseline(spec string) (*Report, error) {
-	merged := &Report{}
-	for i, path := range strings.Split(spec, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			return nil, fmt.Errorf("-compare %q: empty baseline file name", spec)
-		}
-		rep, err := loadReport(path)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			merged.Goos, merged.Goarch, merged.CPU = rep.Goos, rep.Goarch, rep.CPU
-		}
-		merged.Benchmarks = append(merged.Benchmarks, rep.Benchmarks...)
-	}
-	return merged, nil
-}
-
 func loadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -175,34 +282,6 @@ func loadReport(path string) (*Report, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &rep, nil
-}
-
-// parseGateMetrics parses the -gate-metrics spec into a unit → higher-is-
-// better map. An empty spec returns an empty map (no custom metric gates).
-func parseGateMetrics(spec string) (map[string]bool, error) {
-	gated := map[string]bool{}
-	if spec == "" {
-		return gated, nil
-	}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		unit, higher := entry, true
-		if i := strings.LastIndex(entry, ":"); i >= 0 {
-			switch dir := entry[i+1:]; dir {
-			case "higher":
-			case "lower":
-				higher = false
-			default:
-				return nil, fmt.Errorf("-gate-metrics %q: direction must be higher or lower, got %q", entry, dir)
-			}
-			unit = entry[:i]
-		}
-		if unit == "" {
-			return nil, fmt.Errorf("-gate-metrics: empty unit in %q", spec)
-		}
-		gated[unit] = higher
-	}
-	return gated, nil
 }
 
 // compare gates a fresh run against the committed baseline and returns the

@@ -1,9 +1,9 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -282,128 +282,92 @@ func TestCompareDeclaredMetricMissingFromRunFails(t *testing.T) {
 	}
 }
 
-// TestLoadBaselineMergesFiles pins the multi-file gate: comma-separated
-// baselines concatenate into one report keyed by (package, benchmark),
-// header fields come from the first file, and bad entries fail loudly.
-func TestLoadBaselineMergesFiles(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, text string) string {
-		t.Helper()
-		rep, err := parse(strings.NewReader(text))
-		if err != nil {
-			t.Fatal(err)
+// TestSuiteTable pins each suite's go test arguments, tolerance and
+// declared metrics. They define what the committed baseline measured:
+// changing one must come with a refresh of that suite's baseline.
+func TestSuiteTable(t *testing.T) {
+	type want struct {
+		baseline string
+		args     [][]string
+		gated    map[string]bool
+	}
+	wants := map[string]want{
+		"sim": {"BENCH_sim.json", [][]string{
+			{"test", "-run=^$", "-bench=.", "-benchmem", "-count=5", "-benchtime=50000x", "./internal/sim", "./internal/dvfs"},
+		}, nil},
+		"sweep": {"BENCH_sweep.json", [][]string{
+			{"test", "-run=^$", "-bench=BenchmarkSweep", "-benchmem", "-count=5", "-benchtime=2000x", "./internal/sweep"},
+		}, map[string]bool{"points/s": true, "evalreduction": true, "fullevals": false}},
+		"fleet": {"BENCH_fleet.json", [][]string{
+			{"test", "-run=^$", "-bench=BenchmarkFleet(Dedup|Aggregate)", "-benchmem", "-count=5", "-benchtime=200x", "./internal/fleet"},
+			{"test", "-run=^$", "-bench=BenchmarkFleetNaive", "-count=5", "-benchtime=20x", "./internal/fleet"},
+		}, map[string]bool{"nodes/s": true, "dedupratio": true}},
+		"daemon": {"BENCH_daemon.json", [][]string{
+			{"test", "-run=^$", "-bench=BenchmarkDaemon", "-count=5", "-benchtime=2000x", "./internal/daemon"},
+		}, map[string]bool{"req/s": true, "points/s": true}},
+	}
+	if tolerance != 0.25 {
+		t.Errorf("tolerance = %v, want 0.25", tolerance)
+	}
+	if len(suites) != len(wants) {
+		t.Errorf("%d suites, want %d", len(suites), len(wants))
+	}
+	for _, s := range suites {
+		w, ok := wants[s.name]
+		if !ok {
+			t.Errorf("unexpected suite %q", s.name)
+			continue
 		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
+		var args [][]string
+		for _, r := range s.runs {
+			args = append(args, r.args())
 		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	sim := write("sim.json", "goos: linux\npkg: p/sim\nBenchmarkA-8 100 100.0 ns/op\n")
-	fleetBase := write("fleet.json", "goos: darwin\npkg: p/fleet\nBenchmarkB-8 100 50.0 ns/op 1000 nodes/s\n")
-
-	merged, err := loadBaseline(sim + "," + fleetBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Goos != "linux" {
-		t.Errorf("header goos = %q, want the first file's", merged.Goos)
-	}
-	if len(merged.Benchmarks) != 2 {
-		t.Fatalf("merged %d benchmarks, want 2", len(merged.Benchmarks))
-	}
-	if merged.Benchmarks[0].Pkg != "p/sim" || merged.Benchmarks[1].Pkg != "p/fleet" {
-		t.Errorf("merge order lost: %q then %q", merged.Benchmarks[0].Pkg, merged.Benchmarks[1].Pkg)
-	}
-
-	// A single file keeps working through the same path.
-	single, err := loadBaseline(sim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(single.Benchmarks) != 1 {
-		t.Errorf("single-file baseline has %d benchmarks, want 1", len(single.Benchmarks))
-	}
-
-	for _, bad := range []string{"", sim + ",", "," + sim, filepath.Join(dir, "missing.json")} {
-		if _, err := loadBaseline(bad); err == nil {
-			t.Errorf("loadBaseline(%q) accepted, want error", bad)
+		if s.baseline != w.baseline || !reflect.DeepEqual(args, w.args) || !reflect.DeepEqual(s.gated, w.gated) {
+			t.Errorf("suite %s = %s %q %v, want %s %q %v",
+				s.name, s.baseline, args, s.gated, w.baseline, w.args, w.gated)
 		}
 	}
 }
 
-// TestCompareMergedBaselineGatesBothFiles runs a combined gate end to end:
-// one fresh run spanning two packages against two merged baselines, with a
-// regression in each file's territory.
-func TestCompareMergedBaselineGatesBothFiles(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, text string) string {
-		t.Helper()
-		rep, err := parse(strings.NewReader(text))
+// TestBaselinesSelectedBySuites checks every committed go test baseline
+// against the suite that gates it: each entry must be selected by one of
+// the suite's runs, or the gate fails it as missing on every host, and an
+// entry recording allocs/op must come from a -benchmem run, or the gate
+// fails it for lacking allocation data.
+func TestBaselinesSelectedBySuites(t *testing.T) {
+	// BENCH_experiments.json is the cmd/experiments -bench-cache record,
+	// not a go test suite.
+	owned := map[string]bool{"BENCH_experiments.json": true}
+	for _, s := range suites {
+		owned[s.baseline] = true
+		base, err := loadReport(filepath.Join("..", "..", s.baseline))
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
+		for _, b := range base.Benchmarks {
+			var by *run
+			for i, r := range s.runs {
+				for _, p := range r.pkgs {
+					if "greengpu/"+strings.TrimPrefix(p, "./") == b.Pkg && regexp.MustCompile(r.bench).MatchString(b.Name) {
+						by = &s.runs[i]
+					}
+				}
+			}
+			switch {
+			case by == nil:
+				t.Errorf("%s: %s %s is selected by no run of suite %s", s.baseline, b.Pkg, b.Name, s.name)
+			case b.AllocsInfo != nil && !by.benchmem:
+				t.Errorf("%s: %s records allocs/op but its run has no -benchmem", s.baseline, b.Name)
+			}
 		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
 	}
-	f1 := write("one.json", "pkg: p/sweep\nBenchmarkSweep-8 100 100.0 ns/op 500000 points/s\n")
-	f2 := write("two.json", "pkg: p/fleet\nBenchmarkFleet-8 100 100.0 ns/op 1000000 nodes/s\n")
-	base, err := loadBaseline(f1 + "," + f2)
+	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggregate(base)
-
-	cur, err := parse(strings.NewReader(
-		"pkg: p/sweep\nBenchmarkSweep-8 100 100.0 ns/op 100000 points/s\n" +
-			"pkg: p/fleet\nBenchmarkFleet-8 100 100.0 ns/op 200000 nodes/s\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated := map[string]bool{"points/s": true, "nodes/s": true}
-	var out strings.Builder
-	if n := compare(base, cur, 0.25, gated, &out); n != 2 {
-		t.Fatalf("failures = %d, want one per merged file:\n%s", n, out.String())
-	}
-	for _, unit := range []string{"points/s", "nodes/s"} {
-		if !strings.Contains(out.String(), unit) {
-			t.Errorf("combined gate output missing the %s failure:\n%s", unit, out.String())
+	for _, f := range files {
+		if !owned[filepath.Base(f)] {
+			t.Errorf("%s belongs to no suite", filepath.Base(f))
 		}
-	}
-}
-
-func TestParseGateMetrics(t *testing.T) {
-	gated, err := parseGateMetrics("points/s,fullevals:lower, evalreduction:higher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{"points/s": true, "fullevals": false, "evalreduction": true}
-	if len(gated) != len(want) {
-		t.Fatalf("gated = %v, want %v", gated, want)
-	}
-	for unit, higher := range want {
-		if got, ok := gated[unit]; !ok || got != higher {
-			t.Errorf("gated[%q] = %v,%v, want %v", unit, got, ok, higher)
-		}
-	}
-	if g, err := parseGateMetrics(""); err != nil || len(g) != 0 {
-		t.Errorf("empty spec: %v, %v", g, err)
-	}
-	if _, err := parseGateMetrics("points/s:sideways"); err == nil {
-		t.Error("bad direction accepted")
-	}
-	if _, err := parseGateMetrics(":lower"); err == nil {
-		t.Error("empty unit accepted")
 	}
 }

@@ -89,7 +89,7 @@
 // byte-identical for every -jobs value — fault sequences are pure
 // functions of each point's plan — but differs from a fault-free run:
 //
-//	experiments -faults default     # CI's chaos determinism job
+//	experiments -faults default     # what `make chaos` runs at -jobs 1 and 8
 //
 // The -cpuprofile and -memprofile flags write pprof profiles covering the
 // full run, for inspecting the simulator's hot paths (see docs/PERF.md):
@@ -413,8 +413,8 @@ func runFleet(specText string, env *experiments.Env, r *runner, stderr io.Writer
 }
 
 // chaosSeed seeds the -faults default ambient plan. Fixed, so chaos runs
-// reproduce across processes and machines — the CI chaos job relies on it
-// to diff -jobs 1 against -jobs 8.
+// reproduce across processes and machines — `make chaos` relies on it to
+// diff -jobs 1 against -jobs 8.
 const chaosSeed = 2012
 
 // applyFaultsFlag installs the -faults chaos plan on the environment.
@@ -673,8 +673,6 @@ var handlers = map[string]func(*runner) error{
 		if err != nil {
 			return err
 		}
-		// Emitted as predict_validation.csv — the CSV cmd/predictgate
-		// checks in CI.
 		return r.emit("predict_validation", experiments.PredictValidationTable(rows))
 	},
 	"ablations": func(r *runner) error {
@@ -728,7 +726,7 @@ var handlers = map[string]func(*runner) error{
 		if err != nil {
 			return err
 		}
-		// Emitted as fleet_study.csv — the CSV the CI fleet job diffs across
+		// Emitted as fleet_study.csv — the CSV `make golden` diffs across
 		// -jobs values.
 		return r.emit("fleet_study", experiments.FleetStudyTable(rows))
 	},

@@ -535,7 +535,7 @@ func TestAdhocFlagsMutuallyExclusive(t *testing.T) {
 	}
 }
 
-// TestFleetStudyCSVDeterminism is the CI fleet job's matrix in miniature:
+// TestFleetStudyCSVDeterminism is `make golden`'s fleet matrix in miniature:
 // results/fleet_study.csv must be byte-identical across worker counts and
 // cache modes, cold and warm.
 func TestFleetStudyCSVDeterminism(t *testing.T) {

@@ -77,14 +77,15 @@ func (b *Bus) TransferTime(n units.Bytes) time.Duration {
 
 // Transfer enqueues a transfer of n bytes and invokes onDone when it
 // completes. Transfers are serialized FIFO: a transfer issued while the bus
-// is busy starts when the channel frees up. It returns the completion time.
+// is busy starts when the channel frees up. It returns the completion time,
+// which saturates at sim.MaxTime like every other simulation instant.
 func (b *Bus) Transfer(n units.Bytes, name string, onDone func()) time.Duration {
 	service := b.TransferTime(n)
 	start := b.engine.Now()
 	if b.busyUntil > start {
 		start = b.busyUntil
 	}
-	end := start + service
+	end := sim.AddTime(start, service)
 	b.busyUntil = end
 	b.bytes += n
 	b.busyTime += service

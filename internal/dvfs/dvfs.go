@@ -153,7 +153,7 @@ func PreferredPair(coreLevels, memLevels []units.Frequency, p Params, uCore, uMe
 // Chebyshev metric max(|Δcore|, |Δmem|), in ladder steps. A distance of 0
 // is the same pair; 1 means both domains are within one level — the
 // "sweet-spot error ≤ 1 ladder step" criterion the prediction validation
-// gate enforces (see cmd/predictgate).
+// study is held to (see TestPredictValidation in internal/experiments).
 func PairDistance(a, b Decision) int {
 	dc := a.CoreLevel - b.CoreLevel
 	if dc < 0 {

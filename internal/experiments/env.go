@@ -250,7 +250,5 @@ func (e *Env) SweepEngine() *sweep.Engine {
 // fn must follow the fresh-machine contract: build all mutable state (the
 // machine, policies, PRNGs) inside the task, from plain-value inputs.
 func mapPoints[T, R any](e *Env, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	return parallel.Map(context.Background(), items,
-		func(_ context.Context, i int, item T) (R, error) { return fn(i, item) },
-		e.Jobs)
+	return parallel.Map(context.Background(), items, fn, e.Jobs)
 }

@@ -65,10 +65,10 @@ const predictStudyTopM = 12
 // paper's 6×6 ladder and the synthetic dense 24×24 ladder for every
 // workload, fit the analytic model from its anchor points, and compare —
 // per-point relative time/energy error, energy rank correlation, and the
-// sweet-spot search's chosen pair against the exhaustive minimum. The
-// committed CSV is gated in CI by cmd/predictgate (spot within one ladder
-// step or within 5% energy regret, median relative energy error within
-// 5%).
+// sweet-spot search's chosen pair against the exhaustive minimum.
+// TestPredictValidation holds every row to the accuracy thresholds (spot
+// within one ladder step or within 5% energy regret, median relative
+// energy error within 5%), and `make golden` pins the committed CSV.
 func (e *Env) PredictValidation() ([]PredictValidationRow, error) {
 	opts := predict.Options{TopM: predictStudyTopM}
 	rows, err := e.predictValidateLadder("6x6", opts)
@@ -173,8 +173,7 @@ func (e *Env) predictValidateLadder(label string, opts predict.Options) ([]Predi
 }
 
 // PredictValidationTable renders the study as one table, one row per
-// (ladder, workload). cmd/predictgate parses the CSV rendering by header
-// name, so the column set is a compatibility surface.
+// (ladder, workload).
 func PredictValidationTable(rows []PredictValidationRow) *trace.Table {
 	t := trace.NewTable(
 		"Prediction validation — analytic model vs brute-forced ladders",

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestPredictValidation pins the study's structural contract and — because
-// the committed CSV feeds cmd/predictgate — that every row meets CI's
-// exact accuracy thresholds: 6×6 spots byte-exact, dense spots within one
-// step or 5% measured energy regret, median relative energy error within
-// 5% everywhere.
+// TestPredictValidation pins the study's structural contract and that
+// every freshly computed row meets the prediction accuracy thresholds: 6×6
+// spots exact, dense spots within one step or 5% measured energy regret,
+// median relative energy error within 5% everywhere. `make golden` pins
+// the committed CSV of the same rows.
 func TestPredictValidation(t *testing.T) {
 	rows, err := env.PredictValidation()
 	if err != nil {

@@ -153,7 +153,7 @@ func (e *Env) FaultResilience(names ...string) ([]ResilienceRow, error) {
 
 // FaultResilienceTable renders the resilience study. Every cell is a pure
 // function of the deterministic rows, so the CSV is byte-identical at any
-// worker count — the CI chaos job diffs -jobs 1 against -jobs 8.
+// worker count — `make chaos` diffs -jobs 1 against -jobs 8.
 func FaultResilienceTable(rows []ResilienceRow) *trace.Table {
 	t := trace.NewTable("Fault resilience — hardened holistic vs fault-free",
 		"workload", "fault class", "intensity", "faults", "held", "retries",

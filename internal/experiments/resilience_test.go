@@ -70,8 +70,8 @@ func TestFaultResilienceRecoveryEvidence(t *testing.T) {
 }
 
 // TestFaultResilienceDeterministicAcrossJobs: the study must be
-// byte-identical at any worker count — the property the CI chaos job
-// enforces end-to-end on the emitted CSV.
+// byte-identical at any worker count — the property `make chaos` enforces
+// end-to-end on the emitted CSV.
 func TestFaultResilienceDeterministicAcrossJobs(t *testing.T) {
 	render := func(jobs int) []byte {
 		e := *env

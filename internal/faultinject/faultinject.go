@@ -106,7 +106,7 @@ type Plan struct {
 }
 
 // Default returns the moderate-intensity, all-classes plan the resilience
-// study and the CI chaos job run under.
+// study and `make chaos` run under.
 func Default(seed uint64) Plan {
 	return Plan{
 		Seed:                  seed,

@@ -293,7 +293,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 		idx[i] = i
 	}
 	outs, err := parallel.Map(ctx, idx,
-		func(_ context.Context, _ int, g int) (evalOut, error) {
+		func(_ int, g int) (evalOut, error) {
 			r, fast, err := rts[metas[g].class].batch.Eval(wls[metas[g].workload], metas[g].cfg)
 			return evalOut{res: r, fast: fast}, err
 		}, e.Jobs)

@@ -28,7 +28,7 @@ func BenchmarkMapSpeedup(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("jobs=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := Map(context.Background(), items, func(_ context.Context, _ int, n int) (float64, error) {
+				_, err := Map(context.Background(), items, func(_ int, n int) (float64, error) {
 					return spin(n), nil
 				}, workers)
 				if err != nil {
@@ -44,7 +44,7 @@ func BenchmarkMapOverhead(b *testing.B) {
 	items := make([]int, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := Map(context.Background(), items, func(_ context.Context, i int, _ int) (int, error) {
+		_, err := Map(context.Background(), items, func(i int, _ int) (int, error) {
 			return i, nil
 		}, 8)
 		if err != nil {

@@ -9,9 +9,10 @@
 //   - Map returns results indexed by input position, so the output layout
 //     never depends on completion order.
 //   - Errors aggregate by input position, not by time: when several tasks
-//     fail, the error of the lowest-indexed failing task is returned, and
-//     the shared context is cancelled after the first observed failure so
-//     in-flight work can stop early. Which tasks were skipped may vary
+//     fail, the error of the lowest-indexed failing task is returned. After
+//     a failure Map skips only tasks above the lowest failing index seen so
+//     far, never one below it, so every task below the returned failure
+//     has run and succeeded. Which tasks above it were skipped may vary
 //     between runs, but the returned error never does.
 //   - TaskSeed/Uniform/Stream (seed.go) derive independent random streams
 //     from (base seed, task index) so no task reads another's stream,
@@ -42,7 +43,7 @@ var (
 	metricTaskErrors = telemetry.NewCounter("greengpu_parallel_task_errors_total",
 		"Tasks that returned an error.")
 	metricSkipped = telemetry.NewCounter("greengpu_parallel_tasks_skipped_total",
-		"Tasks skipped because the shared context was already cancelled.")
+		"Tasks skipped because a lower-indexed task failed or the context was done.")
 	metricTaskSeconds = telemetry.NewHistogram("greengpu_parallel_task_seconds",
 		"Wall-clock task duration in seconds.",
 		telemetry.ExpBuckets(100e-6, 4, 12)) // 100µs .. ~420s
@@ -77,10 +78,12 @@ func taskStart() time.Time {
 // returns the results in input order. workers <= 0 selects one worker per
 // available CPU (runtime.GOMAXPROCS); workers == 1 runs the tasks inline on
 // the calling goroutine, in input order. On failure it returns the error
-// of the lowest-indexed failing task; the context passed to fn is
-// cancelled as soon as any task fails, and tasks not yet started are
-// skipped. A nil or empty item slice returns (nil, ctx.Err()).
-func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, index int, item T) (R, error), workers int) ([]R, error) {
+// of the lowest-indexed failing task: tasks above the lowest failure seen
+// so far are skipped, tasks below it always run. Once ctx is done every
+// task not yet started is skipped, and Map returns the lowest-indexed
+// failure among the tasks that ran, or ctx.Err() if none failed. A nil or
+// empty item slice returns (nil, ctx.Err()).
+func Map[T, R any](ctx context.Context, items []T, fn func(index int, item T) (R, error), workers int) ([]R, error) {
 	n := len(items)
 	if n == 0 {
 		return nil, ctx.Err()
@@ -100,7 +103,7 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 				return nil, err
 			}
 			start := taskStart()
-			r, err := fn(ctx, i, items[i])
+			r, err := fn(i, items[i])
 			observeTask(start, err)
 			if err != nil {
 				return nil, err
@@ -111,14 +114,13 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 	}
 
 	errs := make([]error, n)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
+		next   atomic.Int64
+		lowest atomic.Int64 // lowest failing index so far; n while none has failed
+		wg     sync.WaitGroup
 	)
 	next.Store(-1)
+	lowest.Store(int64(n))
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -129,7 +131,7 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 				if i >= n {
 					return
 				}
-				if cctx.Err() != nil {
+				if int64(i) > lowest.Load() || ctx.Err() != nil {
 					// Skipped: leave errs[i] nil so error selection
 					// stays deterministic (only genuine task failures
 					// participate).
@@ -137,11 +139,15 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 					continue
 				}
 				start := taskStart()
-				r, err := fn(cctx, i, items[i])
+				r, err := fn(i, items[i])
 				observeTask(start, err)
 				if err != nil {
 					errs[i] = err
-					cancel()
+					for low := lowest.Load(); int64(i) < low; low = lowest.Load() {
+						if lowest.CompareAndSwap(low, int64(i)) {
+							break
+						}
+					}
 				} else {
 					results[i] = r
 				}

@@ -331,7 +331,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) ([]PointResult, error) {
 	metricBatches.Inc()
 	metricPoints.Add(uint64(len(pts)))
 	return parallel.Map(ctx, pts,
-		func(_ context.Context, _ int, pt Point) (PointResult, error) {
+		func(_ int, pt Point) (PointResult, error) {
 			return b.evalPoint(&spec, &base, eligible, pt)
 		}, e.Jobs)
 }

@@ -57,9 +57,11 @@ func FuzzSweepSpec(f *testing.F) {
 // must be the same without a run cache, on a cold cache and on a warm one.
 func FuzzFastVsCore(f *testing.F) {
 	// TestRunSaturationStaysFast's profile: 4 × 2.4e9 s saturates the
-	// clock inside the final iteration.
+	// clock inside the final iteration; at 6 iterations later bus
+	// transfers are scheduled past the horizon and saturate too.
 	f.Add([]byte{0, 178, 51}, 2.4e9, uint16(4), uint8(5), uint8(5), uint8(3), true)
 	f.Add([]byte{0, 178, 51}, 2.4e9, uint16(4), uint8(0), uint8(0), uint8(3), true)
+	f.Add([]byte{0, 178, 51}, 2.4e9, uint16(6), uint8(5), uint8(5), uint8(3), true)
 	// Seventeen phases: one more than the closed-form loop holds.
 	seventeen := make([]byte, 17*3)
 	for i := range seventeen {
@@ -134,9 +136,7 @@ func FuzzFastVsCore(f *testing.F) {
 			Mem:  int(m) % len(gpu.MemLevels),
 			CPU:  int(p) % len(cpu.PStates),
 		}
-		var want *core.Result
-		var wantErr error
-		corePanic := panicOf(func() { want, wantErr = core.Run(testbed.NewFrom(gpu, cpu, bus), prof, cfg) })
+		want, wantErr := core.Run(testbed.NewFrom(gpu, cpu, bus), prof, cfg)
 
 		// The slowest ladder corner's iteration span, measured by the
 		// per-point engine: ladders ascend, so level (0, 0) is slowest.
@@ -154,25 +154,6 @@ func FuzzFastVsCore(f *testing.F) {
 		span := r0.TotalTime
 		applies := n <= maxPhases &&
 			(span == 0 || (span < sim.MaxTime && time.Duration(runIters) <= (sim.MaxTime-1)/span))
-
-		if corePanic != nil {
-			// The per-point engine cannot simulate a run whose clock
-			// saturates before its last iteration. The closed form must
-			// not claim such a run: Eval takes core.Run and fails alike.
-			if applies {
-				t.Fatalf("closed form applies to a run core.Run cannot finish (span %v, iterations %d): %v",
-					span, runIters, corePanic)
-			}
-			e := &Engine{GPU: gpu, CPU: cpu, Bus: bus, Profiles: []*workload.Profile{prof}, Jobs: 1}
-			b, err := e.NewBatch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if panicOf(func() { b.Eval("fuzz", cfg) }) == nil {
-				t.Fatal("Eval finished a run core.Run cannot")
-			}
-			return
-		}
 
 		var fastSeen []bool
 		for _, cached := range []bool{false, true, true} {
@@ -210,11 +191,4 @@ func FuzzFastVsCore(f *testing.F) {
 			}
 		}
 	})
-}
-
-// panicOf runs f and returns the value it panicked with, or nil.
-func panicOf(f func()) (v any) {
-	defer func() { v = recover() }()
-	f()
-	return nil
 }

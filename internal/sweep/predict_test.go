@@ -285,9 +285,8 @@ func TestRunFallbackMatrix(t *testing.T) {
 func TestRunSaturationStaysFast(t *testing.T) {
 	e := testEngine(t)
 	// 4 × 2.4e9 s crosses the ~292-year clock horizon inside the FINAL
-	// iteration's kernel phase: the phase end saturates (sim.AddTime) but
-	// no later bus event needs scheduling past it, so the per-point engine
-	// completes and the two paths can be compared.
+	// iteration's kernel phase: the phase end saturates (sim.AddTime), the
+	// per-point engine completes, and the two paths can be compared.
 	sat, err := workload.Calibrate(workload.Spec{
 		Name:             "saturate",
 		IterationSeconds: 2.4e9,
