@@ -87,6 +87,14 @@ var suites = []suite{
 			pkgs: []string{"./internal/sim", "./internal/dvfs"}}},
 	},
 	{
+		// One full holistic core.Run (20 iterations of kmeans), the
+		// paper's own algorithm: tier 1 and tier 2 over the event engine
+		// and both device models. It is the root package's benchmark.
+		name: "core", baseline: "BENCH_core.json",
+		runs: []run{{bench: "BenchmarkHolisticRun", benchmem: true, benchtime: "1000x",
+			pkgs: []string{"."}}},
+	},
+	{
 		// The batched ladder evaluation, its per-point naive baseline, the
 		// predicted search and the holistic full-simulation path.
 		// fullevals (the predicted search's full-evaluation budget) is

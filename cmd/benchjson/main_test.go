@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -295,6 +296,9 @@ func TestSuiteTable(t *testing.T) {
 		"sim": {"BENCH_sim.json", [][]string{
 			{"test", "-run=^$", "-bench=.", "-benchmem", "-count=5", "-benchtime=50000x", "./internal/sim", "./internal/dvfs"},
 		}, nil},
+		"core": {"BENCH_core.json", [][]string{
+			{"test", "-run=^$", "-bench=BenchmarkHolisticRun", "-benchmem", "-count=5", "-benchtime=1000x", "."},
+		}, nil},
 		"sweep": {"BENCH_sweep.json", [][]string{
 			{"test", "-run=^$", "-bench=BenchmarkSweep", "-benchmem", "-count=5", "-benchtime=2000x", "./internal/sweep"},
 		}, map[string]bool{"points/s": true, "evalreduction": true, "fullevals": false}},
@@ -348,7 +352,7 @@ func TestBaselinesSelectedBySuites(t *testing.T) {
 			var by *run
 			for i, r := range s.runs {
 				for _, p := range r.pkgs {
-					if "greengpu/"+strings.TrimPrefix(p, "./") == b.Pkg && regexp.MustCompile(r.bench).MatchString(b.Name) {
+					if path.Join("greengpu", p) == b.Pkg && regexp.MustCompile(r.bench).MatchString(b.Name) {
 						by = &s.runs[i]
 					}
 				}

@@ -103,7 +103,12 @@ type Config struct {
 	// affects energy on devices with PowerParams.CoreGatable > 0.
 	SMScaling bool
 	// CPUGovernor drives the processor P-state when tier 2 is active.
-	// Nil selects the Linux ondemand governor, as in the paper.
+	// Nil selects the Linux ondemand governor, as in the paper. With one
+	// of the four stateless built-in policies (governor.Stateless), no
+	// armed FaultPlan and no OnCPUGovernor hook, a tick that keeps the
+	// P-state skips the ticks that would repeat it before the next event
+	// and credits them to the governor counters; the result is the same
+	// bit for bit. Other policies are asked on every tick.
 	CPUGovernor governor.Policy
 	// CPUGovernorInterval is the governor's sampling period.
 	CPUGovernorInterval time.Duration
@@ -168,6 +173,8 @@ type Config struct {
 	// OnDVFS, if non-nil, observes every tier 2 decision.
 	OnDVFS func(at time.Duration, uCore, uMem float64, d dvfs.Decision)
 	// OnCPUGovernor, if non-nil, observes every CPU governor decision.
+	// Setting it makes the governor tick every period, skipping none
+	// (see CPUGovernor), so the hook sees every decision.
 	OnCPUGovernor func(at time.Duration, util float64, level int)
 	// OnIteration, if non-nil, observes every completed iteration.
 	OnIteration func(IterationStats)
@@ -601,12 +608,20 @@ func (f *framework) run() (*Result, error) {
 			}
 		})
 		govNext := f.govTally.Bind(f.cpuGov)
+		// A tick that keeps the P-state of a stateless policy repeats
+		// itself until the next event: nothing before it can change the
+		// CPU's utilization or level. Such a tick skips ahead to the first
+		// governor boundary at or after that event and credits the
+		// skipped decisions. An armed fault plan hardens the policy, which
+		// is not stateless, and a governor hook sees every tick.
+		skipIdle := cfg.OnCPUGovernor == nil && governor.Stateless(f.cpuGov)
 		f.govTicker = m.Engine.Every(cfg.CPUGovernorInterval, "tier2:cpu-governor", func() {
 			u := cpu.MaxCoreUtilization()
 			if f.injector != nil {
 				u = f.injector.CPUSensor(u)
 			}
-			next := govNext(u, cpu.Level(), cpu.Levels())
+			level, tally := cpu.Level(), f.govTally
+			next := govNext(u, level, cpu.Levels())
 			if f.cpuGuard != nil {
 				// The guard gates the P-state write like a GPU transition;
 				// the unused memory domain stays at level 0.
@@ -615,6 +630,9 @@ func (f *framework) run() (*Result, error) {
 			cpu.SetLevel(next)
 			if cfg.OnCPUGovernor != nil {
 				cfg.OnCPUGovernor(m.Engine.Now(), u, next)
+			}
+			if skipIdle && next == level {
+				f.govTally.Credit(tally, f.govTicker.SkipIdle())
 			}
 		})
 	}

@@ -15,7 +15,10 @@ import (
 // telemetry on and checks that every counter a run tallies locally and
 // flushes once at the end advances by exactly the number of events the
 // run's observers saw — the count the per-event Inc calls produced before
-// the tallies existed.
+// the tallies existed. The governor hook makes every tick fire, so the
+// points then run again without it: the governor counters must advance by
+// the same counts, the skipped ticks credited, while the engine fires
+// fewer events.
 func TestTalliedCountersMatchObservers(t *testing.T) {
 	was := telemetry.Enabled()
 	telemetry.Enable()
@@ -24,16 +27,21 @@ func TestTalliedCountersMatchObservers(t *testing.T) {
 			telemetry.Disable()
 		}
 	}()
+	const events = "greengpu_sim_events_total"
 	counters := []string{
 		"greengpu_core_iterations_total",
 		"greengpu_dvfs_steps_total",
 		"greengpu_dvfs_level_changes_total",
 		"greengpu_governor_decisions_total",
 		"greengpu_governor_jumps_to_max_total",
+		events,
 	}
-	before := make(map[string]uint64)
-	for _, name := range counters {
-		before[name] = telemetry.Default.CounterValue(name)
+	snapshot := func() map[string]uint64 {
+		m := make(map[string]uint64)
+		for _, name := range counters {
+			m[name] = telemetry.Default.CounterValue(name)
+		}
+		return m
 	}
 
 	type seen struct{ iterations, steps, changes, decisions, jumps uint64 }
@@ -45,46 +53,56 @@ func TestTalliedCountersMatchObservers(t *testing.T) {
 	if DefaultConfig(Holistic).CPUGovernor != nil {
 		t.Fatal("default governor is no longer ondemand; update the jump count below")
 	}
-	results := make([]seen, 8)
-	var wg sync.WaitGroup
-	for g := range results {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			s := &results[g]
-			var last dvfs.Decision
-			first := true
-			cfg := DefaultConfig(Holistic)
-			cfg.Iterations = 3 + g%3
-			cfg.OnIteration = func(IterationStats) { s.iterations++ }
-			cfg.OnDVFS = func(_ time.Duration, _, _ float64, d dvfs.Decision) {
-				s.steps++
-				if !first && d != last {
-					s.changes++
+	// runAll runs the eight points concurrently and sums what their
+	// observers saw; without the governor hook it sees no decisions.
+	runAll := func(governorHook bool) seen {
+		results := make([]seen, 8)
+		var wg sync.WaitGroup
+		for g := range results {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				s := &results[g]
+				var last dvfs.Decision
+				first := true
+				cfg := DefaultConfig(Holistic)
+				cfg.Iterations = 3 + g%3
+				cfg.OnIteration = func(IterationStats) { s.iterations++ }
+				cfg.OnDVFS = func(_ time.Duration, _, _ float64, d dvfs.Decision) {
+					s.steps++
+					if !first && d != last {
+						s.changes++
+					}
+					first, last = false, d
 				}
-				first, last = false, d
-			}
-			cfg.OnCPUGovernor = func(_ time.Duration, util float64, _ int) {
-				s.decisions++
-				if util > 0.80 { // ondemand's UpThreshold
-					s.jumps++
+				if governorHook {
+					cfg.OnCPUGovernor = func(_ time.Duration, util float64, _ int) {
+						s.decisions++
+						if util > 0.80 { // ondemand's UpThreshold
+							s.jumps++
+						}
+					}
 				}
-			}
-			if _, err := Run(testbed.New(), profiles[g%len(profiles)], cfg); err != nil {
-				t.Error(err)
-			}
-		}(g)
+				if _, err := Run(testbed.New(), profiles[g%len(profiles)], cfg); err != nil {
+					t.Error(err)
+				}
+			}(g)
+		}
+		wg.Wait()
+		var sum seen
+		for _, s := range results {
+			sum.iterations += s.iterations
+			sum.steps += s.steps
+			sum.changes += s.changes
+			sum.decisions += s.decisions
+			sum.jumps += s.jumps
+		}
+		return sum
 	}
-	wg.Wait()
 
-	var want seen
-	for _, s := range results {
-		want.iterations += s.iterations
-		want.steps += s.steps
-		want.changes += s.changes
-		want.decisions += s.decisions
-		want.jumps += s.jumps
-	}
+	before := snapshot()
+	want := runAll(true)
+	hooked := snapshot()
 	if want.steps == 0 || want.decisions == 0 || want.jumps == 0 || want.changes == 0 {
 		t.Fatalf("observers saw too little to check: %+v", want)
 	}
@@ -95,9 +113,20 @@ func TestTalliedCountersMatchObservers(t *testing.T) {
 		"greengpu_governor_decisions_total":    want.decisions,
 		"greengpu_governor_jumps_to_max_total": want.jumps,
 	} {
-		if got := telemetry.Default.CounterValue(name) - before[name]; got != w {
+		if got := hooked[name] - before[name]; got != w {
 			t.Errorf("%s advanced by %d, observers saw %d", name, got, w)
 		}
+	}
+
+	runAll(false)
+	plain := snapshot()
+	for _, name := range counters {
+		if got, w := plain[name]-hooked[name], hooked[name]-before[name]; name != events && got != w {
+			t.Errorf("without the governor hook %s advanced by %d, with it by %d", name, got, w)
+		}
+	}
+	if got, w := plain[events]-hooked[events], hooked[events]-before[events]; got >= w {
+		t.Errorf("without the governor hook the engine fired %d events, with it %d: no tick was skipped", got, w)
 	}
 }
 

@@ -69,10 +69,19 @@ func BenchmarkScalerEpisode(b *testing.B) {
 	}
 }
 
-// TestScalerStepDoesNotAllocate pins the tier-2 epoch at zero allocations.
+// TestScalerStepDoesNotAllocate pins the tier-2 epoch at zero allocations
+// on both paths: each op steps a new sample, rebuilding the loss vector,
+// then repeats it, reusing the vector.
 func TestScalerStepDoesNotAllocate(t *testing.T) {
 	s := NewScaler(benchLadder(6), benchLadder(6), DefaultParams())
-	if allocs := testing.AllocsPerRun(100, func() { s.Step(0.6, 0.4) }); allocs != 0 {
+	samples := [2][2]float64{{0.6, 0.4}, {0.2, 0.9}}
+	k := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		u := samples[k%2]
+		k++
+		s.Step(u[0], u[1])
+		s.Step(u[0], u[1])
+	}); allocs != 0 {
 		t.Errorf("Scaler.Step allocates %v objects per op, want 0", allocs)
 	}
 }

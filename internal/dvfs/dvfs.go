@@ -193,6 +193,11 @@ type Scaler struct {
 	lcBuf   []float64
 	lmBuf   []float64
 	lossBuf []float64
+	// lossCore and lossMem are the bits of the sanitized sample lossBuf
+	// was assembled from, valid while lossOK; a bit-identical sample
+	// reuses the vector.
+	lossCore, lossMem uint64
+	lossOK            bool
 
 	steps int
 	// lastBest tracks the previous decision's flat pair index (-1 before
@@ -254,6 +259,7 @@ func (s *Scaler) Reset() {
 	s.table.Reset()
 	s.steps = 0
 	s.lastBest = -1
+	s.lossOK = false
 }
 
 // TotalLoss returns Eq. 3's combined loss for the (core i, mem j) pair under
@@ -275,25 +281,30 @@ func (s *Scaler) TotalLoss(i, j int, uCore, uMem float64) float64 {
 // separable) into a reused scratch vector, with the same operation order as
 // TotalLoss — Step(u_c, u_m) agrees bit-for-bit with charging TotalLoss
 // pair by pair, at N+M rather than 2·N·M Loss evaluations and zero
-// allocations. The weight table then takes the whole vector in one pass
-// that also finds the new argmax.
+// allocations. A sample bit-identical to the previous one (sanitized) reuses
+// the vector, which depends on nothing else. The weight table then takes
+// the whole vector in one pass that also finds the new argmax; that update
+// runs on every Step.
 func (s *Scaler) Step(uCore, uMem float64) Decision {
 	uCore = sanitizeUtil(uCore)
 	uMem = sanitizeUtil(uMem)
-	for i, um := range s.coreUMean {
-		s.lcBuf[i] = Loss(uCore, um, s.params.AlphaCore)
-	}
-	for j, um := range s.memUMean {
-		s.lmBuf[j] = Loss(uMem, um, s.params.AlphaMem)
-	}
-	phi, oneMinusPhi := s.params.Phi, 1-s.params.Phi
 	m := len(s.lmBuf)
-	for i, lci := range s.lcBuf {
-		lc := phi * lci
-		row := s.lossBuf[i*m : (i+1)*m]
-		for j, lm := range s.lmBuf {
-			row[j] = lc + oneMinusPhi*lm
+	if cb, mb := math.Float64bits(uCore), math.Float64bits(uMem); !s.lossOK || cb != s.lossCore || mb != s.lossMem {
+		for i, um := range s.coreUMean {
+			s.lcBuf[i] = Loss(uCore, um, s.params.AlphaCore)
 		}
+		for j, um := range s.memUMean {
+			s.lmBuf[j] = Loss(uMem, um, s.params.AlphaMem)
+		}
+		phi, oneMinusPhi := s.params.Phi, 1-s.params.Phi
+		for i, lci := range s.lcBuf {
+			lc := phi * lci
+			row := s.lossBuf[i*m : (i+1)*m]
+			for j, lm := range s.lmBuf {
+				row[j] = lc + oneMinusPhi*lm
+			}
+		}
+		s.lossCore, s.lossMem, s.lossOK = cb, mb, true
 	}
 	best := s.table.Update(s.lossBuf)
 	s.steps++

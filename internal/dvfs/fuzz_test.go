@@ -132,17 +132,19 @@ func oracleParams(alphaCore, alphaMem, phi float64) Params {
 }
 
 // checkAgainstReference steps a Scaler and the reference side by side,
-// alternating between two utilization samples, and fails on the first
-// decision or weight bit that differs. It also checks the invariants the
-// fuzz target always held: in-range levels and finite, non-negative
-// weights. It returns the reference for coverage checks.
-func checkAgainstReference(t *testing.T, p Params, uc, um, uc2, um2 float64, steps int) *refScaler {
+// holding the first utilization sample for hold1 steps, then the second
+// for hold2 steps, and so on, and fails on the first decision or weight bit
+// that differs. Held samples take the scaler's loss-vector reuse path, and
+// each change of sample its rebuild. It also checks the invariants the fuzz
+// target always held: in-range levels and finite, non-negative weights.
+// It returns the reference for coverage checks.
+func checkAgainstReference(t *testing.T, p Params, uc, um, uc2, um2 float64, hold1, hold2, steps int) *refScaler {
 	t.Helper()
 	s := NewScaler(oracleCore, oracleMem, p)
 	ref := newRefScaler(oracleCore, oracleMem, p)
 	for k := 0; k < steps; k++ {
 		a, b := uc, um
-		if k%2 == 1 {
+		if k%(hold1+hold2) >= hold1 {
 			a, b = uc2, um2
 		}
 		d := s.Step(a, b)
@@ -169,7 +171,8 @@ func checkAgainstReference(t *testing.T, p Params, uc, um, uc2, um2 float64, ste
 
 // TestScalerStepMatchesReference runs the differential oracle on fixed
 // cases that reach the paths a short fuzz run may not: renormalization,
-// subnormal weights, and renormalization while the top weight is tied.
+// subnormal weights, renormalization while the top weight is tied, and
+// held samples that reuse the loss vector across a renormalization.
 //
 // Renormalization divides by the exact maximum, so it can round lower
 // weights together but never lifts one to tie the maximum: any w below
@@ -183,23 +186,32 @@ func TestScalerStepMatchesReference(t *testing.T) {
 		name                     string
 		alphaCore, alphaMem, phi float64
 		uc, um, uc2, um2         float64
-		steps                    int
+		hold1, hold2, steps      int
 		renorm, subnormal, tied  bool
 	}{
 		{name: "paper params", alphaCore: 0.15, alphaMem: 0.02, phi: 0.3,
-			uc: 0.62, um: 0.41, uc2: 0.1, um2: 0.93, steps: 200},
+			uc: 0.62, um: 0.41, uc2: 0.1, um2: 0.93, hold1: 1, hold2: 1, steps: 200},
+		{name: "held samples", alphaCore: 0.15, alphaMem: 0.02, phi: 0.3,
+			uc: 0.62, um: 0.41, uc2: 0, um2: 0, hold1: 27, hold2: 19, steps: 200},
+		{name: "held samples, core utilization changing alone", alphaCore: 0.15, alphaMem: 0.02, phi: 0.3,
+			uc: 0.62, um: 0.41, uc2: 0.1, um2: 0.41, hold1: 5, hold2: 3, steps: 200},
+		{name: "held samples, memory utilization changing alone", alphaCore: 0.15, alphaMem: 0.02, phi: 0.3,
+			uc: 0.62, um: 0.41, uc2: 0.62, um2: 0.93, hold1: 5, hold2: 3, steps: 200},
 		{name: "non-finite samples", alphaCore: 0.15, alphaMem: 0.02, phi: 0.3,
-			uc: nan, um: inf, uc2: -inf, um2: -3.7, steps: 200},
+			uc: nan, um: inf, uc2: -inf, um2: -3.7, hold1: 1, hold2: 1, steps: 200},
 		{name: "renormalization with subnormal weights", alphaCore: 0.5, alphaMem: 0.5, phi: 0.5,
-			uc: 0.5, um: 0.25, uc2: 0.5, um2: 0.25, steps: 4000,
+			uc: 0.5, um: 0.25, uc2: 0.5, um2: 0.25, hold1: 1, hold2: 1, steps: 4000,
 			renorm: true, subnormal: true},
 		{name: "renormalization with a tied top weight", alphaCore: 0.5, alphaMem: 0.5, phi: 1,
-			uc: 0.5, um: 0.3, uc2: 0.5, um2: 0.9, steps: 4000,
+			uc: 0.5, um: 0.3, uc2: 0.5, um2: 0.9, hold1: 1, hold2: 1, steps: 4000,
 			renorm: true, tied: true},
+		{name: "held samples across renormalization", alphaCore: 0.5, alphaMem: 0.5, phi: 0.5,
+			uc: 0.5, um: 0.25, uc2: 0.9, um2: 0.1, hold1: 700, hold2: 300, steps: 4000,
+			renorm: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := oracleParams(c.alphaCore, c.alphaMem, c.phi)
-			ref := checkAgainstReference(t, p, c.uc, c.um, c.uc2, c.um2, c.steps)
+			ref := checkAgainstReference(t, p, c.uc, c.um, c.uc2, c.um2, c.hold1, c.hold2, c.steps)
 			if c.renorm && !ref.renormalized {
 				t.Error("case never renormalized")
 			}
@@ -215,16 +227,27 @@ func TestScalerStepMatchesReference(t *testing.T) {
 
 // FuzzScalerStep drives the scaler and the pre-fusion reference with
 // arbitrary (including non-finite) utilizations and parameters for up to
-// 4,096 steps, requiring the same decision and bit-identical weights after
-// every step, in-range levels, and a finite weight table.
+// 4,096 steps, each sample held for a fuzzed run of 1 to 256 steps,
+// requiring the same decision and bit-identical weights after every step,
+// in-range levels, and a finite weight table.
 func FuzzScalerStep(f *testing.F) {
-	f.Add(0.5, 0.5, 0.5, 0.5, 0.15, 0.02, 0.3, uint16(64))
-	f.Add(math.NaN(), math.Inf(1), math.Inf(-1), -3.7, 0.15, 0.02, 0.3, uint16(64))
-	f.Add(1e308, -1e308, -0.0, 2.0, 0.15, 0.02, 0.3, uint16(64))
-	f.Add(0.5, 0.25, 0.5, 0.25, 0.5, 0.5, 0.5, uint16(4000))
-	f.Add(0.5, 0.3, 0.5, 0.9, 0.5, 0.5, 1.0, uint16(4000))
-	f.Fuzz(func(t *testing.T, uc, um, uc2, um2, alphaCore, alphaMem, phi float64, n uint16) {
-		checkAgainstReference(t, oracleParams(alphaCore, alphaMem, phi), uc, um, uc2, um2, int(n%4096)+1)
+	negZero := math.Copysign(0, -1)
+	f.Add(0.5, 0.5, 0.5, 0.5, 0.15, 0.02, 0.3, uint8(0), uint8(0), uint16(64))
+	f.Add(math.NaN(), math.Inf(1), math.Inf(-1), -3.7, 0.15, 0.02, 0.3, uint8(0), uint8(0), uint16(64))
+	f.Add(1e308, -1e308, -0.0, 2.0, 0.15, 0.02, 0.3, uint8(0), uint8(0), uint16(64))
+	f.Add(0.5, 0.25, 0.5, 0.25, 0.5, 0.5, 0.5, uint8(0), uint8(0), uint16(4000))
+	f.Add(0.5, 0.3, 0.5, 0.9, 0.5, 0.5, 1.0, uint8(0), uint8(0), uint16(4000))
+	// Reuse, change, reuse: a holistic run's busy phase and idle gap.
+	f.Add(0.6293204506666666, 0.4208979153333333, 0.0, 0.0, 0.15, 0.02, 0.3, uint8(26), uint8(18), uint16(400))
+	// Samples that differ only in the sign of zero, which sanitizing
+	// keeps, and only as NaN against 0, which it does not.
+	f.Add(negZero, 0.4, 0.0, 0.4, 0.15, 0.02, 0.3, uint8(3), uint8(2), uint16(64))
+	f.Add(0.7, negZero, 0.7, 0.0, 0.0, 1.0, 0.0, uint8(1), uint8(4), uint16(64))
+	f.Add(math.NaN(), 0.3, 0.0, 0.3, 0.15, 0.02, 0.3, uint8(2), uint8(3), uint16(64))
+	f.Add(0.8, math.NaN(), 0.8, 0.0, 0.15, 0.02, 0.3, uint8(4), uint8(1), uint16(64))
+	f.Fuzz(func(t *testing.T, uc, um, uc2, um2, alphaCore, alphaMem, phi float64, hold1, hold2 uint8, n uint16) {
+		checkAgainstReference(t, oracleParams(alphaCore, alphaMem, phi), uc, um, uc2, um2,
+			int(hold1)+1, int(hold2)+1, int(n%4096)+1)
 	})
 }
 

@@ -66,6 +66,30 @@ func (t *Tally) Bind(p Policy) func(util float64, current, nLevels int) int {
 	return p.Next
 }
 
+// Credit counts n more decisions exactly like the one t counted since it
+// equalled before: what n more calls of the function from Bind would count
+// if each decided the same. It is for ticks skipped because they would
+// repeat the decision just made, which holds only for a Stateless policy.
+func (t *Tally) Credit(before Tally, n uint64) {
+	t.decisions += n * (t.decisions - before.decisions)
+	t.jumpsToMax += n * (t.jumpsToMax - before.jumpsToMax)
+	t.holds += n * (t.holds - before.holds)
+}
+
+// Stateless reports whether p is one of this package's four memoryless
+// policies (Ondemand, Conservative, BestPerformance, PowerSave), whose
+// decision is a function of Next's arguments alone: asked again with the
+// same utilization and level, it decides the same. Hardened keeps a
+// last-good reading, and policies defined elsewhere may keep anything, so
+// they report false.
+func Stateless(p Policy) bool {
+	switch p.(type) {
+	case *Ondemand, *Conservative, BestPerformance, *BestPerformance, PowerSave, *PowerSave:
+		return true
+	}
+	return false
+}
+
 // next is the body shared by every policy's Next.
 func next(d decider, util float64, current, nLevels int) int {
 	var t Tally

@@ -258,3 +258,44 @@ func TestConservativeOneStepProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStateless pins the policies whose repeated ticks core.Run may skip:
+// the four built-ins, as pointers and, where they implement Policy, as
+// values; never a hardened or a foreign policy.
+func TestStateless(t *testing.T) {
+	for _, c := range []struct {
+		p    Policy
+		want bool
+	}{
+		{NewOndemand(), true},
+		{NewConservative(), true},
+		{BestPerformance{}, true},
+		{&BestPerformance{}, true},
+		{PowerSave{}, true},
+		{&PowerSave{}, true},
+		{Harden(NewOndemand()), false},
+		{policyFunc(func(_ float64, current, _ int) int { return current }), false},
+	} {
+		if got := Stateless(c.p); got != c.want {
+			t.Errorf("Stateless(%s %T) = %v, want %v", c.p.Name(), c.p, got, c.want)
+		}
+	}
+}
+
+// TestTallyCredit checks that crediting n repeats of a decision counts what
+// n more calls of the bound decision function would.
+func TestTallyCredit(t *testing.T) {
+	for _, util := range []float64{1, 0.5, 0} {
+		var want, got Tally
+		decideWant, decideGot := want.Bind(NewOndemand()), got.Bind(NewOndemand())
+		for i := 0; i < 4; i++ {
+			decideWant(util, 3, 4)
+		}
+		before := got
+		decideGot(util, 3, 4)
+		got.Credit(before, 3)
+		if got != want {
+			t.Errorf("util %v: credited tally %+v, four decisions %+v", util, got, want)
+		}
+	}
+}

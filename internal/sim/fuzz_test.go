@@ -6,8 +6,9 @@ import (
 )
 
 // The fuzz test drives random interleavings of Schedule/After/Cancel/Every/
-// Ticker.Stop/Step against both the engine and an obviously-correct
-// reference model (a flat slice scanned for the minimum (at, seq) pair).
+// Ticker.Stop/Step, with tickers that may call SkipIdle on every tick,
+// against both the engine and an obviously-correct reference model (a flat
+// slice scanned for the minimum (at, seq) pair).
 // Any divergence — in fire order, clock, pending count, or handle
 // staleness — is a bug in the pooled engine. In particular this checks the
 // pooling contract: cancelling a stale handle must never kill the unrelated
@@ -25,6 +26,7 @@ type modelEvent struct {
 type modelTicker struct {
 	period  time.Duration
 	id      int
+	skip    bool // calls SkipIdle on every tick
 	stopped bool
 	pending *modelEvent
 }
@@ -70,9 +72,30 @@ func (m *model) step() (id int, ok bool) {
 	m.now = best.at
 	best.live = false
 	if t := best.tick; t != nil && !t.stopped {
-		t.pending = m.schedule(m.now+t.period, t.id, t)
+		at := m.now + t.period
+		if t.skip {
+			// The first boundary at or after the next live event.
+			if next, ok := m.nextAt(); ok {
+				for at < next {
+					at += t.period
+				}
+			}
+		}
+		t.pending = m.schedule(at, t.id, t)
 	}
 	return best.id, true
+}
+
+// nextAt returns the earliest live event's time.
+func (m *model) nextAt() (time.Duration, bool) {
+	var at time.Duration
+	ok := false
+	for _, ev := range m.events {
+		if ev.live && (!ok || ev.at < at) {
+			at, ok = ev.at, true
+		}
+	}
+	return at, ok
 }
 
 // handlePair links an engine handle to its model event so staleness can be
@@ -88,6 +111,8 @@ func FuzzEngineVsModel(f *testing.F) {
 	f.Add([]byte{0, 9, 2, 0, 3, 2, 0, 3})                // cancel live, then stale
 	f.Add([]byte{4, 7, 3, 3, 3, 5, 0, 3})                // ticker, ticks, stop
 	f.Add([]byte{0, 1, 1, 2, 2, 0, 3, 0, 0, 2, 1, 3, 3}) // mixed churn
+	f.Add([]byte{6, 1, 0, 9, 3, 3, 3, 3, 3, 3})          // skipping ticker, far event
+	f.Add([]byte{6, 2, 4, 7, 0, 9, 3, 3, 3, 3, 5, 1, 3}) // beside a ticker, then stopped
 	f.Fuzz(func(t *testing.T, script []byte) {
 		// The per-op invariant sweep is quadratic in script length; cap it
 		// so the fuzzer explores many interleavings instead of one long one.
@@ -125,7 +150,7 @@ func FuzzEngineVsModel(f *testing.F) {
 		}
 
 		for i < len(script) {
-			switch op := nextByte() % 6; op {
+			switch op := nextByte() % 7; op {
 			case 0, 1: // Schedule / After with a small delay
 				d := time.Duration(nextByte()%64) * time.Millisecond
 				id := nextID
@@ -146,13 +171,22 @@ func FuzzEngineVsModel(f *testing.F) {
 				h.model.live = false // no-op if already fired/cancelled, same as gen check
 			case 3: // Step
 				stepBoth()
-			case 4: // Every
+			case 4, 6: // Every, skipping idle ticks for op 6
 				p := time.Duration(nextByte()%16+1) * time.Millisecond
 				id := nextID
 				nextID++
-				mt := &modelTicker{period: p, id: id}
+				mt := &modelTicker{period: p, id: id, skip: op == 6}
 				mt.pending = m.schedule(m.now+p, id, mt)
-				tickers = append(tickers, e.Every(p, "t", record(id)))
+				var tk *Ticker
+				fn := record(id)
+				if mt.skip {
+					fn = func() {
+						got = append(got, id)
+						tk.SkipIdle()
+					}
+				}
+				tk = e.Every(p, "t", fn)
+				tickers = append(tickers, tk)
 				modelTickers = append(modelTickers, mt)
 			case 5: // Ticker.Stop, possibly repeated
 				if len(tickers) == 0 {

@@ -21,6 +21,9 @@
 // on it (Cancel, Scheduled) degrades to a safe no-op. Stale handles are
 // therefore detected, never dangling: cancelling an event that already fired
 // cannot kill an unrelated event that happens to reuse its node.
+//
+// A ticker whose callback knows its coming ticks are no-ops until the next
+// queued event can skip them with SkipIdle.
 package sim
 
 import (
@@ -265,12 +268,56 @@ func (t *Ticker) arm() {
 	e.queue.push(n)
 }
 
-// fire runs one tick; Step calls it with the node already dequeued.
+// fire runs one tick; Step calls it with the node already dequeued. A
+// callback that called SkipIdle has queued the node itself.
 func (t *Ticker) fire() {
 	t.fn()
-	if !t.stopped {
+	if !t.stopped && t.node.index < 0 {
 		t.arm()
 	}
+}
+
+// SkipIdle re-arms the ticker at its first period boundary at or after the
+// engine's next queued event, instead of one period on, and returns how
+// many boundaries it skipped. It is for a callback whose tick changed
+// nothing and would change nothing at any instant before that event: the
+// skipped ticks are exactly the ones that would have fired before it.
+// When the queue is empty or the next event is within one period, the
+// ticker arms one period on as usual and SkipIdle returns 0.
+//
+// Call SkipIdle last in the ticker's own callback, after anything the
+// callback schedules, and only while the engine runs through to that next
+// event: the skip assumes nothing else happens in between. The re-armed
+// tick takes the next sequence number, as the natural re-arm would, so
+// ties with events already queued break as they would in a ticker that
+// never skipped. Called outside the ticker's callback it panics.
+func (t *Ticker) SkipIdle() uint64 {
+	e, n := t.engine, t.node
+	if t.stopped {
+		return 0
+	}
+	if n.index >= 0 {
+		panic("sim: SkipIdle outside the ticker's callback")
+	}
+	if len(e.queue) == 0 {
+		return 0
+	}
+	// Step through the boundaries with the ticks' own saturating
+	// arithmetic. A step costs far less than the tick it replaces, and
+	// less than a 64-bit division over the few periods a skip usually
+	// spans.
+	next, at := e.queue[0].at, AddTime(e.now, t.period)
+	var skipped uint64
+	for at < next {
+		at = AddTime(at, t.period)
+		skipped++
+	}
+	if skipped > 0 {
+		n.at, n.seq = at, e.seq
+		e.seq++
+		e.queue.push(n)
+	}
+	return skipped
 }
 
 // Stop cancels future firings. A tick already being processed completes.

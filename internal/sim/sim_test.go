@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -383,7 +385,8 @@ func TestScheduleFireDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Ticker ticks re-arm without allocating a closure or a node.
+// Ticker ticks re-arm without allocating a closure or a node, also when
+// they skip idle ticks.
 func TestTickerTickDoesNotAllocate(t *testing.T) {
 	e := New()
 	e.Every(time.Second, "tick", func() {})
@@ -391,6 +394,175 @@ func TestTickerTickDoesNotAllocate(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { e.Step() })
 	if allocs != 0 {
 		t.Errorf("ticker tick allocates %v objects per op, want 0", allocs)
+	}
+
+	// A skipping ticker beside a slower one: every other Step is a tick
+	// that skips to the slower ticker's next firing.
+	e = New()
+	var tk *Ticker
+	skipped := uint64(0)
+	tk = e.Every(time.Second, "skip", func() { skipped += tk.SkipIdle() })
+	e.Every(10*time.Second, "slow", func() {})
+	e.Step()
+	allocs = testing.AllocsPerRun(100, func() { e.Step() })
+	if allocs != 0 {
+		t.Errorf("skipping ticker tick allocates %v objects per op, want 0", allocs)
+	}
+	if skipped == 0 {
+		t.Error("the skipping ticker never skipped")
+	}
+}
+
+// TestSkipIdle pins where SkipIdle re-arms a ticker of period P that
+// first fires at P beside one other event: one period on when the queue
+// is empty or the event is within one period, otherwise the first
+// boundary at or after the event, which fires first; a boundary past the
+// int64 range pins to MaxTime.
+func TestSkipIdle(t *testing.T) {
+	const ms = time.Millisecond
+	type firing struct {
+		name string
+		at   time.Duration
+	}
+	for _, c := range []struct {
+		name    string
+		period  time.Duration
+		event   time.Duration // the other event's instant; negative for none
+		skipped uint64
+		second  time.Duration // the ticker's second firing
+	}{
+		{"empty queue", 10 * ms, -1, 0, 20 * ms},
+		{"same instant", 10 * ms, 10 * ms, 0, 20 * ms},
+		{"within one period", 10 * ms, 15 * ms, 0, 20 * ms},
+		{"one period on", 10 * ms, 20 * ms, 0, 20 * ms},
+		{"just past one period", 10 * ms, 20*ms + 1, 1, 30 * ms},
+		{"before a boundary", 10 * ms, 50*ms - 1, 3, 50 * ms},
+		{"on a boundary", 10 * ms, 50 * ms, 3, 50 * ms},
+		{"beyond the last boundary", MaxTime / 3, MaxTime, 2, MaxTime},
+		{"on the last boundary", MaxTime / 3, MaxTime / 3 * 3, 1, MaxTime / 3 * 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := New()
+			var got []firing
+			var skipped []uint64
+			var tk *Ticker
+			tk = e.Every(c.period, "tick", func() {
+				got = append(got, firing{"tick", e.Now()})
+				if len(skipped) == 0 {
+					skipped = append(skipped, tk.SkipIdle())
+				} else {
+					tk.Stop()
+				}
+			})
+			want := []firing{{"tick", c.period}, {"tick", c.second}}
+			if c.event >= 0 {
+				e.Schedule(c.event, "event", func() { got = append(got, firing{"event", e.Now()}) })
+				want = []firing{want[0], {"event", c.event}, want[1]}
+			}
+			e.Run()
+			if len(skipped) != 1 || skipped[0] != c.skipped {
+				t.Errorf("SkipIdle returned %v, want %d", skipped, c.skipped)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("fired %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestSkipIdleBesideEveryTickTwin runs random schedules of one-shot events,
+// some of which schedule a follow-up from their callback, once beside a
+// ticker that calls SkipIdle on every tick and once beside a twin that
+// never skips. The skipping run's firing log must be the twin's with some
+// ticks deleted: every other event fires at the same instant and in the
+// same order. And each tick after the first must land on the first period
+// boundary at or after the event that fired next, or one period on when
+// that event was within one period or there was none.
+func TestSkipIdleBesideEveryTickTwin(t *testing.T) {
+	type entry struct {
+		id int // -1 for a tick
+		at time.Duration
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		period := time.Duration(1+rng.Intn(8)) * time.Millisecond
+		// Instants on a 1 ms grid, so many land on tick boundaries.
+		instant := func(max time.Duration) time.Duration {
+			return time.Duration(rng.Intn(int(max/time.Millisecond)+1)) * time.Millisecond
+		}
+		type shot struct{ at, follow time.Duration }
+		shots := make([]shot, 1+rng.Intn(12))
+		for i := range shots {
+			shots[i] = shot{at: instant(60 * period), follow: -1}
+			if rng.Intn(3) == 0 {
+				shots[i].follow = instant(3 * period)
+			}
+		}
+		horizon := 64 * period
+		run := func(skip bool) []entry {
+			e := New()
+			var log []entry
+			var tk *Ticker
+			tk = e.Every(period, "tick", func() {
+				log = append(log, entry{-1, e.Now()})
+				if skip {
+					tk.SkipIdle()
+				}
+			})
+			for i, s := range shots {
+				e.Schedule(s.at, "shot", func() {
+					log = append(log, entry{i, e.Now()})
+					if s.follow >= 0 {
+						e.After(s.follow, "follow", func() {
+							log = append(log, entry{len(shots) + i, e.Now()})
+						})
+					}
+				})
+			}
+			e.RunUntil(horizon)
+			return log
+		}
+		got, twin := run(true), run(false)
+
+		k := 0
+		for _, w := range twin {
+			if k < len(got) && got[k] == w {
+				k++
+			} else if w.id >= 0 {
+				t.Fatalf("seed %d: event %d at %v is missing or out of order beside the skipping ticker\n got %v\ntwin %v",
+					seed, w.id, w.at, got, twin)
+			}
+		}
+		if k != len(got) {
+			t.Fatalf("seed %d: the skipping run fired %v, which its twin never did", seed, got[k:])
+		}
+		for i, g := range got {
+			if g.id >= 0 {
+				continue
+			}
+			if g.at%period != 0 {
+				t.Fatalf("seed %d: tick at %v, off the %v grid", seed, g.at, period)
+			}
+			next := -1
+			for j := i + 1; j < len(got); j++ {
+				if got[j].id < 0 {
+					next = j
+					break
+				}
+			}
+			if next < 0 {
+				continue
+			}
+			want := g.at + period
+			if next > i+1 { // an event fired before the next tick
+				for want < got[i+1].at {
+					want += period
+				}
+			}
+			if got[next].at != want {
+				t.Fatalf("seed %d: tick at %v followed by %v, want %v\n got %v", seed, g.at, got[next].at, want, got)
+			}
+		}
 	}
 }
 
