@@ -187,6 +187,13 @@ func main() {
 // deterministic tables, while single-flight wait counts depend on worker
 // scheduling.
 func run(o *options, stdout, stderr io.Writer) (err error) {
+	// Cache flags that would do nothing are errors, not silent no-ops.
+	if o.noCache && (o.cacheDir != "" || o.cacheMaxBytes != 0) {
+		return fmt.Errorf("-no-cache cannot be combined with -cache-dir or -cache-max-bytes")
+	}
+	if o.cacheMaxBytes != 0 && o.cacheDir == "" {
+		return fmt.Errorf("-cache-max-bytes requires -cache-dir")
+	}
 	finishTelemetry, err := setupTelemetry(o, stderr)
 	if err != nil {
 		return err
@@ -334,16 +341,15 @@ func setupTelemetry(o *options, stderr io.Writer) (finish func(runErr error) err
 	}, nil
 }
 
-// runSweep parses the -sweep spec and evaluates it through the batch
-// engine, emitting one "sweep_points" table. The engine shares the
-// environment's worker pool, run cache and chaos plan, so ad-hoc sweeps
-// behave exactly like the predefined studies.
+// runSweep parses the -sweep spec and evaluates it on the environment's
+// engine, emitting one "sweep_points" table. Ad-hoc sweeps thus share the
+// predefined studies' worker pool, run cache and chaos plan.
 func runSweep(specText string, env *experiments.Env, r *runner) error {
 	spec, err := sweep.ParseSpec(specText)
 	if err != nil {
 		return err
 	}
-	eng := env.SweepEngine()
+	eng := &env.Engine
 	results, err := eng.Run(context.Background(), spec)
 	if err != nil {
 		return err
@@ -353,8 +359,8 @@ func runSweep(specText string, env *experiments.Env, r *runner) error {
 
 // runPredict parses the -predict ladder spec and finds each selected
 // workload's sweet spot through the analytic O(anchors) search instead of
-// the full cross product, emitting one "predict_spots" table. The engine
-// shares the environment's run cache and chaos plan like -sweep does.
+// the full cross product, emitting one "predict_spots" table. It runs on
+// the environment's engine, like -sweep.
 func runPredict(o *options, env *experiments.Env, r *runner) error {
 	spec, err := sweep.ParseSpec(o.predict)
 	if err != nil {
@@ -365,7 +371,7 @@ func runPredict(o *options, env *experiments.Env, r *runner) error {
 		return err
 	}
 	opts := predict.Options{Strategy: strategy, TopM: o.predictTopM}
-	eng := env.SweepEngine()
+	eng := &env.Engine
 	spots, err := eng.PredictSweetSpots(spec, opts)
 	if err != nil {
 		return err

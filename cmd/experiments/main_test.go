@@ -94,6 +94,29 @@ func TestRegisterFlagsDefaults(t *testing.T) {
 	}
 }
 
+// TestRunRejectsIdleCacheFlags: cache flags that would do nothing are
+// errors, and a rejected -cache-dir is never created.
+func TestRunRejectsIdleCacheFlags(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	for _, args := range [][]string{
+		{"-no-cache", "-cache-dir", dir},
+		{"-no-cache", "-cache-max-bytes", "10"},
+		{"-cache-max-bytes", "10"},
+	} {
+		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+		o := registerFlags(fs)
+		if err := fs.Parse(append([]string{"-run", "table2"}, args...)); err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		if err := run(o, io.Discard, io.Discard); err == nil {
+			t.Errorf("%v accepted, want error", args)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("rejected -cache-dir was created (stat: %v)", err)
+	}
+}
+
 func TestStartProfilesWritesFiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.out")

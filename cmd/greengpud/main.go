@@ -95,14 +95,21 @@ func main() {
 // so tests can drive the full lifecycle — including SIGTERM — in
 // process.
 func run(ctx context.Context, o *options, stderr io.Writer) error {
+	// Cache flags that would do nothing are errors, not silent no-ops.
+	if o.noCache && (o.cacheDir != "" || o.cacheMaxBytes != 0) {
+		return fmt.Errorf("-no-cache cannot be combined with -cache-dir or -cache-max-bytes")
+	}
+	if o.cacheMaxBytes != 0 && o.cacheDir == "" {
+		return fmt.Errorf("-cache-max-bytes requires -cache-dir")
+	}
 	env, err := experiments.NewEnv()
 	if err != nil {
 		return err
 	}
 	cfg := daemon.Config{
-		GPU:          env.GPUConfig,
-		CPU:          env.CPUConfig,
-		Bus:          env.BusConfig,
+		GPU:          env.GPU,
+		CPU:          env.CPU,
+		Bus:          env.Bus,
 		Profiles:     env.Profiles,
 		Jobs:         o.jobs,
 		MaxInflight:  o.maxInflight,

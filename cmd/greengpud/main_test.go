@@ -129,6 +129,28 @@ func TestRunRejectsNegativeFlightRecorder(t *testing.T) {
 	}
 }
 
+// TestRunRejectsIdleCacheFlags: cache flags that would do nothing are
+// errors, and a rejected -cache-dir is never created. The context is
+// canceled up front, so an accepted flag set returns instead of serving.
+func TestRunRejectsIdleCacheFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dir := filepath.Join(t.TempDir(), "cache")
+	for _, args := range [][]string{
+		{"-no-cache", "-cache-dir", dir},
+		{"-no-cache", "-cache-max-bytes", "10"},
+		{"-cache-max-bytes", "10"},
+	} {
+		o := parseOptions(t, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+		if err := run(ctx, o, io.Discard); err == nil {
+			t.Errorf("%v accepted, want error", args)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("rejected -cache-dir was created (stat: %v)", err)
+	}
+}
+
 // TestEmitMetricsStderr covers the "-" spelling of -metrics.
 func TestEmitMetricsStderr(t *testing.T) {
 	var buf bytes.Buffer

@@ -144,11 +144,6 @@ type Config struct {
 	// division; must be in [0,1].
 	StaticRatio *float64
 
-	// SensorFilter, if non-nil, transforms the GPU utilization readings
-	// before they reach the scaler. It exists for fault injection —
-	// noisy or dropped nvidia-smi samples — in robustness studies.
-	SensorFilter func(uCore, uMem float64) (float64, float64)
-
 	// ActuatorFilter, if non-nil, transforms the scaler's decision before
 	// it is enforced on the device. It exists for fault injection —
 	// stuck or clamped clock actuators (a flaky nvidia-settings) — in
@@ -159,11 +154,10 @@ type Config struct {
 	// FaultPlan, when non-nil and not Zero, injects the deterministic
 	// sensor, actuator, meter and straggler faults of internal/faultinject
 	// and arms the hardened recovery paths (hold-last-good, retry with
-	// backoff, watchdog failsafe — see Recovery). Unlike SensorFilter and
-	// ActuatorFilter the plan is pure data, so faulty runs stay cacheable:
-	// the run cache fingerprints the plan into the point key. A nil or
-	// Zero plan leaves the control loop byte-identical to a build without
-	// fault injection.
+	// backoff, watchdog failsafe — see Recovery). Unlike ActuatorFilter
+	// the plan is pure data, so faulty runs stay cacheable: the run cache
+	// fingerprints the plan into the point key. A nil or Zero plan leaves
+	// the control loop byte-identical to a build without fault injection.
 	FaultPlan *faultinject.Plan
 
 	// Recovery tunes the hardened recovery paths armed by FaultPlan. The
@@ -548,9 +542,6 @@ func (f *framework) run() (*Result, error) {
 				// so fault counts never depend on who is watching.
 				meterFault = f.injector.Meter()
 				uc, um = f.injector.GPUSensor(uc, um)
-			}
-			if cfg.SensorFilter != nil {
-				uc, um = cfg.SensorFilter(uc, um)
 			}
 			held := false
 			if f.gpuGuard != nil {

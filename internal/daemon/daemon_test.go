@@ -56,9 +56,9 @@ func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *httptest.Serve
 		t.Fatal(err)
 	}
 	cfg := Config{
-		GPU:      env.GPUConfig,
-		CPU:      env.CPUConfig,
-		Bus:      env.BusConfig,
+		GPU:      env.GPU,
+		CPU:      env.CPU,
+		Bus:      env.Bus,
 		Profiles: env.Profiles,
 		Jobs:     1,
 		Cache:    cache,

@@ -208,11 +208,10 @@ const sensorNoiseSeed = 42
 // of the sigma=σ run is the same value no matter which other runs
 // executed, in what order, on how many workers, or which other sigmas
 // appear in the sweep. Each row is therefore a pure function of
-// (workload, sigma) under any execution schedule — and, because a fault
-// plan is plain data where the old SensorFilter closure was opaque code,
-// the rows now memoize through the run cache too.
+// (workload, sigma) under any execution schedule, and because a fault
+// plan is plain data the rows memoize through the run cache too.
 // TestAblationSensorNoiseGolden pins the rendered CSV byte-for-byte
-// against the pre-rewire results/ablations_5.csv.
+// against results/ablations_5.csv.
 func (e *Env) AblationSensorNoise(name string, sigmas []float64) ([]NoiseRow, error) {
 	base, err := e.run(name, baselineConfig(0))
 	if err != nil {
@@ -261,9 +260,9 @@ type GammaRow struct {
 // timing model.
 func (e *Env) AblationGamma(gammas []float64) ([]GammaRow, error) {
 	return mapPoints(e, gammas, func(_ int, g float64) (GammaRow, error) {
-		gcfg := e.GPUConfig
+		gcfg := e.GPU
 		gcfg.OverlapGamma = g
-		env2, err := e.derive(gcfg, e.CPUConfig, e.BusConfig)
+		env2, err := e.derive(gcfg, e.CPU, e.Bus)
 		if err != nil {
 			return GammaRow{}, err
 		}

@@ -65,10 +65,9 @@ func TestAblationSensorNoiseGracefulDegradation(t *testing.T) {
 	}
 }
 
-// TestAblationSensorNoiseGolden pins the faultinject rewire of the sensor
-// noise ablation against the CSV the pre-rewire SensorFilter closure
-// produced: the injector's GPU-noise channel must reproduce the historical
-// seed derivation and draw order exactly, byte-for-byte.
+// TestAblationSensorNoiseGolden pins the sensor-noise ablation against the
+// committed results/ablations_5.csv: the injector's GPU-noise channel must
+// keep its seed derivation and draw order exactly, byte-for-byte.
 func TestAblationSensorNoiseGolden(t *testing.T) {
 	want, err := os.ReadFile("../../results/ablations_5.csv")
 	if err != nil {

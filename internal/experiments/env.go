@@ -23,7 +23,6 @@ import (
 	"greengpu/internal/bus"
 	"greengpu/internal/core"
 	"greengpu/internal/cpusim"
-	"greengpu/internal/faultinject"
 	"greengpu/internal/gpusim"
 	"greengpu/internal/parallel"
 	"greengpu/internal/runcache"
@@ -32,50 +31,22 @@ import (
 	"greengpu/internal/workload"
 )
 
-// Env carries the device configurations and calibrated workloads every
-// experiment runs against.
+// Env is the sweep engine every experiment runs against: the testbed's
+// device configurations, the calibrated workloads, and the execution
+// settings the studies share — Jobs, the run Cache and the chaos-mode
+// FaultPlan (cmd/experiments -faults default). Every study point but Fig.
+// 5's two metered runs is one sweep.Batch.Eval on a batch of this engine,
+// so it takes the closed form or a fresh machine exactly as a sweep point
+// would, under the same run-cache key.
 //
 // An Env is safe for concurrent use: the configurations and profiles are
-// immutable after construction, and every run assembles its own fresh
-// machine (see Machine). Experiments exploit this by fanning independent
-// points out over a worker pool bounded by Jobs.
+// immutable after construction, and every run builds its own batch and,
+// off the closed form, its own fresh machine. Experiments exploit this by
+// fanning independent points out over a worker pool bounded by Jobs. A
+// by-value copy carries its own engine, so a copy with other settings
+// runs every point under the copy's settings.
 type Env struct {
-	GPUConfig gpusim.Config
-	CPUConfig cpusim.Config
-	BusConfig bus.Config
-	Profiles  []*workload.Profile
-
-	// Jobs bounds how many experiment points run concurrently when an
-	// experiment fans out over independent runs. 0 selects one worker per
-	// available CPU; 1 forces sequential execution. Results are identical
-	// for every value — each point runs on its own fresh machine with
-	// per-task deterministic seeding — so Jobs only trades wall-clock
-	// time for cores.
-	Jobs int
-
-	// FaultPlan, when non-nil, is the chaos-mode ambient fault plan: every
-	// run whose configuration does not carry its own plan injects this one
-	// (cmd/experiments -faults default). Per-point configs always win, so
-	// studies that sweep explicit plans — the resilience study, the
-	// sensor-noise ablation — are unaffected. Outputs remain byte-identical
-	// at any Jobs value: the plan is plain data, fingerprinted into each
-	// point's cache key, and injection inside a run is seed-deterministic.
-	FaultPlan *faultinject.Plan
-
-	// Cache, when non-nil, memoizes simulation points by content-addressed
-	// fingerprint: repeated points (the best-performance baseline alone is
-	// requested by Fig. 6, Fig. 8, two ablations, and three extension
-	// studies) simulate once and replay from the cache, and concurrent
-	// requests for the same point single-flight onto one computation.
-	// Because every run is deterministic and cached results are returned
-	// as private deep copies, results are bit-identical with the cache on
-	// or off, cold or warm. Runs whose configuration carries observers,
-	// filters, or custom policies bypass the cache (see
-	// runcache.Cacheable). Derived environments share this cache: points
-	// are keyed by their full device configs and recalibrated profile, so
-	// an identically-configured derived env hits, a different one cannot
-	// collide.
-	Cache *runcache.Cache
+	sweep.Engine
 }
 
 // NewEnv builds the default environment: the paper's testbed devices and
@@ -91,13 +62,13 @@ func NewEnvFrom(gpu gpusim.Config, cpu cpusim.Config, b bus.Config) (*Env, error
 	if err != nil {
 		return nil, err
 	}
-	return &Env{GPUConfig: gpu, CPUConfig: cpu, BusConfig: b, Profiles: profiles}, nil
+	return &Env{Engine: sweep.Engine{GPU: gpu, CPU: cpu, Bus: b, Profiles: profiles}}, nil
 }
 
 // Machine assembles a fresh testbed. Every run gets its own machine so the
 // exact energy accounting always starts from zero.
 func (e *Env) Machine() *testbed.Machine {
-	return testbed.NewFrom(e.GPUConfig, e.CPUConfig, e.BusConfig)
+	return testbed.NewFrom(e.GPU, e.CPU, e.Bus)
 }
 
 // Profile returns the named calibrated workload.
@@ -127,41 +98,17 @@ func scalingConfig() core.Config {
 	return core.DefaultConfig(core.FreqScaling)
 }
 
-// run executes a profile on a fresh machine, propagating errors. Points go
-// through the run cache when one is attached.
+// run evaluates one point through a batch built from the environment's
+// own engine. The batch is never stored: it points at the engine it was
+// built from, so a by-value copy must build its own to run under its own
+// settings.
 func (e *Env) run(name string, cfg core.Config) (*core.Result, error) {
-	p, err := e.Profile(name)
+	b, err := e.NewBatch()
 	if err != nil {
 		return nil, err
 	}
-	return e.runPoint(e.GPUConfig, e.CPUConfig, e.BusConfig, p, cfg)
-}
-
-// runPoint executes one simulation point on a fresh machine assembled from
-// explicit device configurations, consulting the cache when possible. It is
-// the choke point every cacheable run funnels through: callers that build
-// custom machines (e.g. the CPU-capability sweep) use it directly so their
-// points share the suite-wide cache too.
-//
-// The fresh-machine-per-point contract: a point is a pure function of
-// (device configs, profile, core config), so each one gets its own machine
-// built from plain-value configs — never a shared or reused machine, whose
-// accumulated meter state would leak between points and break bitwise
-// reproducibility.
-func (e *Env) runPoint(gpu gpusim.Config, cpu cpusim.Config, b bus.Config, p *workload.Profile, cfg core.Config) (*core.Result, error) {
-	e.applyFaultPlan(&cfg)
-	if e.Cache == nil || !runcache.Cacheable(&cfg) {
-		return core.Run(testbed.NewFrom(gpu, cpu, b), p, cfg)
-	}
-	key := runcache.KeyOf(&gpu, &cpu, &b, p, &cfg, "")
-	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
-		r, err := core.Run(testbed.NewFrom(gpu, cpu, b), p, cfg)
-		return runcache.Value{Result: r}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.Result, nil
+	r, _, err := b.Eval(name, cfg)
+	return r, err
 }
 
 // runMeteredGPU is run with the GPU card power meter attached, returning
@@ -173,7 +120,9 @@ func (e *Env) runMeteredGPU(name string, cfg core.Config) (*core.Result, []float
 	if err != nil {
 		return nil, nil, err
 	}
-	e.applyFaultPlan(&cfg)
+	if cfg.FaultPlan == nil {
+		cfg.FaultPlan = e.FaultPlan
+	}
 	compute := func() (runcache.Value, error) {
 		m := e.Machine()
 		m.MeterGPU.Start()
@@ -193,7 +142,7 @@ func (e *Env) runMeteredGPU(name string, cfg core.Config) (*core.Result, []float
 		v, err := compute()
 		return v.Result, v.GPUPower, err
 	}
-	key := runcache.KeyOf(&e.GPUConfig, &e.CPUConfig, &e.BusConfig, p, &cfg, "gpu-meter")
+	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, p, &cfg, "gpu-meter")
 	v, err := e.Cache.Do(key, compute)
 	if err != nil {
 		return nil, nil, err
@@ -201,20 +150,12 @@ func (e *Env) runMeteredGPU(name string, cfg core.Config) (*core.Result, []float
 	return v.Result, v.GPUPower, nil
 }
 
-// applyFaultPlan installs the chaos-mode ambient plan on configurations
-// that do not carry their own. Both run choke points (runPoint,
-// runMeteredGPU) call it before cacheability is decided, so chaos runs are
-// fingerprinted under the plan they actually executed.
-func (e *Env) applyFaultPlan(cfg *core.Config) {
-	if cfg.FaultPlan == nil && e.FaultPlan != nil {
-		cfg.FaultPlan = e.FaultPlan
-	}
-}
-
 // derive builds an environment from explicit device configurations like
 // NewEnvFrom, carrying over this environment's execution settings (Jobs,
 // Cache, chaos FaultPlan). Studies that recalibrate against other devices
-// use it so one Jobs knob and one cache govern the whole experiment tree.
+// use it so one Jobs knob and one cache govern the whole experiment tree;
+// points key by their full device configs and recalibrated profiles, so a
+// derived env's entries never collide with this one's.
 func (e *Env) derive(gpu gpusim.Config, cpu cpusim.Config, b bus.Config) (*Env, error) {
 	env2, err := NewEnvFrom(gpu, cpu, b)
 	if err != nil {
@@ -224,21 +165,6 @@ func (e *Env) derive(gpu gpusim.Config, cpu cpusim.Config, b bus.Config) (*Env, 
 	env2.Cache = e.Cache
 	env2.FaultPlan = e.FaultPlan
 	return env2, nil
-}
-
-// SweepEngine returns a batch sweep engine over the environment's devices
-// and profiles that shares its worker pool, run cache and chaos plan, so
-// batched points behave exactly like the per-point studies.
-func (e *Env) SweepEngine() *sweep.Engine {
-	return &sweep.Engine{
-		GPU:       e.GPUConfig,
-		CPU:       e.CPUConfig,
-		Bus:       e.BusConfig,
-		Profiles:  e.Profiles,
-		Jobs:      e.Jobs,
-		Cache:     e.Cache,
-		FaultPlan: e.FaultPlan,
-	}
 }
 
 // mapPoints fans fn out over the items on the environment's worker pool,

@@ -380,14 +380,14 @@ func TestFig5PowerTable(t *testing.T) {
 }
 
 func TestNewEnvFromRejectsBadConfigs(t *testing.T) {
-	gpu := env.GPUConfig
+	gpu := env.GPU
 	gpu.SMs = 0
-	if _, err := NewEnvFrom(gpu, env.CPUConfig, env.BusConfig); err == nil {
+	if _, err := NewEnvFrom(gpu, env.CPU, env.Bus); err == nil {
 		t.Error("bad GPU config accepted")
 	}
-	cpu := env.CPUConfig
+	cpu := env.CPU
 	cpu.Cores = 0
-	if _, err := NewEnvFrom(env.GPUConfig, cpu, env.BusConfig); err == nil {
+	if _, err := NewEnvFrom(env.GPU, cpu, env.Bus); err == nil {
 		t.Error("bad CPU config accepted")
 	}
 }

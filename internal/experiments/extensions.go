@@ -371,11 +371,12 @@ func (e *Env) CPUCapability(names ...string) ([]CPURow, error) {
 		}
 	}
 	return mapPoints(e, tasks, func(_ int, tk cpuCase) (CPURow, error) {
-		p, err := e.Profile(tk.workload)
-		if err != nil {
-			return CPURow{}, err
-		}
-		r, err := e.runPoint(e.GPUConfig, tk.cfg(), e.BusConfig, p, core.DefaultConfig(core.Division))
+		// A copy of the engine with only the processor swapped: the
+		// profiles keep their X2 calibration, and the point keys under
+		// the processor it ran on.
+		swapped := *e
+		swapped.CPU = tk.cfg()
+		r, err := swapped.run(tk.workload, core.DefaultConfig(core.Division))
 		if err != nil {
 			return CPURow{}, err
 		}
@@ -422,7 +423,7 @@ type SMRow struct {
 func (e *Env) SMComparison() ([]SMRow, error) {
 	gcfg := testbed.GTX280()
 	gcfg.Power.CoreGatable = 0.8
-	env2, err := e.derive(gcfg, e.CPUConfig, e.BusConfig)
+	env2, err := e.derive(gcfg, e.CPU, e.Bus)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +436,7 @@ func (e *Env) SMComparison() ([]SMRow, error) {
 	peakLevels := &core.Levels{
 		Core: len(gcfg.CoreLevels) - 1,
 		Mem:  len(gcfg.MemLevels) - 1,
-		CPU:  len(e.CPUConfig.PStates) - 1,
+		CPU:  len(e.CPU.PStates) - 1,
 	}
 
 	return mapPoints(env2, env2.Profiles, func(_ int, p *workload.Profile) (SMRow, error) {

@@ -60,8 +60,8 @@ type fig1Task struct {
 // All grid points are independent fixed-frequency runs, so they execute on
 // the environment's worker pool.
 func (e *Env) Fig1() (*Fig1Result, error) {
-	nCore := len(e.GPUConfig.CoreLevels)
-	nMem := len(e.GPUConfig.MemLevels)
+	nCore := len(e.GPU.CoreLevels)
+	nMem := len(e.GPU.MemLevels)
 
 	// Enumerate the grid in the figure's panel order (workload outer,
 	// domain middle, level inner); results come back in the same order.
@@ -80,15 +80,15 @@ func (e *Env) Fig1() (*Fig1Result, error) {
 					levels: core.Levels{
 						Core: nCore - 1,
 						Mem:  nMem - 1,
-						CPU:  len(e.CPUConfig.PStates) - 1,
+						CPU:  len(e.CPU.PStates) - 1,
 					},
 				}
 				if domain == DomainMemory {
 					tk.levels.Mem = lvl
-					tk.mhz = e.GPUConfig.MemLevels[lvl].MHz()
+					tk.mhz = e.GPU.MemLevels[lvl].MHz()
 				} else {
 					tk.levels.Core = lvl
-					tk.mhz = e.GPUConfig.CoreLevels[lvl].MHz()
+					tk.mhz = e.GPU.CoreLevels[lvl].MHz()
 				}
 				tasks = append(tasks, tk)
 			}

@@ -116,9 +116,9 @@ func (e *Env) Fig6() (*Fig6Result, error) {
 }
 
 func (e *Env) gpuIdlePowerAtLowest() units.Power {
-	p := e.GPUConfig.Power
-	fcR := float64(e.GPUConfig.CoreLevels[0]) / float64(e.GPUConfig.CoreLevels[len(e.GPUConfig.CoreLevels)-1])
-	fmR := float64(e.GPUConfig.MemLevels[0]) / float64(e.GPUConfig.MemLevels[len(e.GPUConfig.MemLevels)-1])
+	p := e.GPU.Power
+	fcR := float64(e.GPU.CoreLevels[0]) / float64(e.GPU.CoreLevels[len(e.GPU.CoreLevels)-1])
+	fmR := float64(e.GPU.MemLevels[0]) / float64(e.GPU.MemLevels[len(e.GPU.MemLevels)-1])
 	return p.Board + units.Power(fcR)*p.CoreClockTree + units.Power(fmR)*p.MemClockTree
 }
 

@@ -81,7 +81,7 @@ func TestSensorNoiseIndependentOfSweepComposition(t *testing.T) {
 // environments under the same worker bound as the outer one.
 func TestDeriveCarriesJobs(t *testing.T) {
 	e := withJobs(3)
-	d, err := e.derive(e.GPUConfig, e.CPUConfig, e.BusConfig)
+	d, err := e.derive(e.GPU, e.CPU, e.Bus)
 	if err != nil {
 		t.Fatal(err)
 	}

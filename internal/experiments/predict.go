@@ -75,7 +75,7 @@ func (e *Env) PredictValidation() ([]PredictValidationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	dense, err := e.derive(testbed.GeForce8800GTXDense(24, 24), e.CPUConfig, e.BusConfig)
+	dense, err := e.derive(testbed.GeForce8800GTXDense(24, 24), e.CPU, e.Bus)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func (e *Env) PredictValidation() ([]PredictValidationRow, error) {
 // the peak CPU P-state, runs the analytic search on the same grid, and
 // scores model and search against the exhaustive results.
 func (e *Env) predictValidateLadder(label string, opts predict.Options) ([]PredictValidationRow, error) {
-	eng := e.SweepEngine()
+	eng := &e.Engine
 	// Iterations 4 matches the sweet-spot study, so ladder points share
 	// their run-cache keys with it.
 	spec := sweep.Spec{Iterations: 4, CPULevel: -1}
@@ -102,7 +102,7 @@ func (e *Env) predictValidateLadder(label string, opts predict.Options) ([]Predi
 	if err != nil {
 		return nil, err
 	}
-	coreF, memF := e.GPUConfig.CoreLevels, e.GPUConfig.MemLevels
+	coreF, memF := e.GPU.CoreLevels, e.GPU.MemLevels
 	nc, nm := len(coreF), len(memF)
 	per := nc * nm
 	if len(brute) != per*len(spots) {

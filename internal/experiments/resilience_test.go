@@ -131,7 +131,7 @@ func TestChaosPlanAppliesAmbiently(t *testing.T) {
 		t.Error("ambient plan overrode a per-point plan")
 	}
 
-	d, err := e.derive(e.GPUConfig, e.CPUConfig, e.BusConfig)
+	d, err := e.derive(e.GPU, e.CPU, e.Bus)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ type SweetSpotRow struct {
 func (e *Env) SweetSpot() ([]SweetSpotRow, error) {
 	// Iterations 4 matches the per-point frequency studies (Fig. 1), so
 	// ladder points share their run-cache keys with them.
-	results, err := e.SweepEngine().Run(context.Background(), sweep.Spec{Iterations: 4, CPULevel: -1})
+	results, err := e.Engine.Run(context.Background(), sweep.Spec{Iterations: 4, CPULevel: -1})
 	if err != nil {
 		return nil, err
 	}
@@ -50,8 +50,8 @@ func (e *Env) SweetSpot() ([]SweetSpotRow, error) {
 			Workload: pr.Workload,
 			Core:     pr.Core,
 			Mem:      pr.Mem,
-			CoreMHz:  e.GPUConfig.CoreLevels[pr.Core].MHz(),
-			MemMHz:   e.GPUConfig.MemLevels[pr.Mem].MHz(),
+			CoreMHz:  e.GPU.CoreLevels[pr.Core].MHz(),
+			MemMHz:   e.GPU.MemLevels[pr.Mem].MHz(),
 			ExecTime: r.TotalTime,
 			Energy:   r.Energy,
 			EDP:      r.Energy.Joules() * r.TotalTime.Seconds(),
@@ -84,7 +84,7 @@ func (e *Env) SweetSpot() ([]SweetSpotRow, error) {
 			return nil, err
 		}
 		uc, um := p.AggregateUtilization()
-		d := dvfs.PreferredPair(e.GPUConfig.CoreLevels, e.GPUConfig.MemLevels, params, uc, um)
+		d := dvfs.PreferredPair(e.GPU.CoreLevels, e.GPU.MemLevels, params, uc, um)
 		for i := start; i < end; i++ {
 			if rows[i].Core == d.CoreLevel && rows[i].Mem == d.MemLevel {
 				rows[i].ScalerPair = true

@@ -16,7 +16,7 @@ func TestSweetSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := len(e.GPUConfig.CoreLevels) * len(e.GPUConfig.MemLevels)
+	grid := len(e.GPU.CoreLevels) * len(e.GPU.MemLevels)
 	if want := len(e.Profiles) * grid; len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}

@@ -43,8 +43,8 @@ func (e *Env) Table2() (*Table2Result, error) {
 		// Each measurement gets its own single-purpose simulation engine
 		// and device, per the fresh-machine contract.
 		eng := sim.New()
-		g := gpusim.New(eng, e.GPUConfig)
-		g.SetLevels(len(e.GPUConfig.CoreLevels)-1, len(e.GPUConfig.MemLevels)-1)
+		g := gpusim.New(eng, e.GPU)
+		g.SetLevels(len(e.GPU.CoreLevels)-1, len(e.GPU.MemLevels)-1)
 		before := g.Counters()
 		k := p.GPUKernel(p.Name, workload.UnitsPerIteration)
 		g.Submit(k)

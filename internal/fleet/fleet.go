@@ -45,8 +45,8 @@ type Engine struct {
 	Cache *runcache.Cache
 
 	// FaultPlan, when non-nil, is the ambient chaos plan: nodes at fault
-	// level 0 (no plan of their own) inject this one, mirroring
-	// experiments.Env.
+	// level 0 (no plan of their own) inject this one. It becomes the
+	// ambient plan of each class's sweep.Engine.
 	FaultPlan *faultinject.Plan
 }
 

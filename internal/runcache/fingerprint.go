@@ -81,7 +81,6 @@ type Key [sha256.Size]byte
 func Cacheable(cfg *core.Config) bool {
 	return cfg.CPUGovernor == nil &&
 		cfg.DivisionPolicy == nil &&
-		cfg.SensorFilter == nil &&
 		cfg.ActuatorFilter == nil &&
 		cfg.OnDVFS == nil &&
 		cfg.OnCPUGovernor == nil &&

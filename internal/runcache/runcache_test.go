@@ -222,7 +222,6 @@ func TestCacheable(t *testing.T) {
 	cases := map[string]func(*core.Config){
 		"CPUGovernor":    func(c *core.Config) { c.CPUGovernor = governorStub{} },
 		"DivisionPolicy": func(c *core.Config) { c.DivisionPolicy = division.NewQilin(division.DefaultQilinConfig()) },
-		"SensorFilter":   func(c *core.Config) { c.SensorFilter = func(a, b float64) (float64, float64) { return a, b } },
 		"ActuatorFilter": func(c *core.Config) { c.ActuatorFilter = func(d dvfs.Decision) dvfs.Decision { return d } },
 		"OnDVFS":         func(c *core.Config) { c.OnDVFS = func(time.Duration, float64, float64, dvfs.Decision) {} },
 		"OnCPUGovernor":  func(c *core.Config) { c.OnCPUGovernor = func(time.Duration, float64, int) {} },
@@ -420,7 +419,7 @@ func TestFingerprintCoversConfigFields(t *testing.T) {
 		{"bus.Config", reflect.TypeOf(bus.Config{}), 3},
 		{"workload.Profile", reflect.TypeOf(workload.Profile{}), 9},
 		{"workload.PhaseSpec", reflect.TypeOf(workload.PhaseSpec{}), 5},
-		{"core.Config", reflect.TypeOf(core.Config{}), 20},
+		{"core.Config", reflect.TypeOf(core.Config{}), 19},
 		{"core.Levels", reflect.TypeOf(core.Levels{}), 3},
 		{"core.RecoveryConfig", reflect.TypeOf(core.RecoveryConfig{}), 3},
 		{"faultinject.Plan", reflect.TypeOf(faultinject.Plan{}), 15},

@@ -26,11 +26,11 @@ import (
 // enabled.
 var (
 	metricPoints = telemetry.NewCounter(telemetry.MetricSweepPoints,
-		"Simulation points evaluated by the batch sweep engine.")
+		"Simulation points evaluated by the batch sweep engine, experiment study points included.")
 	metricFastPath = telemetry.NewCounter(telemetry.MetricSweepFastPath,
-		"Sweep points served by the closed-form batch evaluator.")
+		"Sweep and study points served by the closed-form batch evaluator.")
 	metricFallback = telemetry.NewCounter(telemetry.MetricSweepFallback,
-		"Sweep points that fell back to a full per-point simulation.")
+		"Sweep and study points that fell back to a full per-point simulation.")
 	metricBatches = telemetry.NewCounter(telemetry.MetricSweepBatches,
 		"Sweep batches evaluated (Engine.Run calls).")
 )
@@ -52,14 +52,17 @@ type Engine struct {
 	// byte-identical for every value.
 	Jobs int
 
-	// Cache, when non-nil, memoizes eligible points under exactly the
-	// runcache keys the per-point studies use, so sweeps and studies
-	// share hits.
+	// Cache, when non-nil, memoizes cacheable points by content-addressed
+	// fingerprint. Sweeps, Batch.Eval callers and the experiment studies
+	// (whose Env is an Engine) key points identically, so they share
+	// hits, and concurrent requests for one point single-flight onto one
+	// computation.
 	Cache *runcache.Cache
 
 	// FaultPlan, when non-nil, is the ambient chaos plan: points whose
-	// configuration carries no plan of their own inject this one,
-	// mirroring experiments.Env.
+	// configuration carries no plan of their own inject this one. A
+	// per-point plan always wins, so draws and studies that sweep
+	// explicit plans are unaffected.
 	FaultPlan *faultinject.Plan
 }
 
@@ -396,7 +399,6 @@ func fastEligible(cfg *core.Config) bool {
 	return cfg.Mode == core.Baseline &&
 		(cfg.StaticRatio == nil || *cfg.StaticRatio == 0) &&
 		(cfg.FaultPlan == nil || cfg.FaultPlan.Zero()) &&
-		cfg.SensorFilter == nil &&
 		cfg.ActuatorFilter == nil &&
 		cfg.DivisionPolicy == nil &&
 		cfg.CPUGovernor == nil &&

@@ -35,7 +35,7 @@ type EpochRecord struct {
 	// At is the simulated time of the decision.
 	At time.Duration `json:"at_ns"`
 	// UCore and UMem are the utilizations fed to the scaler (after any
-	// sensor filter).
+	// injected sensor fault and the hold-last-good guard).
 	UCore float64 `json:"u_core"`
 	UMem  float64 `json:"u_mem"`
 	// CoreLevel/MemLevel are the enforced levels (after any actuator

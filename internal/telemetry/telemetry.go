@@ -62,13 +62,14 @@ const (
 	MetricRunCacheHits = "greengpu_runcache_hits_total"
 	// MetricRunCacheMisses counts simulation points actually simulated.
 	MetricRunCacheMisses = "greengpu_runcache_misses_total"
-	// MetricSweepPoints counts points evaluated by the batch sweep engine.
+	// MetricSweepPoints counts points evaluated by the batch sweep engine,
+	// experiment study points included.
 	MetricSweepPoints = "greengpu_sweep_points_total"
-	// MetricSweepFastPath counts sweep points served by the closed-form
-	// batch evaluator.
+	// MetricSweepFastPath counts sweep and study points served by the
+	// closed-form batch evaluator.
 	MetricSweepFastPath = "greengpu_sweep_fastpath_total"
-	// MetricSweepFallback counts sweep points that fell back to a full
-	// per-point simulation.
+	// MetricSweepFallback counts sweep and study points that fell back to
+	// a full per-point simulation.
 	MetricSweepFallback = "greengpu_sweep_fallback_total"
 	// MetricSweepBatches counts sweep batches (Engine.Run calls).
 	MetricSweepBatches = "greengpu_sweep_batches_total"
