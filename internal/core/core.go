@@ -9,10 +9,11 @@
 //
 // Tier 2 (frequency scaling) runs on a much shorter period: the coordinated
 // WMA scaler assigns GPU core and memory frequency levels from their
-// measured utilizations, and a CPU governor (Linux ondemand by default)
-// drives the processor P-state. The division period is kept much longer
-// than the scaling period (the paper uses ≥ 40×) so the WMA loop converges
-// within one division interval and the two tiers do not interfere.
+// measured utilizations, and the Linux ondemand governor, sampling every
+// GovernorInterval, drives the processor P-state. The division period is
+// kept much longer than the scaling period (the paper uses ≥ 40×) so the
+// WMA loop converges within one division interval and the two tiers do not
+// interfere.
 //
 // The framework runs a workload.Profile on a testbed.Machine under one of
 // four modes mirroring the paper's evaluation configurations:
@@ -102,16 +103,6 @@ type Config struct {
 	// comparator from the paper's related work ([9], [12]). It only
 	// affects energy on devices with PowerParams.CoreGatable > 0.
 	SMScaling bool
-	// CPUGovernor drives the processor P-state when tier 2 is active.
-	// Nil selects the Linux ondemand governor, as in the paper. With one
-	// of the four stateless built-in policies (governor.Stateless), no
-	// armed FaultPlan and no OnCPUGovernor hook, a tick that keeps the
-	// P-state skips the ticks that would repeat it before the next event
-	// and credits them to the governor counters; the result is the same
-	// bit for bit. Other policies are asked on every tick.
-	CPUGovernor governor.Policy
-	// CPUGovernorInterval is the governor's sampling period.
-	CPUGovernorInterval time.Duration
 
 	// Division holds tier 1's parameters (step, initial ratio, safeguard).
 	Division division.Config
@@ -154,21 +145,18 @@ type Config struct {
 	// FaultPlan, when non-nil and not Zero, injects the deterministic
 	// sensor, actuator, meter and straggler faults of internal/faultinject
 	// and arms the hardened recovery paths (hold-last-good, retry with
-	// backoff, watchdog failsafe — see Recovery). Unlike ActuatorFilter
-	// the plan is pure data, so faulty runs stay cacheable: the run cache
-	// fingerprints the plan into the point key. A nil or Zero plan leaves
-	// the control loop byte-identical to a build without fault injection.
+	// backoff, watchdog failsafe — tuned by dvfs.GuardConfig's defaults).
+	// Unlike ActuatorFilter the plan is pure data, so faulty runs stay
+	// cacheable: the run cache fingerprints the plan into the point key. A
+	// nil or Zero plan leaves the control loop byte-identical to a build
+	// without fault injection.
 	FaultPlan *faultinject.Plan
-
-	// Recovery tunes the hardened recovery paths armed by FaultPlan. The
-	// zero value selects the documented defaults.
-	Recovery RecoveryConfig
 
 	// OnDVFS, if non-nil, observes every tier 2 decision.
 	OnDVFS func(at time.Duration, uCore, uMem float64, d dvfs.Decision)
 	// OnCPUGovernor, if non-nil, observes every CPU governor decision.
 	// Setting it makes the governor tick every period, skipping none
-	// (see CPUGovernor), so the hook sees every decision.
+	// (see GovernorInterval), so the hook sees every decision.
 	OnCPUGovernor func(at time.Duration, util float64, level int)
 	// OnIteration, if non-nil, observes every completed iteration.
 	OnIteration func(IterationStats)
@@ -179,34 +167,12 @@ type Levels struct {
 	Core, Mem, CPU int
 }
 
-// RecoveryConfig tunes the hardened control paths used when a fault plan
-// is armed. Zero fields take the dvfs.GuardConfig defaults.
-type RecoveryConfig struct {
-	// WatchdogK is the consecutive-transition-failure count that trips
-	// the watchdog onto the failsafe (peak) levels. Default 3.
-	WatchdogK int
-	// BackoffMax caps the transition-retry backoff in epochs. Default 8.
-	BackoffMax int
-	// FailsafeHold is how many epochs the failsafe levels are pinned
-	// after a watchdog trip. Default 8.
-	FailsafeHold int
-}
-
-// Validate reports the first problem with the configuration, if any.
-func (c *RecoveryConfig) Validate() error {
-	g := dvfs.GuardConfig{WatchdogK: c.WatchdogK, BackoffMax: c.BackoffMax, FailsafeHold: c.FailsafeHold}
-	return g.Validate()
-}
-
-// guardConfig builds the dvfs guard configuration for the given failsafe.
-func (c *RecoveryConfig) guardConfig(failsafe dvfs.Decision) dvfs.GuardConfig {
-	return dvfs.GuardConfig{
-		WatchdogK:    c.WatchdogK,
-		BackoffMax:   c.BackoffMax,
-		FailsafeHold: c.FailsafeHold,
-		Failsafe:     failsafe,
-	}
-}
+// GovernorInterval is the CPU governor's sampling period when tier 2 is
+// active; the governor is Linux ondemand, as in the paper. With no armed
+// FaultPlan and no OnCPUGovernor hook, a tick that keeps the P-state skips
+// the ticks that would repeat it before the next event and credits them to
+// the governor counters; the result is the same bit for bit.
+const GovernorInterval = time.Second
 
 // RecoveryCounts tallies the recovery actions the hardened control paths
 // took, summed over the GPU guard, the CPU guard, and the hardened CPU
@@ -240,12 +206,11 @@ func (c RecoveryCounts) Sub(earlier RecoveryCounts) RecoveryCounts {
 // DefaultConfig returns the paper's settings for the given mode.
 func DefaultConfig(mode Mode) Config {
 	return Config{
-		Mode:                mode,
-		DVFSInterval:        3 * time.Second,
-		GPUScaler:           dvfs.DefaultParams(),
-		CPUGovernorInterval: time.Second,
-		Division:            division.DefaultConfig(),
-		SpinWait:            true,
+		Mode:         mode,
+		DVFSInterval: 3 * time.Second,
+		GPUScaler:    dvfs.DefaultParams(),
+		Division:     division.DefaultConfig(),
+		SpinWait:     true,
 	}
 }
 
@@ -257,9 +222,6 @@ func (c *Config) Validate() error {
 	if c.Mode.scales() {
 		if c.DVFSInterval <= 0 {
 			return fmt.Errorf("core: DVFSInterval must be positive")
-		}
-		if c.CPUGovernorInterval <= 0 {
-			return fmt.Errorf("core: CPUGovernorInterval must be positive")
 		}
 		if err := c.GPUScaler.Validate(); err != nil {
 			return err
@@ -285,9 +247,6 @@ func (c *Config) Validate() error {
 		if err := c.FaultPlan.Validate(); err != nil {
 			return err
 		}
-	}
-	if err := c.Recovery.Validate(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -506,22 +465,19 @@ func (f *framework) run() (*Result, error) {
 		} else {
 			f.scaler = dvfs.NewScaler(gpu.CoreLevels(), gpu.MemLevels(), cfg.GPUScaler)
 		}
-		f.cpuGov = cfg.CPUGovernor
-		if f.cpuGov == nil {
-			f.cpuGov = governor.NewOndemand()
-		}
+		f.cpuGov = governor.NewOndemand()
 		if f.injector != nil {
 			// Harden both control loops: guards gate every transition and
 			// hold-last-good covers dropped samples; the failsafe is the
 			// peak (performance-safe) operating point of each domain.
 			f.gpuGuard = dvfs.NewGuard(
-				cfg.Recovery.guardConfig(dvfs.Decision{
+				dvfs.GuardConfig{Failsafe: dvfs.Decision{
 					CoreLevel: len(gpu.CoreLevels()) - 1,
 					MemLevel:  len(gpu.MemLevels()) - 1,
-				}),
+				}},
 				dvfs.Decision{CoreLevel: gpu.CoreLevel(), MemLevel: gpu.MemLevel()})
 			f.cpuGuard = dvfs.NewGuard(
-				cfg.Recovery.guardConfig(dvfs.Decision{CoreLevel: cpu.Levels() - 1}),
+				dvfs.GuardConfig{Failsafe: dvfs.Decision{CoreLevel: cpu.Levels() - 1}},
 				dvfs.Decision{CoreLevel: cpu.Level()})
 			f.hardGov = governor.Harden(f.cpuGov)
 			f.cpuGov = f.hardGov
@@ -599,14 +555,14 @@ func (f *framework) run() (*Result, error) {
 			}
 		})
 		govNext := f.govTally.Bind(f.cpuGov)
-		// A tick that keeps the P-state of a stateless policy repeats
-		// itself until the next event: nothing before it can change the
-		// CPU's utilization or level. Such a tick skips ahead to the first
-		// governor boundary at or after that event and credits the
-		// skipped decisions. An armed fault plan hardens the policy, which
-		// is not stateless, and a governor hook sees every tick.
-		skipIdle := cfg.OnCPUGovernor == nil && governor.Stateless(f.cpuGov)
-		f.govTicker = m.Engine.Every(cfg.CPUGovernorInterval, "tier2:cpu-governor", func() {
+		// An ondemand tick that keeps the P-state repeats itself until the
+		// next event: nothing before it can change the CPU's utilization or
+		// level. Such a tick skips ahead to the first governor boundary at
+		// or after that event and credits the skipped decisions. An armed
+		// fault plan hardens the governor, which keeps a last-good reading,
+		// and a governor hook sees every tick.
+		skipIdle := cfg.OnCPUGovernor == nil && f.hardGov == nil
+		f.govTicker = m.Engine.Every(GovernorInterval, "tier2:cpu-governor", func() {
 			u := cpu.MaxCoreUtilization()
 			if f.injector != nil {
 				u = f.injector.CPUSensor(u)

@@ -8,7 +8,6 @@ import (
 	"greengpu/internal/cpusim"
 	"greengpu/internal/division"
 	"greengpu/internal/dvfs"
-	"greengpu/internal/governor"
 	"greengpu/internal/testbed"
 	"greengpu/internal/workload"
 )
@@ -66,7 +65,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"bad mode", func(c *Config) { c.Mode = Mode(9) }},
 		{"zero dvfs interval", func(c *Config) { c.DVFSInterval = 0 }},
-		{"zero governor interval", func(c *Config) { c.CPUGovernorInterval = 0 }},
 		{"bad scaler", func(c *Config) { c.GPUScaler.Beta = 2 }},
 		{"bad division", func(c *Config) { c.Division.Step = 0 }},
 		{"negative iterations", func(c *Config) { c.Iterations = -1 }},
@@ -397,27 +395,6 @@ func TestDivisionPolicySkipsConfigValidation(t *testing.T) {
 	cfg.Iterations = 3
 	if _, err := Run(testbed.New(), p, cfg); err != nil {
 		t.Fatalf("policy override still validated unused config: %v", err)
-	}
-}
-
-func TestConservativeGovernorIntegration(t *testing.T) {
-	p := profileByName(t, "lud")
-	cfg := DefaultConfig(FreqScaling)
-	cfg.Iterations = 4
-	cfg.CPUGovernor = governor.NewConservative()
-	levels := map[int]bool{}
-	cfg.OnCPUGovernor = func(_ time.Duration, _ float64, level int) {
-		levels[level] = true
-	}
-	if _, err := Run(testbed.New(), p, cfg); err != nil {
-		t.Fatal(err)
-	}
-	// Conservative climbs one step at a time from the boot level (0), so
-	// every level above it must have been enforced on the way up.
-	for want := 1; want < 4; want++ {
-		if !levels[want] {
-			t.Errorf("conservative governor never enforced level %d (visited %v)", want, levels)
-		}
 	}
 }
 

@@ -47,7 +47,6 @@ func TestWatchdogFiresUnderTotalTransitionFailure(t *testing.T) {
 	plan := faultinject.Plan{Seed: 1, TransitionRejectRate: 1}
 	res := runMode(t, "kmeans", Holistic, func(c *Config) {
 		c.FaultPlan = &plan
-		c.Recovery = RecoveryConfig{WatchdogK: 3, FailsafeHold: 4}
 	})
 	if res.Recoveries.WatchdogTrips == 0 {
 		t.Fatal("watchdog never tripped with 100% transition rejection")

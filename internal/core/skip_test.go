@@ -6,44 +6,37 @@ import (
 	"time"
 
 	"greengpu/internal/cpusim"
-	"greengpu/internal/governor"
 	"greengpu/internal/gpusim"
 	"greengpu/internal/sim"
 	"greengpu/internal/testbed"
 	"greengpu/internal/workload"
 )
 
-// skipPolicies are the stateless built-in governors FuzzGovernorSkip picks
-// from; nil is the default, ondemand.
-var skipPolicies = []governor.Policy{nil, governor.NewConservative(), governor.BestPerformance{}, &governor.PowerSave{}}
-
 // FuzzGovernorSkip is the differential oracle for the governor's idle-tick
 // skip. It runs one scaling or holistic point twice, plainly and with a
 // no-op OnCPUGovernor hook, which makes the governor tick on every period,
 // and requires reflect.DeepEqual results. The point is fuzzed over the
 // workload (one of the nine testbed profiles, or phases built the way
-// FuzzFastVsCore builds them, long enough to saturate the clock), the
-// stateless policy, SpinWait, the start levels, one to six iterations and
-// both periods: at least 1 ms each, in either order, multiples of each
-// other or not. Points whose every-tick run would take more than about
-// 10^5 ticks of the shorter period are skipped.
+// FuzzFastVsCore builds them), SpinWait, the start levels, one to six
+// iterations and the DVFS period: at least 1 ms, shorter or longer than
+// GovernorInterval, a multiple of it or not. Points whose every-tick run
+// would take more than about 10^5 ticks of the shorter period are skipped.
 func FuzzGovernorSkip(f *testing.F) {
 	const s = uint64(time.Second)
 	// Spin-wait off: ondemand steps down, so not every tick is a no-op.
-	f.Add(uint8(0), []byte{}, 0.0, true, uint8(0), false, uint8(0), uint8(0), uint8(3), uint8(3), s, 3*s)
-	// One seed per policy, scaling and holistic, at odd start levels.
-	for p := range skipPolicies {
-		f.Add(uint8(p+1), []byte{}, 0.0, p%2 == 0, uint8(p), true, uint8(p), uint8(2*p), uint8(p), uint8(2), s, 3*s)
+	f.Add(uint8(0), []byte{}, 0.0, true, false, uint8(0), uint8(0), uint8(3), uint8(3), 3*s)
+	// Scaling and holistic points at odd start levels.
+	for p := range 4 {
+		f.Add(uint8(p+1), []byte{}, 0.0, p%2 == 0, true, uint8(p), uint8(2*p), uint8(p), uint8(2), 3*s)
 	}
-	// A governor period longer than the DVFS period, and periods that are
-	// not multiples of each other.
-	f.Add(uint8(5), []byte{}, 0.0, true, uint8(0), true, uint8(5), uint8(5), uint8(0), uint8(4), 7*s, 3*s/10)
-	f.Add(uint8(6), []byte{}, 0.0, true, uint8(1), false, uint8(1), uint8(4), uint8(2), uint8(3), 13*s/10, 37*s/10)
-	// A fuzzed profile of 2.4e9 s iterations: the fourth iteration
-	// saturates the clock, so a skip's boundary lies beyond the int64
-	// range and pins to sim.MaxTime.
-	f.Add(uint8(9), []byte{0, 178, 51}, 2.4e9, true, uint8(0), true, uint8(5), uint8(5), uint8(3), uint8(3), 1e6*s, 3e6*s)
-	f.Add(uint8(9), []byte{10, 200, 40, 90, 60, 220}, 24.0, false, uint8(1), false, uint8(2), uint8(1), uint8(0), uint8(1), s/20, s)
+	// A DVFS period shorter than the governor's, one that is not a
+	// multiple of it, and one equal to it, so that every governor tick
+	// falls at the instant of a DVFS tick.
+	f.Add(uint8(5), []byte{}, 0.0, true, true, uint8(5), uint8(5), uint8(0), uint8(4), 3*s/10)
+	f.Add(uint8(6), []byte{}, 0.0, true, false, uint8(1), uint8(4), uint8(2), uint8(3), 37*s/10)
+	f.Add(uint8(7), []byte{}, 0.0, true, true, uint8(3), uint8(1), uint8(1), uint8(3), s)
+	// A fuzzed profile.
+	f.Add(uint8(9), []byte{10, 200, 40, 90, 60, 220}, 24.0, false, false, uint8(2), uint8(1), uint8(0), uint8(1), s)
 
 	gpu, cpu, bus := testbed.GeForce8800GTX(), testbed.PhenomIIX2(), testbed.PCIe()
 	profiles, err := workload.Rodinia(gpu, cpu)
@@ -55,17 +48,13 @@ func FuzzGovernorSkip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, which uint8, phaseBytes []byte, iterSeconds float64, holistic bool,
-		policy uint8, spin bool, c, m, p, iters uint8, govNs, dvfsNs uint64) {
+		spin bool, c, m, p, iters uint8, dvfsNs uint64) {
 		prof := fuzzProfile(t, gpu, cpu, gt, profiles, which, phaseBytes, iterSeconds)
-		period := func(ns uint64) time.Duration {
-			return time.Duration(min(max(ns, uint64(time.Millisecond)), uint64(sim.MaxTime)))
-		}
 		cfg := DefaultConfig(FreqScaling)
 		if holistic {
 			cfg = DefaultConfig(Holistic)
 		}
-		cfg.CPUGovernor = skipPolicies[int(policy)%len(skipPolicies)]
-		cfg.CPUGovernorInterval, cfg.DVFSInterval = period(govNs), period(dvfsNs)
+		cfg.DVFSInterval = time.Duration(min(max(dvfsNs, uint64(time.Millisecond)), uint64(sim.MaxTime)))
 		cfg.SpinWait = spin
 		cfg.Iterations = int(iters%6) + 1
 		cfg.InitialLevels = &Levels{
@@ -89,7 +78,7 @@ func FuzzGovernorSkip(f *testing.F) {
 			return r.TotalTime.Seconds()
 		}
 		runSeconds := min(2*float64(cfg.Iterations)*max(span(0), span(1)), sim.MaxTime.Seconds())
-		if runSeconds/min(cfg.CPUGovernorInterval, cfg.DVFSInterval).Seconds() > 1e5 {
+		if runSeconds/min(GovernorInterval, cfg.DVFSInterval).Seconds() > 1e5 {
 			t.Skip("more than about 1e5 ticks of the shorter period")
 		}
 

@@ -50,9 +50,6 @@ func TestTalliedCountersMatchObservers(t *testing.T) {
 	for i, n := range names {
 		profiles[i] = profileByName(t, n)
 	}
-	if DefaultConfig(Holistic).CPUGovernor != nil {
-		t.Fatal("default governor is no longer ondemand; update the jump count below")
-	}
 	// runAll runs the eight points concurrently and sums what their
 	// observers saw; without the governor hook it sees no decisions.
 	runAll := func(governorHook bool) seen {
@@ -78,7 +75,7 @@ func TestTalliedCountersMatchObservers(t *testing.T) {
 				if governorHook {
 					cfg.OnCPUGovernor = func(_ time.Duration, util float64, _ int) {
 						s.decisions++
-						if util > 0.80 { // ondemand's UpThreshold
+						if util > 0.80 { // ondemand's up-threshold
 							s.jumps++
 						}
 					}

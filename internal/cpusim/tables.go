@@ -1,10 +1,6 @@
 package cpusim
 
-import (
-	"time"
-
-	"greengpu/internal/units"
-)
+import "greengpu/internal/units"
 
 // Tables holds the per-P-state derived constants of a CPU configuration,
 // decoupled from any live device: the same flattened tables the CPU hot
@@ -64,14 +60,4 @@ func fillTables(cfg *Config, t *Tables) {
 // busy cores, exactly as a live device in that state would report.
 func (t *Tables) PowerAt(level, busyCores int) units.Power {
 	return t.BasePower[level] + t.DynPower[level*t.Stride+busyCores]
-}
-
-// JobTime predicts the execution time of ops operations on threads cores at
-// P-state level, exactly as CPU.JobTime would.
-func (t *Tables) JobTime(ops float64, threads, level int) time.Duration {
-	denom := t.JobDenom[level*t.Stride+threads]
-	if ops <= 0 {
-		return 0
-	}
-	return units.Seconds(ops / denom)
 }

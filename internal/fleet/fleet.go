@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"greengpu/internal/core"
@@ -307,7 +308,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	if spec.DeadlineFactor > 0 {
 		for g := range groups {
 			ref := groups[refIdx[metas[g].class*W+metas[g].workload]].Result.TotalTime
-			d := time.Duration(spec.DeadlineFactor * float64(ref))
+			d := deadline(spec.DeadlineFactor, ref)
 			groups[g].Deadline = d
 			groups[g].Miss = groups[g].Result.TotalTime > d
 		}
@@ -434,7 +435,7 @@ func (e *Engine) RunNaive(spec Spec) (Aggregates, error) {
 				refWall[idx] = ref.TotalTime
 				refDone[idx] = true
 			}
-			if r.TotalTime > time.Duration(spec.DeadlineFactor*float64(refWall[idx])) {
+			if r.TotalTime > deadline(spec.DeadlineFactor, refWall[idx]) {
 				agg.DeadlineMisses++
 			}
 		}
@@ -442,6 +443,17 @@ func (e *Engine) RunNaive(spec Spec) (Aggregates, error) {
 	}
 	agg.Nodes = spec.Nodes
 	return agg, nil
+}
+
+// deadline is factor times the reference wall time ref. A product at or
+// past the int64 nanosecond range (a huge or infinite factor) saturates at
+// the largest time.Duration rather than wrapping negative, so no node can
+// miss it.
+func deadline(factor float64, ref time.Duration) time.Duration {
+	if d := factor * float64(ref); d < math.MaxInt64 {
+		return time.Duration(d)
+	}
+	return math.MaxInt64
 }
 
 // GroupsTable renders a fleet's distinct groups as the suite's standard

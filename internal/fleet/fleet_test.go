@@ -209,6 +209,37 @@ func TestDeadlineAccounting(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineFactorNeverMisses checks that a deadline past the int64
+// nanosecond range saturates instead of wrapping negative: with such a
+// factor, or an infinite one, no node can miss, in Run or in RunNaive.
+func TestHugeDeadlineFactorNeverMisses(t *testing.T) {
+	for _, in := range []string{"nodes=20 workloads=kmeans deadline=1e9", "nodes=20 workloads=kmeans deadline=inf"} {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := (&Engine{Jobs: 2}).Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Agg.DeadlineMisses != 0 {
+			t.Errorf("%q: Run counts %d deadline misses, want 0", in, res.Agg.DeadlineMisses)
+		}
+		for i := range res.Groups {
+			if g := &res.Groups[i]; g.Miss || g.Deadline <= 0 {
+				t.Errorf("%q: group %d has deadline %v, miss %t", in, i, g.Deadline, g.Miss)
+			}
+		}
+		naive, err := (&Engine{Jobs: 1}).RunNaive(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if naive.DeadlineMisses != 0 {
+			t.Errorf("%q: RunNaive counts %d deadline misses, want 0", in, naive.DeadlineMisses)
+		}
+	}
+}
+
 // TestDedupCollapses checks the economics: a large fleet collapses to the
 // axis cross product, and the dedup ratio reflects it.
 func TestDedupCollapses(t *testing.T) {

@@ -16,7 +16,6 @@ var metricHardenedHolds = telemetry.NewCounter("greengpu_governor_held_samples_t
 // only ever sees sane inputs, and callers only ever see sane outputs.
 type Hardened struct {
 	policy   Policy
-	inner    decider // policy's counting form; nil for foreign policies
 	lastGood float64
 	holds    uint64
 }
@@ -24,8 +23,7 @@ type Hardened struct {
 // Harden wraps a policy. The last-good reading starts at 0 (idle), the
 // same fallback dvfs.sanitizeUtil uses before any sample has arrived.
 func Harden(p Policy) *Hardened {
-	d, _ := p.(decider)
-	return &Hardened{policy: p, inner: d}
+	return &Hardened{policy: p}
 }
 
 // Name implements Policy.
@@ -33,9 +31,6 @@ func (h *Hardened) Name() string { return "hardened(" + h.policy.Name() + ")" }
 
 // Holds returns how many samples hold-last-good replaced.
 func (h *Hardened) Holds() uint64 { return h.holds }
-
-// Unwrap returns the wrapped policy.
-func (h *Hardened) Unwrap() Policy { return h.policy }
 
 // Next implements Policy.
 func (h *Hardened) Next(util float64, current, nLevels int) int {
@@ -51,11 +46,5 @@ func (h *Hardened) decide(util float64, current, nLevels int, t *Tally) int {
 		util = units.Clamp(util, 0, 1)
 		h.lastGood = util
 	}
-	var l int
-	if h.inner != nil {
-		l = h.inner.decide(util, current, nLevels, t)
-	} else {
-		l = h.policy.Next(util, current, nLevels)
-	}
-	return clampLevel(l, nLevels)
+	return clampLevel(h.policy.decide(util, current, nLevels, t), nLevels)
 }

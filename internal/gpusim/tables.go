@@ -121,14 +121,8 @@ func powerAt(p *PowerParams, fcR, fmR, coreScale float64, uc, um float64) units.
 		units.Power(fmR)*(p.MemClockTree+units.Power(um)*p.MemDynamic)
 }
 
-// DemandTimes returns the per-domain busy times of the given demands at
-// frequency levels (core, mem).
-func (t *Tables) DemandTimes(ops, bytes float64, core, mem int) (tc, tm time.Duration) {
-	return demandTimesAt(ops, bytes, t.CoreDenom[core], t.MemDenom[mem])
-}
-
 // CoreTime returns the core-domain busy time of ops operations at core
-// level core. It is the separable half of DemandTimes, for batch
+// level core. It is one separable half of a phase's timing, for batch
 // evaluators that tabulate the two domains independently.
 func (t *Tables) CoreTime(ops float64, core int) time.Duration {
 	tc, _ := demandTimesAt(ops, 0, t.CoreDenom[core], t.MemDenom[0])
@@ -136,17 +130,10 @@ func (t *Tables) CoreTime(ops float64, core int) time.Duration {
 }
 
 // MemTime returns the memory-domain busy time of bytes at memory level mem,
-// the other separable half of DemandTimes.
+// the other separable half.
 func (t *Tables) MemTime(bytes float64, mem int) time.Duration {
 	_, tm := demandTimesAt(0, bytes, t.CoreDenom[0], t.MemDenom[mem])
 	return tm
-}
-
-// PhaseTime times a phase's demands at levels (core, mem), exactly as a
-// live device at those levels would.
-func (t *Tables) PhaseTime(ops, bytes, stall float64, core, mem int) time.Duration {
-	tc, tm := t.DemandTimes(ops, bytes, core, mem)
-	return UnifyPhaseTime(tc, tm, stall, t.gamma)
 }
 
 // Gamma returns the configuration's overlap γ.

@@ -43,9 +43,8 @@
 //     entries filed under them) become unreachable rather than stale.
 //
 // Configurations carrying functions or interfaces (observers, filters,
-// custom division policies or CPU governors) have behaviour the fingerprint
-// cannot see; Cacheable reports false for them and callers must bypass the
-// cache.
+// custom division policies) have behaviour the fingerprint cannot see;
+// Cacheable reports false for them and callers must bypass the cache.
 package runcache
 
 import (
@@ -79,8 +78,7 @@ type Key [sha256.Size]byte
 // filters, or custom policy implementations carry behaviour in code the
 // encoding cannot name, so their runs must bypass the cache.
 func Cacheable(cfg *core.Config) bool {
-	return cfg.CPUGovernor == nil &&
-		cfg.DivisionPolicy == nil &&
+	return cfg.DivisionPolicy == nil &&
 		cfg.ActuatorFilter == nil &&
 		cfg.OnDVFS == nil &&
 		cfg.OnCPUGovernor == nil &&
@@ -242,7 +240,10 @@ func (e *encoder) coreConfig(c *core.Config) {
 	e.float(c.GPUScaler.Beta)
 	e.bool(c.Fixed8Scaler)
 	e.bool(c.SMScaling)
-	e.dur(c.CPUGovernorInterval)
+	// The CPU governor period and, further down, the three guard settings
+	// are fixed, not Config fields, but keep their slots in the encoding:
+	// every key then stays the one earlier builds filed disk entries under.
+	e.dur(core.GovernorInterval)
 	e.float(c.Division.Step)
 	e.float(c.Division.Initial)
 	e.float(c.Division.Min)
@@ -264,9 +265,10 @@ func (e *encoder) coreConfig(c *core.Config) {
 		e.tag(tagPresent)
 		e.float(*c.StaticRatio)
 	}
-	e.int(int64(c.Recovery.WatchdogK))
-	e.int(int64(c.Recovery.BackoffMax))
-	e.int(int64(c.Recovery.FailsafeHold))
+	// The guard settings: zeros select dvfs.GuardConfig's defaults.
+	e.int(0)
+	e.int(0)
+	e.int(0)
 	// The fault plan is pure data, so faulty runs stay cacheable — every
 	// field reaches the hash. A nil plan and the Zero plan behave
 	// identically (no injection) but fingerprint differently; callers who

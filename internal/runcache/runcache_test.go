@@ -1,6 +1,8 @@
 package runcache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -106,11 +108,6 @@ func TestKeySensitivity(t *testing.T) {
 		{"scaler params", func() Key { c := base(); c.GPUScaler.Beta = 0.5; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
 		{"fixed8", func() Key { c := base(); c.Fixed8Scaler = true; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
 		{"sm scaling", func() Key { c := base(); c.SMScaling = true; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
-		{"governor interval", func() Key {
-			c := base()
-			c.CPUGovernorInterval = 2 * time.Second
-			return KeyOf(&gpu, &cpu, &b, p, &c, "")
-		}},
 		{"division step", func() Key { c := base(); c.Division.Step = 0.1; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
 		{"safeguard", func() Key { c := base(); c.Division.Safeguard = false; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
 		{"spinwait", func() Key { c := base(); c.SpinWait = false; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
@@ -138,7 +135,6 @@ func TestKeySensitivity(t *testing.T) {
 			c.FaultPlan = &pl
 			return KeyOf(&gpu, &cpu, &b, p, &c, "")
 		}},
-		{"recovery watchdog", func() Key { c := base(); c.Recovery.WatchdogK = 5; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
 		{"static ratio", func() Key {
 			c := core.DefaultConfig(core.FreqScaling)
 			r := 0.2
@@ -214,13 +210,50 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestKeyStability pins the keys of a fixed set of points on the testbed
+// devices: every Rodinia profile under each mode's default configuration,
+// plus one point for each optional field and for the gpu-meter variant. A
+// disk cache filled by an earlier build must stay reachable, so an edit to
+// the encoder that moves any key fails here.
+func TestKeyStability(t *testing.T) {
+	const want = "52d8a4a388db7a545d708976240de6af2d17727311cd4e48a81ba1d0ff33d097"
+	gpu, cpu, b := testbed.GeForce8800GTX(), testbed.PhenomIIX2(), testbed.PCIe()
+	profiles, err := workload.Rodinia(gpu, cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	add := func(p *workload.Profile, mode core.Mode, variant string, set func(*core.Config)) {
+		c := core.DefaultConfig(mode)
+		c.Iterations = 4
+		if set != nil {
+			set(&c)
+		}
+		k := KeyOf(&gpu, &cpu, &b, p, &c, variant)
+		h.Write(k[:])
+	}
+	for _, p := range profiles {
+		for _, mode := range []core.Mode{core.Baseline, core.FreqScaling, core.Division, core.Holistic} {
+			add(p, mode, "", nil)
+		}
+	}
+	p := profiles[0]
+	add(p, core.Baseline, "", func(c *core.Config) { c.InitialLevels = &core.Levels{} })
+	add(p, core.FreqScaling, "", func(c *core.Config) { r := 0.2; c.StaticRatio = &r })
+	add(p, core.Holistic, "", func(c *core.Config) { pl := faultinject.Default(2012); c.FaultPlan = &pl })
+	add(p, core.Baseline, "gpu-meter", nil)
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("keys over the fixed point set hash to %s, want %s: an encoder edit moved a key. "+
+			"If the change is meant to, bump SchemaVersion and update this constant together", got, want)
+	}
+}
+
 func TestCacheable(t *testing.T) {
 	ok := core.DefaultConfig(core.Holistic)
 	if !Cacheable(&ok) {
 		t.Error("default config reported non-cacheable")
 	}
 	cases := map[string]func(*core.Config){
-		"CPUGovernor":    func(c *core.Config) { c.CPUGovernor = governorStub{} },
 		"DivisionPolicy": func(c *core.Config) { c.DivisionPolicy = division.NewQilin(division.DefaultQilinConfig()) },
 		"ActuatorFilter": func(c *core.Config) { c.ActuatorFilter = func(d dvfs.Decision) dvfs.Decision { return d } },
 		"OnDVFS":         func(c *core.Config) { c.OnDVFS = func(time.Duration, float64, float64, dvfs.Decision) {} },
@@ -235,11 +268,6 @@ func TestCacheable(t *testing.T) {
 		}
 	}
 }
-
-type governorStub struct{}
-
-func (governorStub) Name() string                             { return "stub" }
-func (governorStub) Next(util float64, level, levels int) int { return level }
 
 func TestKeyOfPanicsOnNonCacheable(t *testing.T) {
 	gpu, cpu, b, p := fixture(t)
@@ -419,9 +447,8 @@ func TestFingerprintCoversConfigFields(t *testing.T) {
 		{"bus.Config", reflect.TypeOf(bus.Config{}), 3},
 		{"workload.Profile", reflect.TypeOf(workload.Profile{}), 9},
 		{"workload.PhaseSpec", reflect.TypeOf(workload.PhaseSpec{}), 5},
-		{"core.Config", reflect.TypeOf(core.Config{}), 19},
+		{"core.Config", reflect.TypeOf(core.Config{}), 16},
 		{"core.Levels", reflect.TypeOf(core.Levels{}), 3},
-		{"core.RecoveryConfig", reflect.TypeOf(core.RecoveryConfig{}), 3},
 		{"faultinject.Plan", reflect.TypeOf(faultinject.Plan{}), 15},
 		{"division.Config", reflect.TypeOf(division.Config{}), 5},
 		{"dvfs.Params", reflect.TypeOf(dvfs.Params{}), 4},

@@ -401,7 +401,6 @@ func fastEligible(cfg *core.Config) bool {
 		(cfg.FaultPlan == nil || cfg.FaultPlan.Zero()) &&
 		cfg.ActuatorFilter == nil &&
 		cfg.DivisionPolicy == nil &&
-		cfg.CPUGovernor == nil &&
 		cfg.OnDVFS == nil &&
 		cfg.OnCPUGovernor == nil &&
 		cfg.OnIteration == nil
