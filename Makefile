@@ -210,7 +210,7 @@ chaos:
 # cmd/lintdocs); linkcheck verifies the relative links in the markdown docs
 # (see cmd/linkcheck).
 lint-docs:
-	$(GO) run ./cmd/lintdocs internal cmd examples
+	$(GO) run ./cmd/lintdocs .
 
 linkcheck:
 	$(GO) run ./cmd/linkcheck README.md DESIGN.md ROADMAP.md CHANGES.md docs

@@ -27,11 +27,12 @@
 // a cross-frequency model fitted from a few anchor evaluations ranks the
 // ladder in closed form and only the top candidates are verified,
 // emitting one predict_spots table instead of the full cross product.
-// -predict-strategy and -predict-topm select the anchor placement and the
-// verification budget:
+// The model is fitted from the four ladder corners plus the center and
+// ranks points by energy; -predict-topm sets the verification budget
+// (negative trusts the model unverified):
 //
 //	experiments -predict 'workloads=kmeans core=all mem=all iters=4'
-//	experiments -predict 'workloads=all' -predict-strategy adaptive -predict-topm 12
+//	experiments -predict 'workloads=all' -predict-topm 12
 //
 // -fleet simulates a whole fleet of heterogeneous nodes at once (see
 // internal/fleet and docs/PERF.md "Fleet"): each node draws its device
@@ -125,26 +126,25 @@ import (
 // by registerFlags lets tests parse argument lists without touching the
 // process-global flag.CommandLine.
 type options struct {
-	run             string
-	sweep           string
-	predict         string
-	fleet           string
-	predictStrategy string
-	predictTopM     int
-	out             string
-	markdown        bool
-	jobs            int
-	cpuprofile      string
-	memprofile      string
-	noCache         bool
-	cacheDir        string
-	cacheMaxBytes   int64
-	benchCache      string
-	faults          string
-	metrics         string
-	metricsJSON     string
-	flightRec       int
-	flightOut       string
+	run           string
+	sweep         string
+	predict       string
+	fleet         string
+	predictTopM   int
+	out           string
+	markdown      bool
+	jobs          int
+	cpuprofile    string
+	memprofile    string
+	noCache       bool
+	cacheDir      string
+	cacheMaxBytes int64
+	benchCache    string
+	faults        string
+	metrics       string
+	metricsJSON   string
+	flightRec     int
+	flightOut     string
 }
 
 func registerFlags(fs *flag.FlagSet) *options {
@@ -153,7 +153,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.sweep, "sweep", "", "run an ad-hoc batch sweep instead of -run: whitespace-separated key=value spec (see internal/sweep.ParseSpec), e.g. 'workloads=kmeans core=all mem=all iters=4'")
 	fs.StringVar(&o.predict, "predict", "", "find sweet spots analytically instead of -run: a -sweep style ladder spec evaluated with the O(anchors) search (see internal/predict)")
 	fs.StringVar(&o.fleet, "fleet", "", "simulate a dedup-compressed node fleet instead of -run: whitespace-separated key=value spec (see internal/fleet.ParseSpec), e.g. 'nodes=100000 faults=0,1,2'")
-	fs.StringVar(&o.predictStrategy, "predict-strategy", "corners", "anchor placement for -predict: corners, doptimal or adaptive")
 	fs.IntVar(&o.predictTopM, "predict-topm", 0, "model-ranked candidates -predict verifies by full evaluation (0 = default, negative = trust the model unverified)")
 	fs.StringVar(&o.out, "out", "", "directory for CSV output (empty = none)")
 	fs.BoolVar(&o.markdown, "markdown", false, "render tables as GitHub markdown instead of aligned text")
@@ -366,17 +365,12 @@ func runPredict(o *options, env *experiments.Env, r *runner) error {
 	if err != nil {
 		return err
 	}
-	strategy, err := predict.ParseStrategy(o.predictStrategy)
-	if err != nil {
-		return err
-	}
-	opts := predict.Options{Strategy: strategy, TopM: o.predictTopM}
 	eng := &env.Engine
-	spots, err := eng.PredictSweetSpots(spec, opts)
+	spots, err := eng.PredictSweetSpots(spec, predict.Options{TopM: o.predictTopM})
 	if err != nil {
 		return err
 	}
-	return r.emit("predict_spots", sweep.SpotsTable(eng, opts, spots))
+	return r.emit("predict_spots", sweep.SpotsTable(eng, spots))
 }
 
 // runFleet parses the -fleet spec and evaluates the fleet through the

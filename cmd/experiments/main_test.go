@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,6 +16,7 @@ import (
 	"testing"
 
 	"greengpu/internal/experiments"
+	"greengpu/internal/sweep"
 	"greengpu/internal/telemetry"
 	"greengpu/internal/trace"
 )
@@ -43,7 +47,6 @@ func TestRegisterFlagsRoundTrip(t *testing.T) {
 		"-run", "fig1,fig2",
 		"-sweep", "workloads=kmeans",
 		"-fleet", "nodes=100",
-		"-predict-strategy", "adaptive",
 		"-predict-topm", "12",
 		"-out", "res",
 		"-markdown",
@@ -64,8 +67,7 @@ func TestRegisterFlagsRoundTrip(t *testing.T) {
 		t.Fatalf("Parse: %v", err)
 	}
 	want := options{run: "fig1,fig2", sweep: "workloads=kmeans",
-		fleet:           "nodes=100",
-		predictStrategy: "adaptive", predictTopM: 12,
+		fleet: "nodes=100", predictTopM: 12,
 		out: "res", markdown: true, jobs: 3,
 		cpuprofile: "cpu.out", memprofile: "mem.out",
 		noCache: true, cacheDir: ".cache", cacheMaxBytes: 1048576, benchCache: "bench.json",
@@ -82,12 +84,12 @@ func TestRegisterFlagsDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	want := options{run: "all", faults: "off", predictStrategy: "corners"}
+	want := options{run: "all", faults: "off"}
 	if *o != want {
 		t.Errorf("default options = %+v, want %+v", *o, want)
 	}
 	// Every option field must be reachable from the command line.
-	for _, name := range []string{"run", "sweep", "predict", "fleet", "predict-strategy", "predict-topm", "out", "markdown", "jobs", "cpuprofile", "memprofile", "no-cache", "cache-dir", "cache-max-bytes", "bench-cache", "faults", "metrics", "metrics-json", "flight-recorder", "flight-recorder-out"} {
+	for _, name := range []string{"run", "sweep", "predict", "fleet", "predict-topm", "out", "markdown", "jobs", "cpuprofile", "memprofile", "no-cache", "cache-dir", "cache-max-bytes", "bench-cache", "faults", "metrics", "metrics-json", "flight-recorder", "flight-recorder-out"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
@@ -491,6 +493,76 @@ func TestSweepFlagBadSpec(t *testing.T) {
 	o := &options{run: "all", sweep: "core=bogus", faults: "off", noCache: true}
 	if err := run(o, io.Discard, io.Discard); err == nil {
 		t.Error("bad -sweep spec accepted")
+	}
+}
+
+// TestPredictFlagEndToEnd drives -predict through the real run()
+// entrypoint and checks predict_spots.csv against the exhaustive sweep of
+// the same spec: one row per workload, each at its least-energy point. The
+// reference is the in-process sweep, not sweep_points.csv, whose rounded
+// energies tie neighbouring points.
+func TestPredictFlagEndToEnd(t *testing.T) {
+	const spec = "workloads=all iters=4"
+	dir := t.TempDir()
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	o := registerFlags(fs)
+	if err := fs.Parse([]string{"-no-cache", "-predict", spec, "-predict-topm", "12", "-out", dir}); err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	if err := run(o, io.Discard, io.Discard); err != nil {
+		t.Fatalf("run(-predict %q): %v", spec, err)
+	}
+	f, err := os.Open(filepath.Join(dir, "predict_spots.csv"))
+	if err != nil {
+		t.Fatalf("predict_spots.csv not written: %v", err)
+	}
+	defer f.Close()
+	records, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := records[0]
+	col := map[string]int{}
+	for i, h := range header {
+		col[h] = i
+	}
+	for _, gone := range []string{"strategy", "objective"} {
+		if _, ok := col[gone]; ok {
+			t.Errorf("predict_spots.csv header %v still has a %s column", header, gone)
+		}
+	}
+
+	parsed, err := sweep.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &env(t).Engine
+	results, err := eng.Run(context.Background(), parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := map[string]sweep.PointResult{}
+	for _, pr := range results {
+		if b, ok := best[pr.Workload]; !ok || pr.Result.Energy < b.Result.Energy {
+			best[pr.Workload] = pr
+		}
+	}
+	rows := records[1:]
+	if len(rows) != len(eng.Profiles) {
+		t.Fatalf("predict_spots.csv has %d rows, want one per workload (%d)", len(rows), len(eng.Profiles))
+	}
+	for _, row := range rows {
+		w, ok := best[row[col["workload"]]]
+		if !ok {
+			t.Errorf("row for unknown workload %q", row[col["workload"]])
+			continue
+		}
+		wantCore := fmt.Sprintf("%.0f", eng.GPU.CoreLevels[w.Core].MHz())
+		wantMem := fmt.Sprintf("%.0f", eng.GPU.MemLevels[w.Mem].MHz())
+		if row[col["core_mhz"]] != wantCore || row[col["mem_mhz"]] != wantMem {
+			t.Errorf("%s: spot (%s, %s) MHz, least-energy point (%s, %s) MHz",
+				w.Workload, row[col["core_mhz"]], row[col["mem_mhz"]], wantCore, wantMem)
+		}
 	}
 }
 

@@ -109,7 +109,7 @@ func (e *Env) predictValidateLadder(label string, opts predict.Options) ([]Predi
 		return nil, fmt.Errorf("predict validation: %d brute points for %d workloads on a %dx%d ladder",
 			len(brute), len(spots), nc, nm)
 	}
-	anchors := predict.Anchors(opts.Strategy, coreF, memF)
+	anchors := predict.Anchors(coreF, memF)
 
 	rows := make([]PredictValidationRow, 0, len(spots))
 	for wi, spot := range spots {

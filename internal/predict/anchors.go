@@ -1,71 +1,18 @@
 package predict
 
-import (
-	"fmt"
-
-	"greengpu/internal/units"
-)
-
-// Strategy selects how a search places its anchor points on the ladder.
-type Strategy int
-
-// The anchor-selection strategies.
-const (
-	// CornersCenter anchors the four ladder corners plus the center: the
-	// cheapest spread that spans both frequency domains. The default.
-	CornersCenter Strategy = iota
-	// DOptimalLite greedily picks the anchor set maximizing the
-	// determinant of the runtime regression's information matrix — a
-	// D-optimal design restricted to grid points, which minimizes the
-	// fitted coefficients' variance under crossover noise.
-	DOptimalLite
-	// Adaptive starts from CornersCenter and iteratively promotes the
-	// model's predicted optimum to an anchor, refitting until the
-	// prediction stops moving (or the refinement budget runs out) — extra
-	// anchors exactly where the search is about to trust the model most.
-	Adaptive
-)
-
-// String returns the strategy's -predict-strategy flag spelling.
-func (s Strategy) String() string {
-	switch s {
-	case CornersCenter:
-		return "corners"
-	case DOptimalLite:
-		return "doptimal"
-	case Adaptive:
-		return "adaptive"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
-// ParseStrategy parses a -predict-strategy flag value.
-func ParseStrategy(v string) (Strategy, error) {
-	switch v {
-	case "corners", "corners+center":
-		return CornersCenter, nil
-	case "doptimal", "d-optimal":
-		return DOptimalLite, nil
-	case "adaptive":
-		return Adaptive, nil
-	}
-	return 0, fmt.Errorf("predict: unknown strategy %q (corners, doptimal, adaptive)", v)
-}
+import "greengpu/internal/units"
 
 // Anchor is one anchor position on the ladder grid.
 type Anchor struct {
 	Core, Mem int
 }
 
-// Anchors returns the strategy's initial anchor set for an nc×nm ladder, in
-// deterministic order with duplicates removed (degenerate one-level ladders
-// collapse corners onto each other). Adaptive's refinement anchors are
-// chosen during the search; its initial set is CornersCenter's.
-func Anchors(s Strategy, coreFreqs, memFreqs []units.Frequency) []Anchor {
+// Anchors returns the search's anchor set for an nc×nm ladder: the four
+// ladder corners plus the center, the cheapest spread that spans both
+// frequency domains. The order is deterministic and duplicates are removed
+// (degenerate one-level ladders collapse corners onto each other).
+func Anchors(coreFreqs, memFreqs []units.Frequency) []Anchor {
 	nc, nm := len(coreFreqs), len(memFreqs)
-	if s == DOptimalLite {
-		return dOptimalAnchors(coreFreqs, memFreqs, 5)
-	}
 	raw := []Anchor{
 		{0, 0},
 		{0, nm - 1},
@@ -73,76 +20,13 @@ func Anchors(s Strategy, coreFreqs, memFreqs []units.Frequency) []Anchor {
 		{nc - 1, nm - 1},
 		{nc / 2, nm / 2},
 	}
-	return dedupAnchors(raw)
-}
-
-// dedupAnchors removes duplicates, keeping first-appearance order.
-func dedupAnchors(in []Anchor) []Anchor {
 	seen := map[Anchor]bool{}
-	out := in[:0]
-	for _, a := range in {
+	out := raw[:0]
+	for _, a := range raw {
 		if !seen[a] {
 			seen[a] = true
 			out = append(out, a)
 		}
 	}
 	return out
-}
-
-// dOptimalAnchors greedily builds a k-point design maximizing
-// det(XᵀX + εI) for the runtime features [1, Fc/fc, Fm/fm]. Each round
-// scans the whole grid in expand order (core outer, memory inner) and keeps
-// the first point with the strictly largest determinant gain, so the design
-// is deterministic.
-func dOptimalAnchors(coreFreqs, memFreqs []units.Frequency, k int) []Anchor {
-	nc, nm := len(coreFreqs), len(memFreqs)
-	fcPeak := float64(coreFreqs[nc-1])
-	fmPeak := float64(memFreqs[nm-1])
-	feat := func(c, m int) [3]float64 {
-		return [3]float64{1, fcPeak / float64(coreFreqs[c]), fmPeak / float64(memFreqs[m])}
-	}
-	// info = XᵀX of the chosen anchors, ridge-seeded so the determinant is
-	// positive before the design spans all three features.
-	const ridge = 1e-9
-	info := [3][3]float64{{ridge, 0, 0}, {0, ridge, 0}, {0, 0, ridge}}
-	var out []Anchor
-	chosen := map[Anchor]bool{}
-	for len(out) < k && len(out) < nc*nm {
-		best := Anchor{-1, -1}
-		bestDet := -1.0
-		for c := 0; c < nc; c++ {
-			for m := 0; m < nm; m++ {
-				a := Anchor{c, m}
-				if chosen[a] {
-					continue
-				}
-				cand := info
-				v := feat(c, m)
-				for i := 0; i < 3; i++ {
-					for j := 0; j < 3; j++ {
-						cand[i][j] += v[i] * v[j]
-					}
-				}
-				if d := det3(&cand); d > bestDet {
-					best, bestDet = a, d
-				}
-			}
-		}
-		v := feat(best.Core, best.Mem)
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				info[i][j] += v[i] * v[j]
-			}
-		}
-		chosen[best] = true
-		out = append(out, best)
-	}
-	return out
-}
-
-// det3 returns the determinant of a 3×3 matrix.
-func det3(m *[3][3]float64) float64 {
-	return m[0][0]*(m[1][1]*m[2][2]-m[1][2]*m[2][1]) -
-		m[0][1]*(m[1][0]*m[2][2]-m[1][2]*m[2][0]) +
-		m[0][2]*(m[1][0]*m[2][1]-m[1][1]*m[2][0])
 }

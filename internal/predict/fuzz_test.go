@@ -65,9 +65,6 @@ func FuzzPredictFit(f *testing.F) {
 				if math.IsNaN(ev) || math.IsInf(ev, 0) {
 					t.Fatalf("non-finite energy prediction %g at (%d,%d)", ev, c, m)
 				}
-				if edp := model.EDP(c, m); math.IsNaN(edp) || math.IsInf(edp, 0) {
-					t.Fatalf("non-finite EDP prediction %g at (%d,%d)", edp, c, m)
-				}
 			}
 		}
 	})

@@ -45,7 +45,7 @@ var (
 	metricPoints = telemetry.NewCounter(telemetry.MetricPredictPoints,
 		"Ladder points evaluated in closed form by a fitted model.")
 	metricFullEvals = telemetry.NewCounter(telemetry.MetricPredictFullEvals,
-		"Full point evaluations requested by predictor searches (anchors, refinements, verification).")
+		"Full point evaluations requested by predictor searches (anchors, verification, exhaustive fallback).")
 	metricFallbacks = telemetry.NewCounter(telemetry.MetricPredictFallbacks,
 		"Predictor searches that fell back to exhaustive evaluation on a degenerate fit.")
 )
@@ -57,7 +57,7 @@ var ErrDegenerate = errors.New("predict: degenerate anchor set")
 
 // MinAnchors is the smallest anchor set the fit accepts: the energy
 // regression has three coefficients plus an offset, so four genuinely
-// distinct anchors are the floor (the default strategies use five).
+// distinct anchors are the floor (Anchors places five).
 const MinAnchors = 4
 
 // Sample is one fully evaluated ladder point: the measured runtime and
@@ -68,10 +68,6 @@ type Sample struct {
 	Time      time.Duration
 	Energy    units.Energy
 }
-
-// EDP returns the sample's energy-delay product in J·s, with exactly the
-// arithmetic the sweet-spot studies use (Joules × seconds, in that order).
-func (s Sample) EDP() float64 { return s.Energy.Joules() * s.Time.Seconds() }
 
 // Model is a fitted cross-frequency predictor over one (core, memory)
 // frequency ladder. The zero value is not usable; obtain models from Fit.
@@ -88,37 +84,7 @@ type Model struct {
 	e [4]float64
 }
 
-// Levels returns the ladder sizes the model was fitted over.
-func (m *Model) Levels() (core, mem int) { return len(m.xc), len(m.ym) }
-
-// Coeffs flattens the fitted coefficients, runtime first — the stable
-// serialization used to memoize fits (see internal/runcache).
-func (m *Model) Coeffs() []float64 {
-	return []float64{m.t[0], m.t[1], m.t[2], m.e[0], m.e[1], m.e[2], m.e[3]}
-}
-
-// FromCoeffs reconstructs a fitted model from flattened coefficients (see
-// Model.Coeffs) and the ladders it was fitted over — the replay path for
-// memoized fits. Non-finite or wrong-length coefficients are rejected.
-func FromCoeffs(coreFreqs, memFreqs []units.Frequency, coeffs []float64) (*Model, error) {
-	if len(coeffs) != 7 {
-		return nil, fmt.Errorf("predict: want 7 coefficients, got %d", len(coeffs))
-	}
-	for _, c := range coeffs {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return nil, ErrDegenerate
-		}
-	}
-	m, err := newModel(coreFreqs, memFreqs)
-	if err != nil {
-		return nil, err
-	}
-	copy(m.t[:], coeffs[:3])
-	copy(m.e[:], coeffs[3:])
-	return m, nil
-}
-
-// newModel builds the ladder-ratio tables shared by Fit and FromCoeffs.
+// newModel validates the ladders and builds their ratio tables.
 func newModel(coreFreqs, memFreqs []units.Frequency) (*Model, error) {
 	if len(coreFreqs) == 0 || len(memFreqs) == 0 {
 		return nil, fmt.Errorf("predict: empty frequency ladder")
@@ -204,12 +170,14 @@ func Fit(coreFreqs, memFreqs []units.Frequency, anchors []Sample) (*Model, error
 	}
 	copy(m.e[:], ec)
 
-	for _, c := range m.Coeffs() {
-		// The magnitude bound rejects near-singular systems whose huge
-		// (but finite) coefficients would overflow to Inf when combined
-		// at prediction time.
-		if math.IsNaN(c) || math.Abs(c) > 1e150 {
-			return nil, ErrDegenerate
+	// The magnitude bound rejects near-singular systems whose huge (but
+	// finite) coefficients would overflow to Inf when combined at
+	// prediction time.
+	for _, cs := range [][]float64{m.t[:], m.e[:]} {
+		for _, c := range cs {
+			if math.IsNaN(c) || math.Abs(c) > 1e150 {
+				return nil, ErrDegenerate
+			}
 		}
 	}
 	metricFits.Inc()
@@ -236,11 +204,6 @@ func (m *Model) EnergyJoules(core, mem int) float64 {
 // Energy predicts total energy at ladder point (core, mem).
 func (m *Model) Energy(core, mem int) units.Energy {
 	return units.Energy(m.EnergyJoules(core, mem))
-}
-
-// EDP predicts the energy-delay product at ladder point (core, mem) in J·s.
-func (m *Model) EDP(core, mem int) float64 {
-	return m.EnergyJoules(core, mem) * m.TimeSeconds(core, mem)
 }
 
 // leastSquares solves min ‖X·β − y‖₂ by normal equations. X is rows of

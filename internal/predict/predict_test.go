@@ -62,7 +62,7 @@ func TestFitRecoversLinearTruth(t *testing.T) {
 	core, mem := testLadders(6, 6)
 	truth := synthetic{core, mem}
 	var anchors []Sample
-	for _, a := range Anchors(CornersCenter, core, mem) {
+	for _, a := range Anchors(core, mem) {
 		anchors = append(anchors, truth.sample(a.Core, a.Mem))
 	}
 	m, err := Fit(core, mem, anchors)
@@ -78,32 +78,6 @@ func TestFitRecoversLinearTruth(t *testing.T) {
 				t.Errorf("energy(%d,%d) = %g, want %g", c, j, got, want)
 			}
 		}
-	}
-}
-
-func TestFromCoeffsRoundTrip(t *testing.T) {
-	core, mem := testLadders(6, 6)
-	truth := synthetic{core, mem}
-	var anchors []Sample
-	for _, a := range Anchors(DOptimalLite, core, mem) {
-		anchors = append(anchors, truth.sample(a.Core, a.Mem))
-	}
-	m, err := Fit(core, mem, anchors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := FromCoeffs(core, mem, m.Coeffs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m2.EnergyJoules(3, 2), m.EnergyJoules(3, 2); got != want {
-		t.Errorf("replayed model predicts %g, fitted %g", got, want)
-	}
-	if _, err := FromCoeffs(core, mem, []float64{1, 2}); err == nil {
-		t.Error("FromCoeffs accepted a short coefficient vector")
-	}
-	if _, err := FromCoeffs(core, mem, []float64{1, 2, 3, 4, 5, 6, math.NaN()}); !errors.Is(err, ErrDegenerate) {
-		t.Errorf("FromCoeffs on NaN coeffs: got %v, want ErrDegenerate", err)
 	}
 }
 
@@ -148,44 +122,30 @@ func TestFitDegenerateAnchors(t *testing.T) {
 
 func TestAnchorsStrategies(t *testing.T) {
 	core, mem := testLadders(6, 6)
-	for _, s := range []Strategy{CornersCenter, DOptimalLite, Adaptive} {
-		as := Anchors(s, core, mem)
-		if len(as) != 5 {
-			t.Errorf("%v: %d anchors, want 5", s, len(as))
+	as := Anchors(core, mem)
+	if len(as) != 5 {
+		t.Errorf("%d anchors, want 5", len(as))
+	}
+	seen := map[Anchor]bool{}
+	spanC, spanM := map[int]bool{}, map[int]bool{}
+	for _, a := range as {
+		if a.Core < 0 || a.Core >= 6 || a.Mem < 0 || a.Mem >= 6 {
+			t.Errorf("anchor %+v out of range", a)
 		}
-		seen := map[Anchor]bool{}
-		spanC, spanM := map[int]bool{}, map[int]bool{}
-		for _, a := range as {
-			if a.Core < 0 || a.Core >= 6 || a.Mem < 0 || a.Mem >= 6 {
-				t.Errorf("%v: anchor %+v out of range", s, a)
-			}
-			if seen[a] {
-				t.Errorf("%v: duplicate anchor %+v", s, a)
-			}
-			seen[a] = true
-			spanC[a.Core] = true
-			spanM[a.Mem] = true
+		if seen[a] {
+			t.Errorf("duplicate anchor %+v", a)
 		}
-		if len(spanC) < 2 || len(spanM) < 2 {
-			t.Errorf("%v: anchors do not span both domains: %+v", s, as)
-		}
+		seen[a] = true
+		spanC[a.Core] = true
+		spanM[a.Mem] = true
+	}
+	if len(spanC) < 2 || len(spanM) < 2 {
+		t.Errorf("anchors do not span both domains: %+v", as)
 	}
 	// Degenerate 1×1 ladder: corners collapse to a single anchor.
 	c1, m1 := testLadders(1, 1)
-	if as := Anchors(CornersCenter, c1, m1); len(as) != 1 {
+	if as := Anchors(c1, m1); len(as) != 1 {
 		t.Errorf("1x1 ladder: %d anchors, want 1", len(as))
-	}
-}
-
-func TestStrategyParseRoundTrip(t *testing.T) {
-	for _, s := range []Strategy{CornersCenter, DOptimalLite, Adaptive} {
-		got, err := ParseStrategy(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParseStrategy("nope"); err == nil {
-		t.Error("ParseStrategy accepted an unknown strategy")
 	}
 }
 
@@ -204,31 +164,29 @@ func TestSweetSpotMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range []Strategy{CornersCenter, DOptimalLite, Adaptive} {
-		evals := 0
-		eval := func(c, m int) (Sample, error) {
-			evals++
-			return truth.sample(c, m), nil
-		}
-		out, err := SweetSpot(core, mem, eval, Options{Strategy: s})
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if out.Core != bc || out.Mem != bm {
-			t.Errorf("%v: spot (%d,%d), brute force (%d,%d)", s, out.Core, out.Mem, bc, bm)
-		}
-		if !out.Verified || out.Fallback {
-			t.Errorf("%v: Verified=%v Fallback=%v, want verified non-fallback", s, out.Verified, out.Fallback)
-		}
-		if evals != out.FullEvals {
-			t.Errorf("%v: counted %d evals, outcome says %d", s, evals, out.FullEvals)
-		}
-		if reduction := float64(out.Points) / float64(out.FullEvals); reduction < 50 {
-			t.Errorf("%v: %d full evals for %d points (%.0fx), want >=50x", s, out.FullEvals, out.Points, reduction)
-		}
-		if out.Energy != units.Energy(truth.energyAt(bc, bm)) {
-			t.Errorf("%v: outcome energy %v differs from measured optimum", s, out.Energy)
-		}
+	evals := 0
+	eval := func(c, m int) (Sample, error) {
+		evals++
+		return truth.sample(c, m), nil
+	}
+	out, err := SweetSpot(core, mem, eval, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Core != bc || out.Mem != bm {
+		t.Errorf("spot (%d,%d), brute force (%d,%d)", out.Core, out.Mem, bc, bm)
+	}
+	if !out.Verified || out.Fallback {
+		t.Errorf("Verified=%v Fallback=%v, want verified non-fallback", out.Verified, out.Fallback)
+	}
+	if evals != out.FullEvals {
+		t.Errorf("counted %d evals, outcome says %d", evals, out.FullEvals)
+	}
+	if reduction := float64(out.Points) / float64(out.FullEvals); reduction < 50 {
+		t.Errorf("%d full evals for %d points (%.0fx), want >=50x", out.FullEvals, out.Points, reduction)
+	}
+	if out.Energy != units.Energy(truth.energyAt(bc, bm)) {
+		t.Errorf("outcome energy %v differs from measured optimum", out.Energy)
 	}
 }
 
@@ -274,9 +232,6 @@ func TestSweetSpotFallback(t *testing.T) {
 	if out.Core != 3 || out.Mem != 2 {
 		t.Errorf("fallback spot (%d,%d), want (3,2)", out.Core, out.Mem)
 	}
-	if out.Coeffs != nil {
-		t.Error("fallback outcome carries model coefficients")
-	}
 }
 
 // TestSweetSpotEvalError propagates evaluation failures.
@@ -287,31 +242,6 @@ func TestSweetSpotEvalError(t *testing.T) {
 		return Sample{}, boom
 	}, Options{}); !errors.Is(err, boom) {
 		t.Errorf("got %v, want the eval error", err)
-	}
-}
-
-// TestSweetSpotEDPObjective checks the EDP objective uses the studies' J·s
-// arithmetic.
-func TestSweetSpotEDPObjective(t *testing.T) {
-	core, mem := testLadders(6, 6)
-	truth := synthetic{core, mem}
-	bc, bm := 0, 0
-	bestEDP := truth.energyAt(0, 0) * truth.timeAt(0, 0)
-	for c := range core {
-		for m := range mem {
-			if edp := truth.energyAt(c, m) * truth.timeAt(c, m); edp < bestEDP {
-				bc, bm, bestEDP = c, m, edp
-			}
-		}
-	}
-	out, err := SweetSpot(core, mem, func(c, m int) (Sample, error) {
-		return truth.sample(c, m), nil
-	}, Options{Objective: MinEDP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Core != bc || out.Mem != bm {
-		t.Errorf("EDP spot (%d,%d), brute force (%d,%d)", out.Core, out.Mem, bc, bm)
 	}
 }
 

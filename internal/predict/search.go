@@ -7,50 +7,20 @@ import (
 	"greengpu/internal/units"
 )
 
-// Objective selects what the sweet-spot search minimizes.
-type Objective int
-
-// The search objectives.
-const (
-	// MinEnergy minimizes total energy — the paper's sweet-spot notion.
-	MinEnergy Objective = iota
-	// MinEDP minimizes the energy-delay product.
-	MinEDP
-)
-
-// String returns the objective's flag spelling.
-func (o Objective) String() string {
-	if o == MinEDP {
-		return "edp"
-	}
-	return "energy"
-}
-
 // DefaultTopM is the number of model-ranked candidates a search verifies by
 // full evaluation when Options.TopM is zero. Together with the five
-// CornersCenter anchors it budgets nine full evaluations per search — a 64×
-// reduction on a 24×24 ladder.
+// corner-and-center anchors it budgets nine full evaluations per search — a
+// 64× reduction on a 24×24 ladder.
 const DefaultTopM = 4
 
-// DefaultMaxRefine bounds Adaptive's refinement rounds when
-// Options.MaxRefine is zero.
-const DefaultMaxRefine = 3
-
-// Options configures a sweet-spot search. The zero value selects the
-// defaults: CornersCenter anchors, MinEnergy, DefaultTopM verification.
+// Options configures a sweet-spot search. The zero value verifies
+// DefaultTopM candidates.
 type Options struct {
-	// Strategy places the anchors.
-	Strategy Strategy
-	// Objective is what the search minimizes.
-	Objective Objective
 	// TopM is how many of the model's best-ranked unevaluated candidates
 	// are verified by full evaluation before the spot is chosen; 0 selects
 	// DefaultTopM. A negative TopM disables verification entirely: the
 	// returned spot is the model's prediction, marked Verified=false.
 	TopM int
-	// MaxRefine bounds Adaptive's refinement rounds; 0 selects
-	// DefaultMaxRefine. Ignored by the other strategies.
-	MaxRefine int
 }
 
 // topM resolves the TopM default.
@@ -59,14 +29,6 @@ func (o Options) topM() int {
 		return DefaultTopM
 	}
 	return o.TopM
-}
-
-// maxRefine resolves the MaxRefine default.
-func (o Options) maxRefine() int {
-	if o.MaxRefine == 0 {
-		return DefaultMaxRefine
-	}
-	return o.MaxRefine
 }
 
 // Outcome is a sweet-spot search's result.
@@ -80,10 +42,10 @@ type Outcome struct {
 	// Fallback reports a degenerate fit: the search evaluated the whole
 	// ladder exhaustively instead of trusting a model.
 	Fallback bool
-	// FullEvals counts eval invocations: anchors, adaptive refinements and
-	// top-M verification (or the whole ladder on fallback). Deterministic
-	// for a given ladder and options — caching layers above may satisfy
-	// the invocations without simulating.
+	// FullEvals counts eval invocations: anchors and top-M verification
+	// (or the whole ladder on fallback). Deterministic for a given ladder
+	// and options — caching layers above may satisfy the invocations
+	// without simulating.
 	FullEvals int
 	// Points counts ladder points, the denominator of the evaluation-
 	// reduction ratio.
@@ -92,10 +54,6 @@ type Outcome struct {
 	// measured when Verified, model-predicted otherwise.
 	Time   time.Duration
 	Energy units.Energy
-	// Coeffs are the fitted model's flattened coefficients (see
-	// Model.Coeffs), nil on fallback. Stored so memoized outcomes can
-	// reconstruct the model without re-evaluating anchors.
-	Coeffs []float64
 }
 
 // EvalFunc fully evaluates one ladder point — in this repository, a closed-
@@ -103,14 +61,14 @@ type Outcome struct {
 // internal/runcache. Errors abort the search.
 type EvalFunc func(core, mem int) (Sample, error)
 
-// SweetSpot finds the ladder point minimizing the objective using O(anchors)
-// full evaluations: fit a model from the strategy's anchors, rank every
-// point in closed form, verify the top-M candidates by full evaluation, and
-// return the best evaluated point. Ties and orderings follow the exhaustive
-// studies' convention — grid points are visited core-outer/memory-inner and
-// strict less-than keeps the earliest minimum — so when the true optimum is
-// inside the verified set the outcome is identical to brute force, point
-// and measurement alike.
+// SweetSpot finds the least-energy ladder point using O(anchors) full
+// evaluations: fit a model from the corner-and-center anchors, rank every
+// point by predicted energy in closed form, verify the top-M candidates by
+// full evaluation, and return the best evaluated point. Ties and orderings
+// follow the exhaustive studies' convention — grid points are visited
+// core-outer/memory-inner and strict less-than keeps the earliest minimum —
+// so when the true optimum is inside the verified set the outcome is
+// identical to brute force, point and measurement alike.
 //
 // A degenerate anchor set (ErrDegenerate from Fit) falls back to exhaustive
 // evaluation; any other evaluation or fit error aborts.
@@ -135,7 +93,7 @@ func SweetSpot(coreFreqs, memFreqs []units.Frequency, eval EvalFunc, opts Option
 		return s, nil
 	}
 
-	anchors := Anchors(opts.Strategy, coreFreqs, memFreqs)
+	anchors := Anchors(coreFreqs, memFreqs)
 	samples := make([]Sample, 0, len(anchors))
 	for _, a := range anchors {
 		s, err := evalOnce(a)
@@ -145,9 +103,10 @@ func SweetSpot(coreFreqs, memFreqs []units.Frequency, eval EvalFunc, opts Option
 		samples = append(samples, s)
 	}
 
-	// bruteForce is the degenerate-fit fallback: evaluate every grid point
-	// (evalOnce skips the anchors already measured) and choose the best.
-	bruteForce := func() (Outcome, error) {
+	model, err := Fit(coreFreqs, memFreqs, samples)
+	if errors.Is(err, ErrDegenerate) {
+		// Evaluate every grid point (evalOnce skips the anchors already
+		// measured) and choose the best.
 		metricFallbacks.Inc()
 		for c := 0; c < nc; c++ {
 			for m := 0; m < nm; m++ {
@@ -157,45 +116,17 @@ func SweetSpot(coreFreqs, memFreqs []units.Frequency, eval EvalFunc, opts Option
 			}
 		}
 		out.Fallback = true
-		out.Coeffs = nil
-		chooseEvaluated(&out, nc, nm, evaluated, opts.Objective)
+		chooseEvaluated(&out, nc, nm, evaluated)
 		return out, nil
-	}
-
-	model, err := Fit(coreFreqs, memFreqs, samples)
-	if errors.Is(err, ErrDegenerate) {
-		return bruteForce()
 	}
 	if err != nil {
 		return out, err
 	}
 
-	if opts.Strategy == Adaptive {
-		for round := 0; round < opts.maxRefine(); round++ {
-			best := predictedArgmin(model, nc, nm, opts.Objective)
-			if _, done := evaluated[best]; done {
-				break
-			}
-			s, err := evalOnce(best)
-			if err != nil {
-				return out, err
-			}
-			samples = append(samples, s)
-			refit, err := Fit(coreFreqs, memFreqs, samples)
-			if errors.Is(err, ErrDegenerate) {
-				return bruteForce()
-			}
-			if err != nil {
-				return out, err
-			}
-			model = refit
-		}
-	}
-	out.Coeffs = model.Coeffs()
-
 	if opts.TopM < 0 {
-		// Unverified mode: trust the model outright.
-		best := predictedArgmin(model, nc, nm, opts.Objective)
+		// Unverified mode: trust the model's argmin over the whole grid
+		// (a nil evaluated set keeps the anchors in the ranking).
+		best := topCandidates(model, nc, nm, nil, 1)[0]
 		out.Core, out.Mem = best.Core, best.Mem
 		out.Time = model.Time(best.Core, best.Mem)
 		out.Energy = model.Energy(best.Core, best.Mem)
@@ -204,45 +135,19 @@ func SweetSpot(coreFreqs, memFreqs []units.Frequency, eval EvalFunc, opts Option
 
 	// Verify the model's top-M unevaluated candidates, then choose the
 	// best evaluated point in grid order.
-	for _, a := range topCandidates(model, nc, nm, opts.Objective, evaluated, opts.topM()) {
+	for _, a := range topCandidates(model, nc, nm, evaluated, opts.topM()) {
 		if _, err := evalOnce(a); err != nil {
 			return out, err
 		}
 	}
-	chooseEvaluated(&out, nc, nm, evaluated, opts.Objective)
+	chooseEvaluated(&out, nc, nm, evaluated)
 	return out, nil
 }
 
-// predictedArgmin returns the grid point with the smallest predicted
-// objective, earliest in grid order on exact ties.
-func predictedArgmin(m *Model, nc, nm int, obj Objective) Anchor {
-	best := Anchor{0, 0}
-	bestV := objective(m, 0, 0, obj)
-	for c := 0; c < nc; c++ {
-		for m2 := 0; m2 < nm; m2++ {
-			if c == 0 && m2 == 0 {
-				continue
-			}
-			if v := objective(m, c, m2, obj); v < bestV {
-				best, bestV = Anchor{c, m2}, v
-			}
-		}
-	}
-	return best
-}
-
-// objective evaluates the model's objective at one point.
-func objective(m *Model, c, mm int, obj Objective) float64 {
-	if obj == MinEDP {
-		return m.EDP(c, mm)
-	}
-	return m.EnergyJoules(c, mm)
-}
-
 // topCandidates returns the k unevaluated grid points with the smallest
-// predicted objective, by repeated grid-order scans (k is tiny; clarity
-// over asymptotics). Ties keep the earliest point.
-func topCandidates(m *Model, nc, nm int, obj Objective, evaluated map[Anchor]Sample, k int) []Anchor {
+// predicted energy, by repeated grid-order scans (k is tiny; clarity over
+// asymptotics). Ties keep the earliest point.
+func topCandidates(m *Model, nc, nm int, evaluated map[Anchor]Sample, k int) []Anchor {
 	picked := map[Anchor]bool{}
 	var out []Anchor
 	for len(out) < k {
@@ -257,7 +162,7 @@ func topCandidates(m *Model, nc, nm int, obj Objective, evaluated map[Anchor]Sam
 				if _, done := evaluated[a]; done {
 					continue
 				}
-				if v := objective(m, c, m2, obj); best.Core < 0 || v < bestV {
+				if v := m.EnergyJoules(c, m2); best.Core < 0 || v < bestV {
 					best, bestV = a, v
 				}
 			}
@@ -271,11 +176,11 @@ func topCandidates(m *Model, nc, nm int, obj Objective, evaluated map[Anchor]Sam
 	return out
 }
 
-// chooseEvaluated fills the outcome with the best evaluated point, visiting
-// the grid core-outer/memory-inner with strict less-than — the exhaustive
-// studies' exact tie-break, so a verified set containing the true optimum
-// reproduces brute force byte for byte.
-func chooseEvaluated(out *Outcome, nc, nm int, evaluated map[Anchor]Sample, obj Objective) {
+// chooseEvaluated fills the outcome with the least-energy evaluated point,
+// visiting the grid core-outer/memory-inner with strict less-than — the
+// exhaustive studies' exact tie-break, so a verified set containing the
+// true optimum reproduces brute force byte for byte.
+func chooseEvaluated(out *Outcome, nc, nm int, evaluated map[Anchor]Sample) {
 	first := true
 	var bestS Sample
 	for c := 0; c < nc; c++ {
@@ -284,7 +189,7 @@ func chooseEvaluated(out *Outcome, nc, nm int, evaluated map[Anchor]Sample, obj 
 			if !ok {
 				continue
 			}
-			if first || less(s, bestS, obj) {
+			if first || s.Energy < bestS.Energy {
 				first = false
 				bestS = s
 				out.Core, out.Mem = c, m2
@@ -294,13 +199,4 @@ func chooseEvaluated(out *Outcome, nc, nm int, evaluated map[Anchor]Sample, obj 
 	out.Verified = true
 	out.Time = bestS.Time
 	out.Energy = bestS.Energy
-}
-
-// less compares two samples under the objective, exactly as the exhaustive
-// studies do (units.Energy comparison for energy, float J·s for EDP).
-func less(a, b Sample, obj Objective) bool {
-	if obj == MinEDP {
-		return a.EDP() < b.EDP()
-	}
-	return a.Energy < b.Energy
 }

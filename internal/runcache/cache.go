@@ -72,7 +72,6 @@ func (v Value) clone() Value {
 	}
 	if v.Predict != nil {
 		p := *v.Predict
-		p.Coeffs = append([]float64(nil), v.Predict.Coeffs...)
 		out.Predict = &p
 	}
 	return out
@@ -132,10 +131,6 @@ type Options struct {
 	// other schema versions live in sibling directories and are never
 	// consulted.
 	Dir string
-	// MaxEntries bounds the in-memory map; 0 means unbounded. When the
-	// bound is hit the least-recently-used completed entry is evicted
-	// (the disk layer, if any, still holds it).
-	MaxEntries int
 	// MaxDiskBytes bounds the on-disk gob layer's total size in bytes; 0
 	// means unbounded. After each store, oldest entries (by modification
 	// time) are removed until the layer fits the budget again — the
@@ -150,13 +145,22 @@ type Options struct {
 	FS iofault.FS
 }
 
+// maxMemRecords bounds the iteration records the in-memory layer's
+// completed entries hold, at 208 bytes each: four requests at
+// sweep.MaxRecords, about 208 MiB. An entry weighs max(1, its iteration
+// count), and the least-recently-used completed entries are evicted once
+// the total exceeds the budget (the disk layer, if any, still holds them).
+// The whole evaluation suite holds about 27k records, so it never evicts.
+const maxMemRecords = 1 << 20
+
 // Cache memoizes simulation points by fingerprint. It is safe for
 // concurrent use by any number of goroutines.
 type Cache struct {
 	dir     string // versioned disk root, "" when disabled
 	fsys    iofault.FS
-	max     int
 	maxDisk int64
+	// maxRecords is maxMemRecords; tests lower it to exercise eviction.
+	maxRecords int
 
 	// diskMu serializes this process's eviction sweeps; cross-process
 	// races are benign (a missing victim is skipped).
@@ -165,6 +169,7 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 	lru     *list.List // front = most recently used; holds *entry
+	records int        // total weight of the completed entries
 
 	hits     atomic.Uint64
 	diskHits atomic.Uint64
@@ -176,29 +181,27 @@ type Cache struct {
 // entry is one key's slot. done is closed exactly once, when val/err are
 // final; waiters block on it (single-flight).
 type entry struct {
-	key  Key
-	done chan struct{}
-	elem *list.Element
-	val  Value
-	err  error
+	key    Key
+	done   chan struct{}
+	elem   *list.Element
+	val    Value
+	err    error
+	weight int // iteration records held once completed; see maxMemRecords
 }
 
 // New creates a cache. With Options.Dir set, the version-stamped directory
 // is created eagerly so configuration errors surface at startup, not on
 // the first store.
 func New(o Options) (*Cache, error) {
-	if o.MaxEntries < 0 {
-		return nil, fmt.Errorf("runcache: MaxEntries must be non-negative")
-	}
 	if o.MaxDiskBytes < 0 {
 		return nil, fmt.Errorf("runcache: MaxDiskBytes must be non-negative")
 	}
 	c := &Cache{
-		fsys:    o.FS,
-		max:     o.MaxEntries,
-		maxDisk: o.MaxDiskBytes,
-		entries: make(map[Key]*entry),
-		lru:     list.New(),
+		fsys:       o.FS,
+		maxDisk:    o.MaxDiskBytes,
+		maxRecords: maxMemRecords,
+		entries:    make(map[Key]*entry),
+		lru:        list.New(),
 	}
 	if c.fsys == nil {
 		c.fsys = iofault.Disk
@@ -323,14 +326,20 @@ func (c *Cache) finish(e *entry, v Value, err error, keep bool) {
 	if !keep {
 		delete(c.entries, e.key)
 		c.lru.Remove(e.elem)
-	} else if c.max > 0 {
-		for len(c.entries) > c.max {
+	} else {
+		e.weight = 1
+		if v.Result != nil {
+			e.weight = max(1, len(v.Result.Iterations))
+		}
+		c.records += e.weight
+		for c.records > c.maxRecords {
 			victim := c.oldestCompleted(e)
 			if victim == nil {
 				break
 			}
 			delete(c.entries, victim.key)
 			c.lru.Remove(victim.elem)
+			c.records -= victim.weight
 		}
 	}
 	metricEntries.Set(float64(len(c.entries)))

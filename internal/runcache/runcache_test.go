@@ -73,7 +73,6 @@ func sampleValue() Value {
 			Core: 3, Mem: 2, Verified: true,
 			FullEvals: 9, Points: 36,
 			Time: 3 * time.Second, Energy: 180,
-			Coeffs: []float64{1, 2, 3, 4, 5, 6, 7},
 		},
 	}
 }
@@ -400,7 +399,6 @@ func TestResultImmutability(t *testing.T) {
 	first.Result.DivisionHistory[0].NewR = 99
 	first.GPUPower[0] = -1
 	first.Predict.Core = 99
-	first.Predict.Coeffs[0] = -1
 
 	second, err := c.Do(key, func() (Value, error) {
 		t.Fatal("hit recomputed")
@@ -424,8 +422,8 @@ func TestCloneCoversResultFields(t *testing.T) {
 	if n := reflect.TypeOf(Value{}).NumField(); n != 3 {
 		t.Errorf("Value has %d fields, clone was written for 3 — update Value.clone and this count", n)
 	}
-	if n := reflect.TypeOf(predict.Outcome{}).NumField(); n != 9 {
-		t.Errorf("predict.Outcome has %d fields, clone was written for 9 — update Value.clone and this count", n)
+	if n := reflect.TypeOf(predict.Outcome{}).NumField(); n != 8 {
+		t.Errorf("predict.Outcome has %d fields, clone was written for 8 — update Value.clone and this count", n)
 	}
 }
 
@@ -656,19 +654,27 @@ func TestDiskLayerTruncatedEntry(t *testing.T) {
 	}
 }
 
-func TestMaxEntriesEviction(t *testing.T) {
-	c, err := New(Options{MaxEntries: 2})
+// TestMemoryRecordBudgetEviction lowers the in-memory records budget to two
+// sample entries' worth and checks completed entries are evicted
+// least-recently-used first once the held iteration records exceed it.
+func TestMemoryRecordBudgetEviction(t *testing.T) {
+	c, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c.maxRecords != maxMemRecords {
+		t.Fatalf("budget = %d records, want %d", c.maxRecords, maxMemRecords)
+	}
+	perEntry := len(sampleValue().Result.Iterations)
+	c.maxRecords = 2 * perEntry
 	mk := func(i byte) Key { var k Key; k[0] = i; return k }
 	for i := byte(1); i <= 3; i++ {
 		if _, err := c.Do(mk(i), func() (Value, error) { return sampleValue(), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := c.Stats(); s.Entries != 2 {
-		t.Fatalf("entries = %d, want bound of 2", s.Entries)
+	if s := c.Stats(); s.Entries != 2 || c.records != 2*perEntry {
+		t.Fatalf("entries = %d holding %d records, want 2 holding %d", s.Entries, c.records, 2*perEntry)
 	}
 	// Key 1 was least recently used and must have been evicted.
 	recomputed := false
@@ -678,13 +684,21 @@ func TestMaxEntriesEviction(t *testing.T) {
 	if !recomputed {
 		t.Error("evicted key served from memory")
 	}
-	// Recomputing 1 re-filled the bound, displacing 2 (now the LRU entry);
+	// Recomputing 1 re-filled the budget, displacing 2 (now the LRU entry);
 	// 3 must still be resident.
 	if _, err := c.Do(mk(3), func() (Value, error) {
-		t.Error("key 3 evicted despite being within the bound")
+		t.Error("key 3 evicted despite being within the budget")
 		return sampleValue(), nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+	// A value without iteration records (a memoized search) weighs one
+	// record: adding it pushes the total over and evicts the LRU entry, 1.
+	if _, err := c.Do(mk(4), func() (Value, error) { return Value{Predict: sampleValue().Predict}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Entries != 2 || c.records != perEntry+1 {
+		t.Fatalf("entries = %d holding %d records, want 2 holding %d", s.Entries, c.records, perEntry+1)
 	}
 }
 

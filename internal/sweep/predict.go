@@ -138,15 +138,17 @@ func (e *Engine) memoizedSearch(base *core.Config, prof *workload.Profile, varia
 
 // predictVariant names the search flavour for the run cache: everything
 // that shapes the outcome beyond the fingerprinted device/workload/config —
-// the anchor strategy, objective, verification budget and the swept
-// sub-ladder.
+// the verification budget and the swept sub-ladder.
 func predictVariant(opts predict.Options, cores, mems []int, cpuLvl int) string {
 	var b strings.Builder
 	// One allocation: the fixed fields plus up to three digits and a
 	// separator per level index.
 	b.Grow(64 + 4*(len(cores)+len(mems)))
-	fmt.Fprintf(&b, "predict:%s:%s:topm=%d:refine=%d:cpu=%d:cores=",
-		opts.Strategy, opts.Objective, opts.TopM, opts.MaxRefine, cpuLvl)
+	// "corners:energy" and "refine=0" are the anchor placement, objective
+	// and refinement budget the search once took as options. They stay
+	// spelled out so run-cache keys written before those options were
+	// removed still match.
+	fmt.Fprintf(&b, "predict:corners:energy:topm=%d:refine=0:cpu=%d:cores=", opts.TopM, cpuLvl)
 	for i, c := range cores {
 		if i > 0 {
 			b.WriteByte(',')
@@ -166,14 +168,14 @@ func predictVariant(opts predict.Options, cores, mems []int, cpuLvl int) string 
 // SpotsTable renders a PredictSweetSpots batch as one table, one row per
 // workload: the chosen pair, how it was decided (verified / model-only /
 // exhaustive fallback), and the evaluation economics.
-func SpotsTable(e *Engine, opts predict.Options, spots []SpotResult) *trace.Table {
+func SpotsTable(e *Engine, spots []SpotResult) *trace.Table {
 	t := trace.NewTable("Predicted sweet spots",
-		"workload", "strategy", "objective", "core_mhz", "mem_mhz",
+		"workload", "core_mhz", "mem_mhz",
 		"exec_s", "energy_j", "verified", "fallback",
 		"full_evals", "points", "eval_reduction")
 	for _, s := range spots {
 		oc := s.Outcome
-		t.AddRow(s.Workload, opts.Strategy.String(), opts.Objective.String(),
+		t.AddRow(s.Workload,
 			fmt.Sprintf("%.0f", e.GPU.CoreLevels[oc.Core].MHz()),
 			fmt.Sprintf("%.0f", e.GPU.MemLevels[oc.Mem].MHz()),
 			fmt.Sprintf("%.6f", oc.Time.Seconds()),

@@ -3,10 +3,13 @@ package sweep
 import (
 	"context"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"greengpu/internal/core"
+	"greengpu/internal/dvfs"
 	"greengpu/internal/faultinject"
 	"greengpu/internal/predict"
 	"greengpu/internal/runcache"
@@ -46,44 +49,42 @@ func bruteSpots(t testing.TB, e *Engine, spec Spec) map[string]PointResult {
 }
 
 // TestPredictSweetSpotsMatchBruteForce is the predictor's headline
-// contract on the paper's 6×6 ladder: for every workload and every anchor
-// strategy, the O(anchors) search must return the exhaustive sweep's exact
-// sweet spot — same point, byte-identical measured time and energy. The
-// verification budget is TopM=12: on this small grid the model's crossover
-// error can rank the true optimum as deep as 11th-12th among candidates
-// (memory-level crossovers are the piecewise-linear model's blind spot),
-// so exactness costs 17 of 36 evaluations here; the dense-ladder test
-// below shows the default budget's 64× reduction where the grid is large
-// enough for prediction to pay.
+// contract on the paper's 6×6 ladder: for every workload, the O(anchors)
+// search must return the exhaustive sweep's exact sweet spot — same point,
+// byte-identical measured time and energy. The verification budget is
+// TopM=12: on this small grid the model's crossover error can rank the
+// true optimum as deep as 11th-12th among candidates (memory-level
+// crossovers are the piecewise-linear model's blind spot), so exactness
+// costs 17 of 36 evaluations here; the dense-ladder test below shows the
+// default budget's 64× reduction where the grid is large enough for
+// prediction to pay.
 func TestPredictSweetSpotsMatchBruteForce(t *testing.T) {
 	e := testEngine(t)
 	spec := Spec{Iterations: 4, CPULevel: -1}
 	want := bruteSpots(t, e, spec)
-	for _, strat := range []predict.Strategy{predict.CornersCenter, predict.DOptimalLite, predict.Adaptive} {
-		spots, err := e.PredictSweetSpots(spec, predict.Options{Strategy: strat, TopM: 12})
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
+	spots, err := e.PredictSweetSpots(spec, predict.Options{TopM: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spots) != len(e.Profiles) {
+		t.Fatalf("got %d spots, want %d", len(spots), len(e.Profiles))
+	}
+	for _, s := range spots {
+		w := want[s.Workload]
+		oc := s.Outcome
+		if !oc.Verified || oc.Fallback {
+			t.Errorf("%s: outcome not simulation-verified: %+v", s.Workload, oc)
 		}
-		if len(spots) != len(e.Profiles) {
-			t.Fatalf("%v: got %d spots, want %d", strat, len(spots), len(e.Profiles))
+		if oc.Core != w.Core || oc.Mem != w.Mem {
+			t.Errorf("%s: spot (%d,%d), brute force found (%d,%d)",
+				s.Workload, oc.Core, oc.Mem, w.Core, w.Mem)
 		}
-		for _, s := range spots {
-			w := want[s.Workload]
-			oc := s.Outcome
-			if !oc.Verified || oc.Fallback {
-				t.Errorf("%v/%s: outcome not simulation-verified: %+v", strat, s.Workload, oc)
-			}
-			if oc.Core != w.Core || oc.Mem != w.Mem {
-				t.Errorf("%v/%s: spot (%d,%d), brute force found (%d,%d)",
-					strat, s.Workload, oc.Core, oc.Mem, w.Core, w.Mem)
-			}
-			if oc.Time != w.Result.TotalTime || oc.Energy != w.Result.Energy {
-				t.Errorf("%v/%s: measurements (%v, %v) differ from brute force (%v, %v)",
-					strat, s.Workload, oc.Time, oc.Energy, w.Result.TotalTime, w.Result.Energy)
-			}
-			if oc.Points != 36 || oc.FullEvals >= oc.Points {
-				t.Errorf("%v/%s: FullEvals=%d Points=%d", strat, s.Workload, oc.FullEvals, oc.Points)
-			}
+		if oc.Time != w.Result.TotalTime || oc.Energy != w.Result.Energy {
+			t.Errorf("%s: measurements (%v, %v) differ from brute force (%v, %v)",
+				s.Workload, oc.Time, oc.Energy, w.Result.TotalTime, w.Result.Energy)
+		}
+		if oc.Points != 36 || oc.FullEvals >= oc.Points {
+			t.Errorf("%s: FullEvals=%d Points=%d", s.Workload, oc.FullEvals, oc.Points)
 		}
 	}
 }
@@ -135,6 +136,66 @@ func TestPredictSweetSpotsSubLadder(t *testing.T) {
 	}
 }
 
+// TestPredictSweetSpotsGeneratedLadders holds the search to the
+// validation study's bounds on generated inputs: seeded random sub-ladders
+// (at least two levels per domain) of the 6×6 testbed ladder and of the
+// 24×24 dense card, each with a random workload, searched at the default
+// verification budget and at the study's 12. Every spot must lie within one
+// sub-ladder step of the exhaustive minimum or cost at most 5% more
+// energy; on 6×6 sub-ladders at budget 12 it must be the exhaustive spot
+// exactly, point and measurements alike.
+func TestPredictSweetSpotsGeneratedLadders(t *testing.T) {
+	const draws = 200
+	rng := rand.New(rand.NewPCG(2012, 6))
+	for _, ladder := range []struct {
+		name string
+		e    *Engine
+	}{{"6x6", testEngine(t)}, {"24x24", denseEngine(t)}} {
+		e := ladder.e
+		for i := 0; i < draws; i++ {
+			spec := Spec{
+				Workloads:  []string{e.Profiles[rng.IntN(len(e.Profiles))].Name},
+				Iterations: 4, CPULevel: -1,
+				CoreLevels: subLadder(rng, len(e.GPU.CoreLevels)),
+				MemLevels:  subLadder(rng, len(e.GPU.MemLevels)),
+			}
+			want := bruteSpots(t, e, spec)[spec.Workloads[0]]
+			// step places a device-ladder pair on the sub-ladder's grid.
+			step := func(c, m int) dvfs.Decision {
+				return dvfs.Decision{CoreLevel: slices.Index(spec.CoreLevels, c),
+					MemLevel: slices.Index(spec.MemLevels, m)}
+			}
+			for _, topM := range []int{0, 12} {
+				spots, err := e.PredictSweetSpots(spec, predict.Options{TopM: topM})
+				if err != nil {
+					t.Fatalf("%s draw %d %+v: %v", ladder.name, i, spec, err)
+				}
+				oc := spots[0].Outcome
+				dist := dvfs.PairDistance(step(oc.Core, oc.Mem), step(want.Core, want.Mem))
+				bestJ := want.Result.Energy.Joules()
+				regret := (oc.Energy.Joules() - bestJ) / bestJ
+				if !oc.Verified || regret < 0 || (dist > 1 && regret > 0.05) {
+					t.Errorf("%s draw %d topm=%d %+v: spot (%d,%d) verified=%v, brute force (%d,%d): %d steps, regret %.4f",
+						ladder.name, i, topM, spec, oc.Core, oc.Mem, oc.Verified, want.Core, want.Mem, dist, regret)
+				}
+				if ladder.name == "6x6" && topM == 12 && (oc.Core != want.Core || oc.Mem != want.Mem ||
+					oc.Time != want.Result.TotalTime || oc.Energy != want.Result.Energy) {
+					t.Errorf("6x6 draw %d %+v: spot (%d,%d) %v %v, brute force (%d,%d) %v %v",
+						i, spec, oc.Core, oc.Mem, oc.Time, oc.Energy,
+						want.Core, want.Mem, want.Result.TotalTime, want.Result.Energy)
+				}
+			}
+		}
+	}
+}
+
+// subLadder draws an ascending random subset of at least two of n levels.
+func subLadder(rng *rand.Rand, n int) []int {
+	levels := rng.Perm(n)[:2+rng.IntN(n-1)]
+	slices.Sort(levels)
+	return levels
+}
+
 // TestPredictSweetSpotsCacheReplay: with a cache attached, a repeated
 // search replays the memoized outcome byte-identically — including the
 // deterministic FullEvals request count — without recomputing anything.
@@ -146,12 +207,12 @@ func TestPredictSweetSpotsCacheReplay(t *testing.T) {
 	}
 	e.Cache = cache
 	spec := Spec{Workloads: []string{"kmeans"}, Iterations: 4, CPULevel: -1}
-	cold, err := e.PredictSweetSpots(spec, predict.Options{Strategy: predict.Adaptive})
+	cold, err := e.PredictSweetSpots(spec, predict.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := cache.Stats().Misses
-	warm, err := e.PredictSweetSpots(spec, predict.Options{Strategy: predict.Adaptive})
+	warm, err := e.PredictSweetSpots(spec, predict.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +223,12 @@ func TestPredictSweetSpotsCacheReplay(t *testing.T) {
 		t.Errorf("warm search recomputed: misses %d -> %d", misses, s.Misses)
 	}
 	// A different search flavour must not collide with the memoized one.
-	edp, err := e.PredictSweetSpots(spec, predict.Options{Strategy: predict.Adaptive, Objective: predict.MinEDP})
+	wide, err := e.PredictSweetSpots(spec, predict.Options{TopM: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := cache.Stats(); s.Misses == misses {
-		t.Errorf("EDP search served from the energy search's cache entry: %+v", edp[0].Outcome)
+		t.Errorf("TopM=12 search served from the default search's cache entry: %+v", wide[0].Outcome)
 	}
 }
 

@@ -79,7 +79,7 @@ const (
 	// a fitted model.
 	MetricPredictPoints = "greengpu_predict_points_total"
 	// MetricPredictFullEvals counts full point evaluations requested by
-	// predictor searches (anchors, refinements, verification).
+	// predictor searches (anchors, verification, exhaustive fallback).
 	MetricPredictFullEvals = "greengpu_predict_full_evals_total"
 	// MetricPredictFallbacks counts predictor searches that fell back to
 	// exhaustive evaluation on a degenerate fit.
