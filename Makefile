@@ -63,8 +63,10 @@ fuzz:
 # daemon-smoke boots a real greengpud, drives it with curl, and enforces
 # the byte-identity contract: the daemon's ?format=csv responses must be
 # byte-identical to the same specs run through the one-shot
-# cmd/experiments CLI. It also scrapes /metrics once and checks that
-# SIGTERM drains and exits 0.
+# cmd/experiments CLI. It also scrapes /metrics once, requires the sync
+# JSON sweep (the daemon's own writer) to carry the same points array as
+# the async job's encoding/json result, and checks that SIGTERM drains
+# and exits 0.
 DAEMON_SMOKE_SWEEP = workloads=kmeans,hotspot core=all mem=all iters=4
 DAEMON_SMOKE_FLEET = nodes=50 seed=7 workloads=kmeans,hotspot iters=4
 DAEMON_SMOKE_ADDR = 127.0.0.1:7999
@@ -94,6 +96,21 @@ daemon-smoke:
 	diff /tmp/greengpu-smoke/fleet_2.csv /tmp/greengpu-smoke/daemon_fleet_summary.csv || fail="fleet summary CSV drift"; \
 	curl -fsS http://$(DAEMON_SMOKE_ADDR)/metrics | grep -q '^greengpu_daemon_sweep_requests_total 1$$' \
 		|| fail="metrics scrape"; \
+	curl -fsS -X POST http://$(DAEMON_SMOKE_ADDR)/v1/sweep -d '{"spec":"$(DAEMON_SMOKE_SWEEP)"}' \
+		| grep -o '"points":\[.*\]' > /tmp/greengpu-smoke/sync_points.json || fail="sync JSON sweep"; \
+	id=$$(curl -fsS -X POST http://$(DAEMON_SMOKE_ADDR)/v1/sweep \
+		-d '{"spec":"$(DAEMON_SMOKE_SWEEP)","async":true}' | sed -n 's/.*"id":"\([0-9]*\)".*/\1/p'); \
+	[ -n "$$id" ] || fail="no job id in the async 202"; \
+	for i in $$(seq 1 100); do \
+		curl -fsS http://$(DAEMON_SMOKE_ADDR)/v1/results/$$id > /tmp/greengpu-smoke/job.json || break; \
+		grep -q '"status":"running"' /tmp/greengpu-smoke/job.json || break; \
+		sleep 0.1; \
+	done; \
+	grep -q '"status":"done"' /tmp/greengpu-smoke/job.json || fail="async sweep job not done"; \
+	grep -o '"points":\[.*\]' /tmp/greengpu-smoke/job.json > /tmp/greengpu-smoke/async_points.json \
+		|| fail="async job without points"; \
+	diff /tmp/greengpu-smoke/async_points.json /tmp/greengpu-smoke/sync_points.json \
+		> /dev/null || fail="sync JSON points drift from the async job's"; \
 	kill -TERM $$pid; \
 	wait $$pid || fail="nonzero exit on SIGTERM"; \
 	grep -q 'jobs at exit' /tmp/greengpu-smoke/daemon.log || fail="missing drain log"; \

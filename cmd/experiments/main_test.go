@@ -543,7 +543,7 @@ func TestPredictFlagEndToEnd(t *testing.T) {
 	}
 	best := map[string]sweep.PointResult{}
 	for _, pr := range results {
-		if b, ok := best[pr.Workload]; !ok || pr.Result.Energy < b.Result.Energy {
+		if b, ok := best[pr.Workload]; !ok || pr.Energy < b.Energy {
 			best[pr.Workload] = pr
 		}
 	}

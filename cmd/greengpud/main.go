@@ -70,7 +70,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.cacheDir, "cache-dir", "", "persist cached simulation points under this directory (empty = in-memory only)")
 	fs.Int64Var(&o.cacheMaxBytes, "cache-max-bytes", 0, "cap the -cache-dir gob layer at this many bytes, evicting oldest entries first (0 = unbounded)")
 	fs.StringVar(&o.stateDir, "state-dir", "", "journal async jobs under this directory and recover pending ones on restart (empty = jobs die with the process)")
-	fs.IntVar(&o.maxInflight, "max-inflight", 0, "concurrently admitted sweeps/fleets before shedding with 503 (0 = default 64)")
+	fs.IntVar(&o.maxInflight, "max-inflight", 0, "concurrently admitted evaluations (simulate points, sweeps, fleets) before shedding with 503 (0 = default 64)")
 	fs.Int64Var(&o.maxBodyBytes, "max-body-bytes", 0, "request body size limit in bytes (0 = default 1 MiB)")
 	fs.IntVar(&o.flightRec, "flight-recorder", 0, "record the last K DVFS epochs and enable GET /v1/flightrecorder (0 = off)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 0, "graceful-shutdown drain bound (0 = 30s default)")

@@ -1,16 +1,22 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"greengpu/internal/sweep"
+	"greengpu/internal/telemetry"
 )
 
 // Daemon load benchmarks: real HTTP over loopback against a warm run
-// cache, the capacity-planning numbers docs/SERVICE.md cites. Both
-// report throughput via b.ReportMetric so cmd/benchjson can gate on it:
+// cache, the capacity-planning numbers docs/SERVICE.md cites, and the
+// sweep handler in process on a daemon without a run cache. All report
+// throughput via b.ReportMetric so cmd/benchjson can gate on it:
 //
 //   - req/s     completed HTTP requests per second
 //   - points/s  simulation points served per second (the sweep endpoint
@@ -100,4 +106,47 @@ func BenchmarkDaemonSweepWarm(b *testing.B) {
 	secs := b.Elapsed().Seconds()
 	b.ReportMetric(float64(b.N)/secs, "req/s")
 	b.ReportMetric(float64(b.N*points)/secs, "points/s")
+}
+
+// discardResponse is a ResponseWriter that keeps only the status, so an
+// in-process benchmark measures the handler and not a recorder's buffer.
+type discardResponse struct {
+	header http.Header
+	status int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(status int)      { d.status = status }
+
+// BenchmarkDaemonSweepUncached serves the 324-point baseline ladder of
+// every workload at 4 iterations through ServeHTTP, in process, on a
+// daemon without a run cache and with telemetry on, as greengpud runs:
+// every point takes the closed-form evaluator and the response the sweep
+// JSON writer. With no transport and one worker, ns/op is the handler's
+// own cost per request.
+func BenchmarkDaemonSweepUncached(b *testing.B) {
+	defer telemetry.Disable()
+	telemetry.Enable()
+	srv, _ := newTestServer(b, func(c *Config) { c.Cache = nil })
+	const specText = "workloads=all core=all mem=all iters=4"
+	spec, err := sweep.ParseSpec(specText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts, err := srv.eng.Expand(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := []byte(`{"spec":"` + specText + `"}`)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := &discardResponse{header: http.Header{}}
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		if w.status != 0 && w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(pts)*b.N)/b.Elapsed().Seconds(), "points/s")
 }

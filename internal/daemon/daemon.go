@@ -81,7 +81,7 @@ var (
 	metricCanceled = telemetry.NewCounter("greengpu_daemon_canceled_total",
 		"Sync requests or async jobs canceled before completion.")
 	metricShed = telemetry.NewCounter("greengpu_daemon_shed_total",
-		"Heavy requests rejected with 503 because max-inflight evaluations were already running.")
+		"Evaluating requests rejected with 503 because max-inflight evaluations were already running.")
 	metricJobsList = telemetry.NewCounter("greengpu_daemon_jobs_list_requests_total",
 		"GET /v1/jobs requests received.")
 	metricRecovered = telemetry.NewCounter("greengpu_daemon_recovered_jobs_total",
@@ -110,10 +110,11 @@ type Config struct {
 	// only reads snapshots.
 	Recorder *telemetry.FlightRecorder
 
-	// MaxInflight bounds concurrently admitted heavy requests (sweeps and
-	// fleets, sync or async); excess requests are shed with 503. 0 selects
-	// DefaultMaxInflight. Single-point /v1/simulate requests are bounded
-	// work and bypass the limiter.
+	// MaxInflight bounds concurrently admitted evaluations (simulate
+	// points, and sweeps and fleets, sync or async); excess requests are
+	// shed with 503. A request is admitted only after it validated, so
+	// malformed requests are 400s at any load. 0 selects
+	// DefaultMaxInflight.
 	MaxInflight int
 
 	// MaxBodyBytes bounds request bodies; 0 selects DefaultMaxBodyBytes.
@@ -154,6 +155,10 @@ type Server struct {
 	mux   *http.ServeMux
 	jobs  *jobStore
 	sem   chan struct{}
+
+	// mhz holds the ladders' MHz members of a sweep point's JSON, built
+	// once for writeSweep.
+	mhz ladderMHz
 
 	// journal persists async jobs when Config.StateDir is set; nil
 	// otherwise. recovered counts the pending jobs re-executed at New.
@@ -198,6 +203,10 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	mhz, err := newLadderMHz(&cfg.GPU, &cfg.CPU)
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
@@ -207,6 +216,7 @@ func New(cfg Config) (*Server, error) {
 		mux:     http.NewServeMux(),
 		jobs:    newJobStore(cfg.MaxJobs),
 		sem:     make(chan struct{}, cfg.MaxInflight),
+		mhz:     mhz,
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
@@ -331,14 +341,22 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // writeJSON sends v as the 200 response.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
 
-// writeJSONBody encodes v into an already-prepared response (headers and
-// status written by the caller).
-func writeJSONBody(w http.ResponseWriter, v any) { _ = json.NewEncoder(w).Encode(v) }
+// writeJSONStatus sends v with the given status, in the bytes
+// json.NewEncoder(w).Encode(v) writes. It encodes before it writes
+// anything: a value encoding/json rejects (a NaN or ±Inf float) answers
+// 500 with the error envelope and nothing else.
+func writeJSONStatus(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(append(body, '\n'))
+}
 
 // decodeBody decodes the request body into v under the configured size
 // limit, reporting malformed JSON as 400 and an oversized body as 413.
@@ -360,9 +378,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// acquire admits one heavy request, or sheds it with 503 when
-// MaxInflight evaluations are already running. The caller must invoke
-// the release function exactly once when admitted.
+// acquire admits one validated evaluating request, or sheds it with 503
+// when MaxInflight evaluations are already running. The caller must
+// invoke the release function exactly once when admitted.
 func (s *Server) acquire(w http.ResponseWriter) (release func(), ok bool) {
 	select {
 	case s.sem <- struct{}{}:
@@ -370,7 +388,7 @@ func (s *Server) acquire(w http.ResponseWriter) (release func(), ok bool) {
 	default:
 		metricShed.Inc()
 		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("server at capacity (%d heavy requests in flight); retry later", cap(s.sem)))
+			fmt.Sprintf("server at capacity (%d evaluations in flight); retry later", cap(s.sem)))
 		return nil, false
 	}
 }
@@ -414,10 +432,16 @@ type SimulateResponse struct {
 
 // handleSimulate evaluates one point through the precomputed batch: the
 // closed-form fast path for baseline ladder points, full simulation
-// otherwise, memoized in the shared run cache either way.
+// otherwise, memoized in the shared run cache either way. A validated
+// request takes an admission slot like a sweep: a holistic point at the
+// iteration cap simulates for seconds.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
 	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	if _, err := workload.ByName(s.cfg.Profiles, req.Workload); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	mode := core.Baseline
@@ -465,6 +489,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	cfg := core.DefaultConfig(mode)
 	cfg.Iterations = req.Iterations
 	cfg.InitialLevels = &lv
+	release, ok := s.acquire(w)
+	if !ok {
+		return
+	}
+	defer release()
 	res, fast, err := s.batch.Eval(req.Workload, cfg)
 	if err != nil {
 		// The batch rejects unknown workloads and invalid configs before
@@ -538,10 +567,10 @@ func (s *Server) sweepPoints(results []sweep.PointResult) []SweepPoint {
 			Core:        pr.Core,
 			Mem:         pr.Mem,
 			CPU:         pr.CPU,
-			ExecSeconds: pr.Result.TotalTime.Seconds(),
-			EnergyJ:     pr.Result.Energy.Joules(),
-			EnergyGPUJ:  pr.Result.EnergyGPU.Joules(),
-			EnergyCPUJ:  pr.Result.EnergyCPU.Joules(),
+			ExecSeconds: pr.TotalTime.Seconds(),
+			EnergyJ:     pr.Energy.Joules(),
+			EnergyGPUJ:  pr.EnergyGPU.Joules(),
+			EnergyCPUJ:  pr.EnergyCPU.Joules(),
 			Fast:        pr.Fast,
 		}
 		if pr.Draw < 0 {
@@ -595,7 +624,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeCSV(w, sweep.Table(s.eng, results))
 		return
 	}
-	writeJSON(w, SweepResponse{Spec: req.Spec, Points: s.sweepPoints(results)})
+	s.writeSweep(w, req.Spec, results)
 }
 
 // FleetGroup is one distinct node configuration in a fleet response,
@@ -811,8 +840,8 @@ func filterRecords(recs []telemetry.EpochRecord, keep func(*telemetry.EpochRecor
 type StatsResponse struct {
 	Cache *runcache.Stats `json:"cache"`
 	Jobs  JobCounts       `json:"jobs"`
-	// InflightHeavy is how many heavy evaluations (sweeps and fleets)
-	// currently hold an admission slot, out of MaxInflight.
+	// InflightHeavy is how many evaluations (simulate points, sweeps and
+	// fleets) currently hold an admission slot, out of MaxInflight.
 	InflightHeavy int `json:"inflight_heavy"`
 	MaxInflight   int `json:"max_inflight"`
 }

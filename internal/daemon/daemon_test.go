@@ -127,7 +127,7 @@ func TestSimulateMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := results[0].Result
+	want := results[0]
 	if got.ExecSeconds != want.TotalTime.Seconds() || got.EnergyJ != want.Energy.Joules() {
 		t.Fatalf("daemon (%v s, %v J) != engine (%v s, %v J)",
 			got.ExecSeconds, got.EnergyJ, want.TotalTime.Seconds(), want.Energy.Joules())
@@ -482,16 +482,35 @@ func TestCancelReleasesSlotAndCache(t *testing.T) {
 	}
 }
 
+// TestAdmissionControl: sweeps and single points alike are shed with 503,
+// and counted, while max-inflight evaluations run, and admitted once a
+// slot frees. A request that fails validation is a 400 even then.
 func TestAdmissionControl(t *testing.T) {
+	defer telemetry.Disable()
+	telemetry.Enable()
 	srv, ts := newTestServer(t, func(c *Config) { c.MaxInflight = 1 })
-	// Fill the only slot manually, then watch a sweep get shed.
+	const simulate = `{"workload":"kmeans","mode":"holistic","iterations":2}`
+	// Fill the only slot manually, then watch a sweep and a point get shed.
 	srv.sem <- struct{}{}
+	shed := metricShed.Value()
 	if code := postJSON(t, ts.URL+"/v1/sweep", `{"spec":"workloads=kmeans"}`, nil); code != 503 {
 		t.Fatalf("status %d, want 503", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/simulate", simulate, nil); code != 503 {
+		t.Fatalf("simulate: status %d, want 503", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/simulate", `{"workload":"nope"}`, nil); code != 400 {
+		t.Errorf("unknown workload at capacity: status %d, want 400", code)
+	}
+	if got := metricShed.Value() - shed; got != 2 {
+		t.Errorf("shed counter rose by %d, want 2", got)
 	}
 	<-srv.sem
 	if code := postJSON(t, ts.URL+"/v1/sweep", `{"spec":"workloads=kmeans core=all iters=4"}`, nil); code != 200 {
 		t.Fatalf("after release: status %d, want 200", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/simulate", simulate, nil); code != 200 {
+		t.Fatalf("simulate after release: status %d, want 200", code)
 	}
 }
 

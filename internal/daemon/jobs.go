@@ -235,9 +235,7 @@ func (s *Server) startJob(w http.ResponseWriter, kind, spec string, release func
 		defer cancel()
 		run(ctx, j)
 	}()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	writeJSONBody(w, JobResponse{ID: j.id, Kind: kind, Spec: spec, Status: jobRunning})
+	writeJSONStatus(w, http.StatusAccepted, JobResponse{ID: j.id, Kind: kind, Spec: spec, Status: jobRunning})
 }
 
 // recoverJobs re-registers and re-executes the journal's pending jobs.

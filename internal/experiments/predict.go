@@ -123,8 +123,7 @@ func (e *Env) predictValidateLadder(label string, opts predict.Options) ([]Predi
 		samples := make([]predict.Sample, len(anchors))
 		for i, a := range anchors {
 			pr := block[a.Core*nm+a.Mem]
-			samples[i] = predict.Sample{Core: a.Core, Mem: a.Mem,
-				Time: pr.Result.TotalTime, Energy: pr.Result.Energy}
+			samples[i] = predict.Sample{Core: a.Core, Mem: a.Mem, Time: pr.TotalTime, Energy: pr.Energy}
 		}
 		model, err := predict.Fit(coreF, memF, samples)
 		if err != nil {
@@ -139,11 +138,11 @@ func (e *Env) predictValidateLadder(label string, opts predict.Options) ([]Predi
 		for i, pr := range block {
 			pt := model.TimeSeconds(pr.Core, pr.Mem)
 			pe := model.EnergyJoules(pr.Core, pr.Mem)
-			relT = append(relT, predict.RelErr(pt, pr.Result.TotalTime.Seconds()))
-			relE = append(relE, predict.RelErr(pe, pr.Result.Energy.Joules()))
+			relT = append(relT, predict.RelErr(pt, pr.TotalTime.Seconds()))
+			relE = append(relE, predict.RelErr(pe, pr.Energy.Joules()))
 			predE = append(predE, pe)
-			actE = append(actE, pr.Result.Energy.Joules())
-			if pr.Result.Energy < block[best].Result.Energy {
+			actE = append(actE, pr.Energy.Joules())
+			if pr.Energy < block[best].Energy {
 				best = i
 			}
 		}
@@ -160,8 +159,8 @@ func (e *Env) predictValidateLadder(label string, opts predict.Options) ([]Predi
 			SpotDist: dvfs.PairDistance(
 				dvfs.Decision{CoreLevel: oc.Core, MemLevel: oc.Mem},
 				dvfs.Decision{CoreLevel: block[best].Core, MemLevel: block[best].Mem}),
-			EnergyRegret: (oc.Energy.Joules() - block[best].Result.Energy.Joules()) /
-				block[best].Result.Energy.Joules(),
+			EnergyRegret: (oc.Energy.Joules() - block[best].Energy.Joules()) /
+				block[best].Energy.Joules(),
 			MedRelTime:     predict.Median(relT),
 			MaxRelTime:     predict.Max(relT),
 			MedRelEnergy:   predict.Median(relE),

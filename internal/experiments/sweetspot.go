@@ -45,16 +45,15 @@ func (e *Env) SweetSpot() ([]SweetSpotRow, error) {
 
 	rows := make([]SweetSpotRow, len(results))
 	for i, pr := range results {
-		r := pr.Result
 		rows[i] = SweetSpotRow{
 			Workload: pr.Workload,
 			Core:     pr.Core,
 			Mem:      pr.Mem,
 			CoreMHz:  e.GPU.CoreLevels[pr.Core].MHz(),
 			MemMHz:   e.GPU.MemLevels[pr.Mem].MHz(),
-			ExecTime: r.TotalTime,
-			Energy:   r.Energy,
-			EDP:      r.Energy.Joules() * r.TotalTime.Seconds(),
+			ExecTime: pr.TotalTime,
+			Energy:   pr.Energy,
+			EDP:      pr.Energy.Joules() * pr.TotalTime.Seconds(),
 		}
 	}
 

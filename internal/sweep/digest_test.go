@@ -22,9 +22,11 @@ const holisticDigest = "2d4485075c28d9f2031473c18127c4e3c4ff7c13c1cb9bba546916ac
 // TestHolisticSweepDigest pins all 3,888 points of the holistic ladder
 // sweep — every workload × every CPU P-state × iterations 3–5 × the 6×6
 // GPU ladder, each a full event-by-event simulation — to one digest over
-// their JSON encodings. encoding/json writes float64 values in the
-// shortest form that round-trips, so the digest covers every bit of every
-// energy, time, ratio and level.
+// their JSON encodings: each Run point with the full result Batch.Eval
+// gives for its configuration, whose totals Run must return bit for bit.
+// encoding/json writes float64 values in the shortest form that
+// round-trips, so the digest covers every bit of every energy, time, ratio
+// and level.
 func TestHolisticSweepDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3,888 full simulations")
@@ -36,6 +38,10 @@ func TestHolisticSweepDigest(t *testing.T) {
 	}
 	e := testEngine(t)
 	e.Jobs = 2
+	b, err := e.NewBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := sha256.New()
 	points := 0
 	for cpu := 0; cpu < len(e.CPU.PStates); cpu++ {
@@ -49,11 +55,24 @@ func TestHolisticSweepDigest(t *testing.T) {
 				if pr.Fast {
 					t.Fatalf("%+v took the fast path; holistic points must simulate", pr.Point)
 				}
-				b, err := json.Marshal(pr)
+				r, fast, err := b.Eval(pr.Workload, e.config(&spec, pr.Point))
 				if err != nil {
 					t.Fatal(err)
 				}
-				h.Write(b)
+				if !sameTotals(pr, r) {
+					t.Fatalf("%+v: Run totals diverge from Batch.Eval", pr.Point)
+				}
+				// The JSON shape the digest was taken over: the point, its
+				// full result, and the Fast flag.
+				j, err := json.Marshal(struct {
+					Point
+					Result *core.Result
+					Fast   bool
+				}{pr.Point, r, fast})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(j)
 				h.Write([]byte{'\n'})
 				points++
 			}

@@ -66,10 +66,15 @@ type Engine struct {
 	FaultPlan *faultinject.Plan
 }
 
-// PointResult pairs a point with its run result.
+// PointResult is one evaluated point: its run's totals, by value. Callers
+// that need a run's per-iteration records evaluate its configuration
+// through Batch.Eval.
 type PointResult struct {
 	Point
-	Result *core.Result
+	TotalTime time.Duration
+	Energy    units.Energy
+	EnergyGPU units.Energy
+	EnergyCPU units.Energy
 	// Fast reports whether the closed-form batch evaluator produced the
 	// result (false: full simulation, possibly via the run cache).
 	Fast bool
@@ -292,7 +297,9 @@ func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
 		return nil, false, err
 	}
 	metricPoints.Inc()
-	return b.eval(wt, &cfg, fastEligible(&cfg))
+	iters, fast := wt.route(&cfg, fastEligible(&cfg))
+	r, err := b.result(wt, &cfg, iters, fast)
+	return r, fast, err
 }
 
 // Key returns the run-cache fingerprint the batch would use for the named
@@ -343,52 +350,79 @@ func (e *Engine) Run(ctx context.Context, spec Spec) ([]PointResult, error) {
 // configuration specialized to the point, through the evaluation body.
 // Per-draw plans (validated by core.Run on the fallback path) are the only
 // per-point deviation from the base, and they never take the closed form.
-// Value receivers keep a stack-constructed batch out of the heap when
-// closures capture it.
+// A closed-form point that no run cache will keep accumulates only its
+// totals: nothing reads its per-iteration records. Value receivers keep a
+// stack-constructed batch out of the heap when closures capture it.
 func (b Batch) evalPoint(spec *Spec, base *core.Config, eligible bool, pt Point) (PointResult, error) {
 	cfg := *base
 	var lv core.Levels
 	specialize(&cfg, spec, pt, &lv)
-	r, fast, err := b.eval(b.table(pt.Workload), &cfg, eligible && pt.Draw < 0)
-	return PointResult{Point: pt, Result: r, Fast: fast}, err
+	wt := b.table(pt.Workload)
+	iters, fast := wt.route(&cfg, eligible && pt.Draw < 0)
+	if fast && !b.keeps(&cfg) {
+		var r core.Result // nil Iterations: the loop stores no records
+		if err := b.closedForm(wt, &cfg, iters, &r); err != nil {
+			return PointResult{Point: pt, Fast: fast}, err
+		}
+		return totals(pt, &r, fast), nil
+	}
+	r, err := b.result(wt, &cfg, iters, fast)
+	if err != nil {
+		return PointResult{Point: pt, Fast: fast}, err
+	}
+	return totals(pt, r, fast), nil
 }
 
-// eval is the evaluation body every point goes through. It takes the
-// closed form when eligible (fastEligible of cfg, which spec callers
-// derive once from their shared base) holds and the workload's iteration
-// limit admits the run, and core.Run on a fresh machine otherwise. It goes
-// through the run cache when one is attached and cfg is cacheable, and
-// counts the point as fast or fallback. The bool reports whether the
-// closed form produced the result; it depends only on the batch and cfg,
-// so it is the same on a cache hit and a miss.
-func (b Batch) eval(wt *workloadTables, cfg *core.Config, eligible bool) (*core.Result, bool, error) {
-	e := b.e
-	iters := wt.iterations(cfg)
-	fast := eligible && iters <= wt.maxIters
+// totals is the point's result as the engine returns it.
+func totals(pt Point, r *core.Result, fast bool) PointResult {
+	return PointResult{Point: pt, TotalTime: r.TotalTime, Energy: r.Energy,
+		EnergyGPU: r.EnergyGPU, EnergyCPU: r.EnergyCPU, Fast: fast}
+}
+
+// route resolves cfg's iteration count and decides the path every point
+// takes: the closed form when eligible (fastEligible of cfg, which spec
+// callers derive once from their shared base) holds and the workload's
+// iteration limit admits the run, and core.Run otherwise. It counts the
+// point as fast or fallback. fast depends only on the batch and cfg, so
+// it is the same on a cache hit and a miss.
+func (wt *workloadTables) route(cfg *core.Config, eligible bool) (iters int, fast bool) {
+	iters = wt.iterations(cfg)
+	fast = eligible && iters <= wt.maxIters
 	if fast {
 		metricFastPath.Inc()
 	} else {
 		metricFallback.Inc()
 	}
+	return iters, fast
+}
+
+// keeps reports whether the engine's run cache will keep cfg's result.
+func (b Batch) keeps(cfg *core.Config) bool {
+	return b.e.Cache != nil && runcache.Cacheable(cfg)
+}
+
+// result computes cfg's full result on the path route chose — the closed
+// form or core.Run on a fresh machine — through the run cache when it
+// keeps the point. route and result are the evaluation body every point
+// goes through; evalPoint bypasses result only for a closed-form point no
+// cache keeps.
+func (b Batch) result(wt *workloadTables, cfg *core.Config, iters int, fast bool) (*core.Result, error) {
+	e := b.e
 	compute := func() (*core.Result, error) {
 		if fast {
 			return b.fastRun(wt, cfg, iters)
 		}
 		return core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), wt.prof, *cfg)
 	}
-	if e.Cache == nil || !runcache.Cacheable(cfg) {
-		r, err := compute()
-		return r, fast, err
+	if !b.keeps(cfg) {
+		return compute()
 	}
 	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, wt.prof, cfg, "")
 	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
 		r, err := compute()
 		return runcache.Value{Result: r}, err
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.Result, fast, nil
+	return v.Result, err
 }
 
 // fastEligible reports whether the closed-form evaluator expresses the
@@ -500,16 +534,28 @@ func (wt *workloadTables) iterations(cfg *core.Config) int {
 	return max(iters, 1) // the framework loop always runs one iteration
 }
 
-// fastRun replays the baseline event sequence in closed form, with the
+// fastRun is the closed form's full result: the closed-form loop with
+// the result's own Iterations as its records.
+func (b Batch) fastRun(wt *workloadTables, cfg *core.Config, iters int) (*core.Result, error) {
+	res := newFastResult(wt.prof.Name, cfg.Mode, iters)
+	if err := b.closedForm(wt, cfg, iters, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// closedForm replays the baseline event sequence in closed form, with the
 // engine's exact accrual arithmetic (same operands, same order), so the
-// Result is byte-identical to core.Run on a fresh machine. The caller
-// guarantees the run fits the closed form (iters <= wt.maxIters), so no
-// event time reaches the clock's saturation range.
+// totals it stores into res — and the per-iteration records, when
+// res.Iterations holds iters of them — are byte-identical to core.Run on a
+// fresh machine. With nil res.Iterations it stores only the totals. The
+// caller guarantees the run fits the closed form (iters <= wt.maxIters),
+// so no event time reaches the clock's saturation range.
 //
 // Every baseline iteration is identical — same levels, same demands, same
 // bus window — so the per-phase durations and energy increments are
 // derived once per point and replayed per iteration as pure accumulation.
-func (b Batch) fastRun(wt *workloadTables, cfg *core.Config, iters int) (*core.Result, error) {
+func (b Batch) closedForm(wt *workloadTables, cfg *core.Config, iters int, res *core.Result) error {
 	e, gt := b.e, b.gt
 	c := len(e.GPU.CoreLevels) - 1
 	m := len(e.GPU.MemLevels) - 1
@@ -518,7 +564,7 @@ func (b Batch) fastRun(wt *workloadTables, cfg *core.Config, iters int) (*core.R
 		if l.Core < 0 || l.Core >= len(e.GPU.CoreLevels) ||
 			l.Mem < 0 || l.Mem >= len(e.GPU.MemLevels) ||
 			l.CPU < 0 || l.CPU >= len(e.CPU.PStates) {
-			return nil, fmt.Errorf("core: InitialLevels %+v out of range", *l)
+			return fmt.Errorf("core: InitialLevels %+v out of range", *l)
 		}
 		c, m, cpuLvl = l.Core, l.Mem, l.CPU
 	}
@@ -556,7 +602,7 @@ func (b Batch) fastRun(wt *workloadTables, cfg *core.Config, iters int) (*core.R
 	idleE := idleP.Over(wt.busTime)
 	cpuEIter := cpuP.Over(span)
 
-	res := newFastResult(wt.prof.Name, cfg.Mode, iters)
+	recs := res.Iterations
 	var now time.Duration
 	var gpuE, cpuE, spinE units.Energy
 	var spinT time.Duration
@@ -581,7 +627,10 @@ func (b Batch) fastRun(wt *workloadTables, cfg *core.Config, iters int) (*core.R
 			}
 		}
 		now += iterWall
-		st := &res.Iterations[i]
+		if recs == nil {
+			continue
+		}
+		st := &recs[i]
 		st.Index = i
 		st.TG = iterWall
 		st.WallTime = iterWall
@@ -598,7 +647,7 @@ func (b Batch) fastRun(wt *workloadTables, cfg *core.Config, iters int) (*core.R
 	res.Energy = res.EnergyGPU + res.EnergyCPU
 	res.SpinTime = spinT
 	res.SpinEnergy = spinE
-	return res, nil
+	return nil
 }
 
 // phaseEval is one positive-length phase at the point's levels.
@@ -640,10 +689,9 @@ func Table(e *Engine, results []PointResult) *trace.Table {
 			memMHz = fmt.Sprintf("%.0f", e.GPU.MemLevels[pr.Mem].MHz())
 			cpuMHz = fmt.Sprintf("%.0f", e.CPU.PStates[pr.CPU].Frequency.MHz())
 		}
-		r := pr.Result
 		t.AddRowf(pr.Workload, pr.Draw, coreMHz, memMHz, cpuMHz,
-			r.TotalTime.Seconds(), r.Energy.Joules(),
-			r.EnergyGPU.Joules(), r.EnergyCPU.Joules())
+			pr.TotalTime.Seconds(), pr.Energy.Joules(),
+			pr.EnergyGPU.Joules(), pr.EnergyCPU.Joules())
 	}
 	return t
 }

@@ -55,6 +55,9 @@ func FuzzSweepSpec(f *testing.F) {
 // form exactly when it applies: at most maxPhases phases, and a run that
 // ends before sim.MaxTime even at the slowest ladder corner. The Fast flag
 // must be the same without a run cache, on a cold cache and on a warm one.
+// The point Run evaluates when no cache keeps it — the totals-only closed
+// form where it applies — must fail exactly when core.Run does, return
+// core.Run's totals bit for bit, and carry the same Fast flag.
 func FuzzFastVsCore(f *testing.F) {
 	// TestRunSaturationStaysFast's profile: 4 × 2.4e9 s saturates the
 	// clock inside the final iteration; at 6 iterations later bus
@@ -184,6 +187,21 @@ func FuzzFastVsCore(f *testing.F) {
 				fastSeen = append(fastSeen, fast)
 			}
 		}
+		e := &Engine{GPU: gpu, CPU: cpu, Bus: bus, Profiles: []*workload.Profile{prof}, Jobs: 1}
+		b, err := e.NewBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv := cfg.InitialLevels
+		pr, err := b.evalPoint(&Spec{}, &cfg, fastEligible(&cfg),
+			Point{Workload: "fuzz", Draw: -1, Core: lv.Core, Mem: lv.Mem, CPU: lv.CPU})
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("evalPoint error %v, core.Run error %v", err, wantErr)
+		}
+		if err == nil && !sameTotals(pr, want) {
+			t.Fatalf("evalPoint totals diverge from core.Run (fast=%v)\n got %+v\nwant %+v", pr.Fast, pr, want)
+		}
+		fastSeen = append(fastSeen, pr.Fast)
 		for i, fast := range fastSeen {
 			if fast != applies {
 				t.Fatalf("evaluation %d: Fast=%v, closed form applies=%v (phases %d, span %v, iterations %d)",

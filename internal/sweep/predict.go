@@ -92,8 +92,7 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 				if err != nil {
 					return predict.Sample{}, err
 				}
-				return predict.Sample{Core: ci, Mem: mi,
-					Time: pr.Result.TotalTime, Energy: pr.Result.Energy}, nil
+				return predict.Sample{Core: ci, Mem: mi, Time: pr.TotalTime, Energy: pr.Energy}, nil
 			}, opts)
 			if err != nil {
 				return oc, err

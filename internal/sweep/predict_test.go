@@ -41,7 +41,7 @@ func bruteSpots(t testing.TB, e *Engine, spec Spec) map[string]PointResult {
 	}
 	best := map[string]PointResult{}
 	for _, pr := range results {
-		if b, ok := best[pr.Workload]; !ok || pr.Result.Energy < b.Result.Energy {
+		if b, ok := best[pr.Workload]; !ok || pr.Energy < b.Energy {
 			best[pr.Workload] = pr
 		}
 	}
@@ -79,9 +79,9 @@ func TestPredictSweetSpotsMatchBruteForce(t *testing.T) {
 			t.Errorf("%s: spot (%d,%d), brute force found (%d,%d)",
 				s.Workload, oc.Core, oc.Mem, w.Core, w.Mem)
 		}
-		if oc.Time != w.Result.TotalTime || oc.Energy != w.Result.Energy {
+		if oc.Time != w.TotalTime || oc.Energy != w.Energy {
 			t.Errorf("%s: measurements (%v, %v) differ from brute force (%v, %v)",
-				s.Workload, oc.Time, oc.Energy, w.Result.TotalTime, w.Result.Energy)
+				s.Workload, oc.Time, oc.Energy, w.TotalTime, w.Energy)
 		}
 		if oc.Points != 36 || oc.FullEvals >= oc.Points {
 			t.Errorf("%s: FullEvals=%d Points=%d", s.Workload, oc.FullEvals, oc.Points)
@@ -111,7 +111,7 @@ func TestPredictSweetSpotsDenseReduction(t *testing.T) {
 	if oc.Core != want.Core || oc.Mem != want.Mem {
 		t.Errorf("spot (%d,%d), brute force found (%d,%d)", oc.Core, oc.Mem, want.Core, want.Mem)
 	}
-	if oc.Time != want.Result.TotalTime || oc.Energy != want.Result.Energy {
+	if oc.Time != want.TotalTime || oc.Energy != want.Energy {
 		t.Errorf("measurements diverge from brute force")
 	}
 }
@@ -172,17 +172,17 @@ func TestPredictSweetSpotsGeneratedLadders(t *testing.T) {
 				}
 				oc := spots[0].Outcome
 				dist := dvfs.PairDistance(step(oc.Core, oc.Mem), step(want.Core, want.Mem))
-				bestJ := want.Result.Energy.Joules()
+				bestJ := want.Energy.Joules()
 				regret := (oc.Energy.Joules() - bestJ) / bestJ
 				if !oc.Verified || regret < 0 || (dist > 1 && regret > 0.05) {
 					t.Errorf("%s draw %d topm=%d %+v: spot (%d,%d) verified=%v, brute force (%d,%d): %d steps, regret %.4f",
 						ladder.name, i, topM, spec, oc.Core, oc.Mem, oc.Verified, want.Core, want.Mem, dist, regret)
 				}
 				if ladder.name == "6x6" && topM == 12 && (oc.Core != want.Core || oc.Mem != want.Mem ||
-					oc.Time != want.Result.TotalTime || oc.Energy != want.Result.Energy) {
+					oc.Time != want.TotalTime || oc.Energy != want.Energy) {
 					t.Errorf("6x6 draw %d %+v: spot (%d,%d) %v %v, brute force (%d,%d) %v %v",
 						i, spec, oc.Core, oc.Mem, oc.Time, oc.Energy,
-						want.Core, want.Mem, want.Result.TotalTime, want.Result.Energy)
+						want.Core, want.Mem, want.TotalTime, want.Energy)
 				}
 			}
 		}
@@ -367,11 +367,12 @@ func TestRunSaturationStaysFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := naiveRun(t, e, spec)
+	full, _ := evalFull(t, e, spec)
 	for i := range got {
 		if got[i].Fast {
 			t.Errorf("point %d (%+v) took the closed form into clock saturation", i, got[i].Point)
 		}
-		if !reflect.DeepEqual(got[i].Result, want[i]) {
+		if !sameTotals(got[i], want[i]) || !reflect.DeepEqual(full[i], want[i]) {
 			t.Errorf("point %d (%+v): saturated result diverges from per-point run", i, got[i].Point)
 		}
 	}

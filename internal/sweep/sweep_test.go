@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"greengpu/internal/faultinject"
 	"greengpu/internal/runcache"
 	"greengpu/internal/testbed"
+	"greengpu/internal/units"
 	"greengpu/internal/workload"
 )
 
@@ -48,33 +50,92 @@ func naiveRun(t testing.TB, e *Engine, spec Spec) []*core.Result {
 	return out
 }
 
-// TestFastPathMatchesNaive is the batch engine's golden contract: over the
-// paper's full 6×6 ladder, every workload's closed-form result must be
-// byte-identical (DeepEqual over float fields — no tolerance) to running
-// the same configuration through core.Run on a fresh machine.
-func TestFastPathMatchesNaive(t *testing.T) {
-	e := testEngine(t)
-	spec := Spec{Iterations: 4, CPULevel: -1}
-	got, err := e.Run(context.Background(), spec)
+// evalFull evaluates every expanded point of spec through Batch.Eval, the
+// path that builds full results, and returns the results with their Fast
+// flags.
+func evalFull(t testing.TB, e *Engine, spec Spec) ([]*core.Result, []bool) {
+	t.Helper()
+	pts, err := e.Expand(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := naiveRun(t, e, spec)
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
+	b, err := e.NewBatch()
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast := 0
-	for i := range got {
-		if got[i].Fast {
+	out := make([]*core.Result, len(pts))
+	fast := make([]bool, len(pts))
+	for i, pt := range pts {
+		if out[i], fast[i], err = b.Eval(pt.Workload, e.config(&spec, pt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out, fast
+}
+
+// sameTotals reports whether a Run point carries r's totals, bit for bit.
+func sameTotals(pr PointResult, r *core.Result) bool {
+	bits := func(e units.Energy) uint64 { return math.Float64bits(float64(e)) }
+	return pr.TotalTime == r.TotalTime &&
+		bits(pr.Energy) == bits(r.Energy) &&
+		bits(pr.EnergyGPU) == bits(r.EnergyGPU) &&
+		bits(pr.EnergyCPU) == bits(r.EnergyCPU)
+}
+
+// checkAgainstNaive holds the engine to per-point core.Run on every point
+// of spec: each Batch.Eval result must be byte-identical (DeepEqual over
+// every field, float fields included — no tolerance) to core.Run on a fresh
+// machine, and Run must return core.Run's totals bit for bit, with the
+// same Fast flag as Batch.Eval, both without a run cache (the totals-only
+// closed form) and with one (full results through the cache). It returns
+// how many of its points took the closed form, and how many there are.
+func checkAgainstNaive(t *testing.T, spec Spec) (fast, points int) {
+	t.Helper()
+	e := testEngine(t)
+	want := naiveRun(t, e, spec)
+	full, fastFull := evalFull(t, e, spec)
+	for i := range want {
+		if fastFull[i] {
 			fast++
 		}
-		if !reflect.DeepEqual(got[i].Result, want[i]) {
-			t.Errorf("point %d (%+v): batched result diverges from per-point run\n got: %+v\nwant: %+v",
-				i, got[i].Point, got[i].Result, want[i])
+		if !reflect.DeepEqual(full[i], want[i]) {
+			t.Errorf("%+v point %d: batch result diverges from per-point run\n got: %+v\nwant: %+v",
+				spec, i, full[i], want[i])
 		}
 	}
-	if fast != len(got) {
-		t.Errorf("only %d/%d ladder points took the fast path", fast, len(got))
+	for _, cached := range []bool{false, true} {
+		if cached {
+			cache, err := runcache.New(runcache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Cache = cache
+		}
+		got, err := e.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("got %d results, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if !sameTotals(got[i], want[i]) || got[i].Fast != fastFull[i] {
+				t.Errorf("%+v cached=%v point %d (%+v): Run totals diverge from per-point run\n got: %+v\nwant: %+v",
+					spec, cached, i, got[i].Point, got[i], want[i])
+			}
+		}
+	}
+	return fast, len(want)
+}
+
+// TestFastPathMatchesNaive is the batch engine's golden contract: over the
+// paper's full 6×6 ladder, every workload's closed-form result must be
+// byte-identical to running the same configuration through core.Run on a
+// fresh machine.
+func TestFastPathMatchesNaive(t *testing.T) {
+	spec := Spec{Iterations: 4, CPULevel: -1}
+	if fast, n := checkAgainstNaive(t, spec); fast != n {
+		t.Errorf("only %d/%d ladder points took the fast path", fast, n)
 	}
 }
 
@@ -82,20 +143,9 @@ func TestFastPathMatchesNaive(t *testing.T) {
 // iteration paths (Iterations == 0 uses the profile's count; the loop runs
 // at least once).
 func TestFastPathIterationDefaults(t *testing.T) {
-	e := testEngine(t)
 	for _, iters := range []int{0, 1, 7} {
-		spec := Spec{Workloads: []string{"kmeans"}, Iterations: iters, CPULevel: 0,
-			CoreLevels: []int{0, 5}, MemLevels: []int{0, 5}}
-		got, err := e.Run(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := naiveRun(t, e, spec)
-		for i := range got {
-			if !reflect.DeepEqual(got[i].Result, want[i]) {
-				t.Errorf("iters=%d point %d diverges", iters, i)
-			}
-		}
+		checkAgainstNaive(t, Spec{Workloads: []string{"kmeans"}, Iterations: iters, CPULevel: 0,
+			CoreLevels: []int{0, 5}, MemLevels: []int{0, 5}})
 	}
 }
 
@@ -195,6 +245,7 @@ func TestDraws(t *testing.T) {
 	if !reflect.DeepEqual(runs[0], runs[1]) {
 		t.Error("draw results differ between jobs=1 and jobs=8")
 	}
+	full, _ := evalFull(t, testEngine(t), spec)
 	var faults uint64
 	for d, pr := range runs[0] {
 		if pr.Draw != d {
@@ -203,7 +254,10 @@ func TestDraws(t *testing.T) {
 		if pr.Fast {
 			t.Errorf("draw %d took the fast path", d)
 		}
-		faults += pr.Result.Faults.Total()
+		if !sameTotals(pr, full[d]) {
+			t.Errorf("draw %d: Run totals diverge from Batch.Eval of its configuration", d)
+		}
+		faults += full[d].Faults.Total()
 	}
 	if faults == 0 {
 		t.Error("no faults injected across any draw")
@@ -240,7 +294,7 @@ func TestCacheSharing(t *testing.T) {
 		t.Error("second batch recorded no hits")
 	}
 	for i := range first {
-		if !reflect.DeepEqual(first[i].Result, second[i].Result) {
+		if first[i] != second[i] {
 			t.Errorf("cached result %d diverges", i)
 		}
 	}
@@ -360,7 +414,7 @@ func TestTableByteIdentity(t *testing.T) {
 	want := naiveRun(t, e, spec)
 	naivePRs := make([]PointResult, len(want))
 	for i := range want {
-		naivePRs[i] = PointResult{Point: pts[i], Result: want[i]}
+		naivePRs[i] = totals(pts[i], want[i], false)
 	}
 	var a, b bytes.Buffer
 	if err := Table(e, got).WriteCSV(&a); err != nil {
