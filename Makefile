@@ -67,110 +67,112 @@ fuzz:
 # JSON sweep (the daemon's own writer) to carry the same points array as
 # the async job's encoding/json result, and checks that SIGTERM drains
 # and exits 0.
+#
+# Like golden and chaos, it works in its own mktemp -d directory (under
+# TMPDIR when set), removed on every exit path. Its daemon binds an
+# ephemeral port, read back from the daemon's "listening on" stderr line,
+# and the EXIT trap kills a daemon the recipe still runs, so concurrent
+# runs on one host never collide and no greengpud outlives a failed run.
 DAEMON_SMOKE_SWEEP = workloads=kmeans,hotspot core=all mem=all iters=4
 DAEMON_SMOKE_FLEET = nodes=50 seed=7 workloads=kmeans,hotspot iters=4
-DAEMON_SMOKE_ADDR = 127.0.0.1:7999
 
 daemon-smoke:
-	$(GO) build -o /tmp/greengpud-smoke ./cmd/greengpud
-	$(GO) build -o /tmp/greengpu-smoke-exp ./cmd/experiments
-	rm -rf /tmp/greengpu-smoke && mkdir -p /tmp/greengpu-smoke
-	/tmp/greengpu-smoke-exp -sweep '$(DAEMON_SMOKE_SWEEP)' -out /tmp/greengpu-smoke > /dev/null 2>&1
-	/tmp/greengpu-smoke-exp -fleet '$(DAEMON_SMOKE_FLEET)' -out /tmp/greengpu-smoke > /dev/null 2>&1
-	/tmp/greengpud-smoke -addr $(DAEMON_SMOKE_ADDR) 2> /tmp/greengpu-smoke/daemon.log & \
-	pid=$$!; \
-	up=""; for i in $$(seq 1 100); do \
-		curl -fsS http://$(DAEMON_SMOKE_ADDR)/healthz > /dev/null 2>&1 && { up=1; break; }; \
+	d=$$(mktemp -d) || exit 1; pid=""; \
+	trap '[ -z "$$pid" ] || { kill -9 $$pid; wait $$pid; } 2>/dev/null; rm -rf "$$d"' EXIT; trap 'exit 1' HUP INT TERM; \
+	$(GO) build -o $$d/greengpud ./cmd/greengpud || exit 1; \
+	$(GO) build -o $$d/experiments ./cmd/experiments || exit 1; \
+	$$d/experiments -sweep '$(DAEMON_SMOKE_SWEEP)' -out $$d > /dev/null 2>&1 || exit 1; \
+	$$d/experiments -fleet '$(DAEMON_SMOKE_FLEET)' -out $$d > /dev/null 2>&1 || exit 1; \
+	$$d/greengpud -addr 127.0.0.1:0 2> $$d/daemon.log & pid=$$!; \
+	base=""; for i in $$(seq 1 100); do \
+		url=$$(sed -n 's#^greengpud: listening on ##p' $$d/daemon.log); \
+		[ -n "$$url" ] && curl -fsS $$url/healthz > /dev/null 2>&1 && { base=$$url; break; }; \
 		sleep 0.1; \
 	done; \
-	[ -n "$$up" ] || { echo "daemon-smoke: daemon never became healthy" >&2; kill $$pid 2>/dev/null; exit 1; }; \
+	[ -n "$$base" ] || { echo "daemon-smoke: daemon never became healthy" >&2; cat $$d/daemon.log >&2; exit 1; }; \
 	fail=""; \
-	curl -fsS -X POST 'http://$(DAEMON_SMOKE_ADDR)/v1/sweep?format=csv' \
-		-d '{"spec":"$(DAEMON_SMOKE_SWEEP)"}' > /tmp/greengpu-smoke/daemon_sweep.csv || fail="sweep POST"; \
-	diff /tmp/greengpu-smoke/sweep_points.csv /tmp/greengpu-smoke/daemon_sweep.csv || fail="sweep CSV drift"; \
-	curl -fsS -X POST 'http://$(DAEMON_SMOKE_ADDR)/v1/fleet?format=csv&table=groups' \
-		-d '{"spec":"$(DAEMON_SMOKE_FLEET)"}' > /tmp/greengpu-smoke/daemon_fleet_groups.csv || fail="fleet POST"; \
-	diff /tmp/greengpu-smoke/fleet_1.csv /tmp/greengpu-smoke/daemon_fleet_groups.csv || fail="fleet groups CSV drift"; \
-	curl -fsS -X POST 'http://$(DAEMON_SMOKE_ADDR)/v1/fleet?format=csv&table=summary' \
-		-d '{"spec":"$(DAEMON_SMOKE_FLEET)"}' > /tmp/greengpu-smoke/daemon_fleet_summary.csv || fail="fleet summary POST"; \
-	diff /tmp/greengpu-smoke/fleet_2.csv /tmp/greengpu-smoke/daemon_fleet_summary.csv || fail="fleet summary CSV drift"; \
-	curl -fsS http://$(DAEMON_SMOKE_ADDR)/metrics | grep -q '^greengpu_daemon_sweep_requests_total 1$$' \
+	curl -fsS -X POST "$$base/v1/sweep?format=csv" \
+		-d '{"spec":"$(DAEMON_SMOKE_SWEEP)"}' > $$d/daemon_sweep.csv || fail="sweep POST"; \
+	diff $$d/sweep_points.csv $$d/daemon_sweep.csv || fail="sweep CSV drift"; \
+	curl -fsS -X POST "$$base/v1/fleet?format=csv&table=groups" \
+		-d '{"spec":"$(DAEMON_SMOKE_FLEET)"}' > $$d/daemon_fleet_groups.csv || fail="fleet POST"; \
+	diff $$d/fleet_1.csv $$d/daemon_fleet_groups.csv || fail="fleet groups CSV drift"; \
+	curl -fsS -X POST "$$base/v1/fleet?format=csv&table=summary" \
+		-d '{"spec":"$(DAEMON_SMOKE_FLEET)"}' > $$d/daemon_fleet_summary.csv || fail="fleet summary POST"; \
+	diff $$d/fleet_2.csv $$d/daemon_fleet_summary.csv || fail="fleet summary CSV drift"; \
+	curl -fsS $$base/metrics | grep -q '^greengpu_daemon_sweep_requests_total 1$$' \
 		|| fail="metrics scrape"; \
-	curl -fsS -X POST http://$(DAEMON_SMOKE_ADDR)/v1/sweep -d '{"spec":"$(DAEMON_SMOKE_SWEEP)"}' \
-		| grep -o '"points":\[.*\]' > /tmp/greengpu-smoke/sync_points.json || fail="sync JSON sweep"; \
-	id=$$(curl -fsS -X POST http://$(DAEMON_SMOKE_ADDR)/v1/sweep \
+	curl -fsS -X POST $$base/v1/sweep -d '{"spec":"$(DAEMON_SMOKE_SWEEP)"}' \
+		| grep -o '"points":\[.*\]' > $$d/sync_points.json || fail="sync JSON sweep"; \
+	id=$$(curl -fsS -X POST $$base/v1/sweep \
 		-d '{"spec":"$(DAEMON_SMOKE_SWEEP)","async":true}' | sed -n 's/.*"id":"\([0-9]*\)".*/\1/p'); \
 	[ -n "$$id" ] || fail="no job id in the async 202"; \
 	for i in $$(seq 1 100); do \
-		curl -fsS http://$(DAEMON_SMOKE_ADDR)/v1/results/$$id > /tmp/greengpu-smoke/job.json || break; \
-		grep -q '"status":"running"' /tmp/greengpu-smoke/job.json || break; \
+		curl -fsS $$base/v1/results/$$id > $$d/job.json || break; \
+		grep -q '"status":"running"' $$d/job.json || break; \
 		sleep 0.1; \
 	done; \
-	grep -q '"status":"done"' /tmp/greengpu-smoke/job.json || fail="async sweep job not done"; \
-	grep -o '"points":\[.*\]' /tmp/greengpu-smoke/job.json > /tmp/greengpu-smoke/async_points.json \
+	grep -q '"status":"done"' $$d/job.json || fail="async sweep job not done"; \
+	grep -o '"points":\[.*\]' $$d/job.json > $$d/async_points.json \
 		|| fail="async job without points"; \
-	diff /tmp/greengpu-smoke/async_points.json /tmp/greengpu-smoke/sync_points.json \
+	diff $$d/async_points.json $$d/sync_points.json \
 		> /dev/null || fail="sync JSON points drift from the async job's"; \
 	kill -TERM $$pid; \
-	wait $$pid || fail="nonzero exit on SIGTERM"; \
-	grep -q 'jobs at exit' /tmp/greengpu-smoke/daemon.log || fail="missing drain log"; \
-	[ -z "$$fail" ] || { echo "daemon-smoke: $$fail" >&2; cat /tmp/greengpu-smoke/daemon.log >&2; exit 1; }
-	rm -rf /tmp/greengpu-smoke /tmp/greengpud-smoke /tmp/greengpu-smoke-exp
+	wait $$pid || fail="nonzero exit on SIGTERM"; pid=""; \
+	grep -q 'jobs at exit' $$d/daemon.log || fail="missing drain log"; \
+	[ -z "$$fail" ] || { echo "daemon-smoke: $$fail" >&2; cat $$d/daemon.log >&2; exit 1; }
 
 # daemon-crash-smoke SIGKILLs a journaled daemon mid-sweep and enforces
 # the crash-recovery contract: the restarted daemon (same -state-dir and
 # -cache-dir) must announce the recovery, re-execute the job under its
 # original id, and serve ?format=csv bytes identical to the one-shot
 # cmd/experiments run of the same spec — deterministic replay, not a
-# checkpoint. A final SIGTERM must still drain and exit 0.
+# checkpoint. A final SIGTERM must still drain and exit 0. Directory,
+# ports and cleanup work as in daemon-smoke; each daemon's address is
+# read from its own log.
 DAEMON_CRASH_SPEC = draws=400 mode=holistic workloads=kmeans,hotspot
-DAEMON_CRASH_ADDR = 127.0.0.1:7998
 
 daemon-crash-smoke:
-	$(GO) build -o /tmp/greengpud-crash ./cmd/greengpud
-	$(GO) build -o /tmp/greengpu-crash-exp ./cmd/experiments
-	rm -rf /tmp/greengpu-crash && mkdir -p /tmp/greengpu-crash/state /tmp/greengpu-crash/cache
-	/tmp/greengpu-crash-exp -sweep '$(DAEMON_CRASH_SPEC)' -out /tmp/greengpu-crash > /dev/null 2>&1
-	/tmp/greengpud-crash -addr $(DAEMON_CRASH_ADDR) -state-dir /tmp/greengpu-crash/state \
-		-cache-dir /tmp/greengpu-crash/cache 2> /tmp/greengpu-crash/daemon1.log & \
-	pid=$$!; \
-	up=""; for i in $$(seq 1 100); do \
-		curl -fsS http://$(DAEMON_CRASH_ADDR)/healthz > /dev/null 2>&1 && { up=1; break; }; \
-		sleep 0.1; \
-	done; \
-	[ -n "$$up" ] || { echo "daemon-crash-smoke: daemon never became healthy" >&2; kill -9 $$pid 2>/dev/null; exit 1; }; \
-	id=$$(curl -fsS -X POST http://$(DAEMON_CRASH_ADDR)/v1/sweep \
+	d=$$(mktemp -d) || exit 1; pid=""; \
+	trap '[ -z "$$pid" ] || { kill -9 $$pid; wait $$pid; } 2>/dev/null; rm -rf "$$d"' EXIT; trap 'exit 1' HUP INT TERM; \
+	up() { \
+		$$d/greengpud -addr 127.0.0.1:0 -state-dir $$d/state -cache-dir $$d/cache 2> $$d/$$1 & pid=$$!; \
+		base=""; for i in $$(seq 1 100); do \
+			url=$$(sed -n 's#^greengpud: listening on ##p' $$d/$$1); \
+			[ -n "$$url" ] && curl -fsS $$url/healthz > /dev/null 2>&1 && { base=$$url; return 0; }; \
+			sleep 0.1; \
+		done; \
+		echo "daemon-crash-smoke: daemon never became healthy" >&2; cat $$d/$$1 >&2; return 1; \
+	}; \
+	mkdir -p $$d/state $$d/cache || exit 1; \
+	$(GO) build -o $$d/greengpud ./cmd/greengpud || exit 1; \
+	$(GO) build -o $$d/experiments ./cmd/experiments || exit 1; \
+	$$d/experiments -sweep '$(DAEMON_CRASH_SPEC)' -out $$d > /dev/null 2>&1 || exit 1; \
+	up daemon1.log || exit 1; \
+	id=$$(curl -fsS -X POST $$base/v1/sweep \
 		-d '{"spec":"$(DAEMON_CRASH_SPEC)","async":true}' | sed -n 's/.*"id":"\([0-9]*\)".*/\1/p'); \
-	[ -n "$$id" ] || { echo "daemon-crash-smoke: no job id in the 202" >&2; kill -9 $$pid 2>/dev/null; exit 1; }; \
-	kill -9 $$pid; wait $$pid 2>/dev/null; \
-	/tmp/greengpud-crash -addr $(DAEMON_CRASH_ADDR) -state-dir /tmp/greengpu-crash/state \
-		-cache-dir /tmp/greengpu-crash/cache 2> /tmp/greengpu-crash/daemon2.log & \
-	pid=$$!; \
-	up=""; for i in $$(seq 1 100); do \
-		curl -fsS http://$(DAEMON_CRASH_ADDR)/healthz > /dev/null 2>&1 && { up=1; break; }; \
-		sleep 0.1; \
-	done; \
-	[ -n "$$up" ] || { echo "daemon-crash-smoke: daemon never restarted" >&2; kill -9 $$pid 2>/dev/null; exit 1; }; \
+	[ -n "$$id" ] || { echo "daemon-crash-smoke: no job id in the 202" >&2; exit 1; }; \
+	kill -9 $$pid; wait $$pid 2>/dev/null; pid=""; \
+	up daemon2.log || exit 1; \
 	fail=""; \
-	grep -q 'recovered 1 pending job(s)' /tmp/greengpu-crash/daemon2.log || fail="missing recovery log"; \
+	grep -q 'recovered 1 pending job(s)' $$d/daemon2.log || fail="missing recovery log"; \
 	final=""; for i in $$(seq 1 600); do \
-		st=$$(curl -fsS http://$(DAEMON_CRASH_ADDR)/v1/results/$$id); \
+		st=$$(curl -fsS $$base/v1/results/$$id); \
 		echo "$$st" | grep -q '"status":"running"' || { final="$$st"; break; }; \
 		sleep 0.5; \
 	done; \
 	echo "$$final" | grep -q '"status":"done"' || fail="recovered job not done: $$final"; \
 	echo "$$final" | grep -q '"recovered":true' || fail="recovered job not flagged"; \
-	curl -fsS "http://$(DAEMON_CRASH_ADDR)/v1/results/$$id?format=csv" \
-		> /tmp/greengpu-crash/recovered.csv || fail="recovered CSV fetch"; \
-	diff /tmp/greengpu-crash/sweep_points.csv /tmp/greengpu-crash/recovered.csv \
+	curl -fsS "$$base/v1/results/$$id?format=csv" \
+		> $$d/recovered.csv || fail="recovered CSV fetch"; \
+	diff $$d/sweep_points.csv $$d/recovered.csv \
 		|| fail="recovered CSV drift from uninterrupted run"; \
-	curl -fsS http://$(DAEMON_CRASH_ADDR)/v1/jobs | grep -q '"recovered":true' \
+	curl -fsS $$base/v1/jobs | grep -q '"recovered":true' \
 		|| fail="/v1/jobs missing recovered marker"; \
 	kill -TERM $$pid; \
-	wait $$pid || fail="nonzero exit on SIGTERM"; \
+	wait $$pid || fail="nonzero exit on SIGTERM"; pid=""; \
 	[ -z "$$fail" ] || { echo "daemon-crash-smoke: $$fail" >&2; \
-		cat /tmp/greengpu-crash/daemon1.log /tmp/greengpu-crash/daemon2.log >&2; exit 1; }
-	rm -rf /tmp/greengpu-crash /tmp/greengpud-crash /tmp/greengpu-crash-exp
+		cat $$d/daemon1.log $$d/daemon2.log >&2; exit 1; }
 
 # bench-experiments times the full experiment suite without a cache, with a
 # cold cache, and against the warm cache, recording the wall-clock numbers
@@ -185,27 +187,26 @@ bench-experiments:
 # committed results/ directory, and stdout equal to the first mode's. It
 # is the zero-output-drift gate for perf work and the end-to-end proof
 # that neither the run cache nor the worker count is visible in output.
+# It works in its own mktemp -d directory (under TMPDIR when set), removed
+# on success and on failure, so concurrent runs never collide.
 golden:
-	$(GO) build -o /tmp/greengpu-golden-bin ./cmd/experiments
-	rm -rf /tmp/greengpu-golden /tmp/greengpu-golden-cache
+	d=$$(mktemp -d) || exit 1; trap 'rm -rf "$$d"' EXIT; trap 'exit 1' HUP INT TERM; \
+	$(GO) build -o $$d/experiments ./cmd/experiments || exit 1; \
 	first=""; for args in \
 		"-no-cache -jobs 1" \
 		"-no-cache -jobs 8" \
 		"-jobs 1" \
 		"-jobs 8" \
-		"-cache-dir /tmp/greengpu-golden-cache -jobs 8" \
-		"-cache-dir /tmp/greengpu-golden-cache -jobs 8" \
-		"-jobs 8 -metrics /tmp/greengpu-golden-m.prom -flight-recorder 64 -flight-recorder-out /tmp/greengpu-golden-f.json"; do \
-		rm -rf /tmp/greengpu-golden; \
-		/tmp/greengpu-golden-bin -run all -out /tmp/greengpu-golden $$args > /tmp/greengpu-golden-out.txt 2>/dev/null || exit 1; \
-		diff -r results /tmp/greengpu-golden || { echo "golden mismatch with: $$args" >&2; exit 1; }; \
-		if [ -z "$$first" ]; then first="$$args"; mv /tmp/greengpu-golden-out.txt /tmp/greengpu-golden-first.txt; \
-		else diff -u /tmp/greengpu-golden-first.txt /tmp/greengpu-golden-out.txt \
+		"-cache-dir $$d/cache -jobs 8" \
+		"-cache-dir $$d/cache -jobs 8" \
+		"-jobs 8 -metrics $$d/m.prom -flight-recorder 64 -flight-recorder-out $$d/f.json"; do \
+		rm -rf $$d/out; \
+		$$d/experiments -run all -out $$d/out $$args > $$d/out.txt 2>/dev/null || exit 1; \
+		diff -r results $$d/out || { echo "golden mismatch with: $$args" >&2; exit 1; }; \
+		if [ -z "$$first" ]; then first="$$args"; mv $$d/out.txt $$d/first.txt; \
+		else diff -u $$d/first.txt $$d/out.txt \
 			|| { echo "golden stdout with: $$args differs from: $$first" >&2; exit 1; }; fi; \
 	done
-	rm -rf /tmp/greengpu-golden /tmp/greengpu-golden-cache /tmp/greengpu-golden-bin \
-		/tmp/greengpu-golden-m.prom /tmp/greengpu-golden-f.json \
-		/tmp/greengpu-golden-out.txt /tmp/greengpu-golden-first.txt
 
 # chaos runs the whole experiment suite in chaos mode — every run injected
 # with the moderate all-classes fault plan (see docs/ROBUSTNESS.md) — and
@@ -214,14 +215,13 @@ golden:
 # writes and stragglers must stay byte-identical at any worker count. The
 # committed fault-free CSVs (including results/fault_resilience.csv) are
 # covered by `make golden`; this gate covers determinism under injection.
+# Its files live in a mktemp -d directory, as in golden.
 chaos:
-	$(GO) build -o /tmp/greengpu-chaos ./cmd/experiments
-	/tmp/greengpu-chaos -run all -faults default -jobs 1 -out /tmp/greengpu-chaos-seq > /tmp/greengpu-chaos-seq.txt
-	/tmp/greengpu-chaos -run all -faults default -jobs 8 -out /tmp/greengpu-chaos-par > /tmp/greengpu-chaos-par.txt
-	diff -u /tmp/greengpu-chaos-seq.txt /tmp/greengpu-chaos-par.txt
-	diff -r /tmp/greengpu-chaos-seq /tmp/greengpu-chaos-par
-	rm -rf /tmp/greengpu-chaos /tmp/greengpu-chaos-seq /tmp/greengpu-chaos-par \
-		/tmp/greengpu-chaos-seq.txt /tmp/greengpu-chaos-par.txt
+	d=$$(mktemp -d) || exit 1; trap 'rm -rf "$$d"' EXIT; trap 'exit 1' HUP INT TERM; \
+	$(GO) build -o $$d/experiments ./cmd/experiments || exit 1; \
+	$$d/experiments -run all -faults default -jobs 1 -out $$d/seq > $$d/seq.txt || exit 1; \
+	$$d/experiments -run all -faults default -jobs 8 -out $$d/par > $$d/par.txt || exit 1; \
+	diff -u $$d/seq.txt $$d/par.txt && diff -r $$d/seq $$d/par
 
 # lint-docs enforces godoc hygiene on every exported identifier (see
 # cmd/lintdocs); linkcheck verifies the relative links in the markdown docs

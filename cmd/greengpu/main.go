@@ -50,15 +50,9 @@ func main() {
 		return
 	}
 
-	m, ok := map[string]core.Mode{
-		"baseline":    core.Baseline,
-		"freqscaling": core.FreqScaling,
-		"division":    core.Division,
-		"greengpu":    core.Holistic,
-		"holistic":    core.Holistic,
-	}[*mode]
-	if !ok {
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+	m, err := core.ParseMode(*mode)
+	if err != nil {
+		fatal(err)
 	}
 
 	p, err := env.Profile(*workload)

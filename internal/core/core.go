@@ -81,6 +81,23 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode resolves a framework-mode name, for every CLI, spec and
+// daemon request: each mode's String form, plus "scaling" and
+// "freqscaling" for FreqScaling and "holistic" for Holistic.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "baseline":
+		return Baseline, nil
+	case "frequency-scaling", "freqscaling", "scaling":
+		return FreqScaling, nil
+	case "division":
+		return Division, nil
+	case "greengpu", "holistic":
+		return Holistic, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
+}
+
 // divides reports whether tier 1 is active in this mode.
 func (m Mode) divides() bool { return m == Division || m == Holistic }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -50,6 +51,34 @@ func TestModeString(t *testing.T) {
 	for m, want := range cases {
 		if got := m.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(m), got, want)
+		}
+	}
+}
+
+// TestParseMode pins the one mode-name parser: every spelling a CLI, a
+// spec or the daemon accepts, and each mode's String form round-trips.
+func TestParseMode(t *testing.T) {
+	for name, want := range map[string]Mode{
+		"baseline":          Baseline,
+		"frequency-scaling": FreqScaling,
+		"freqscaling":       FreqScaling,
+		"scaling":           FreqScaling,
+		"division":          Division,
+		"greengpu":          Holistic,
+		"holistic":          Holistic,
+	} {
+		if got, err := ParseMode(name); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, m := range []Mode{Baseline, FreqScaling, Division, Holistic} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "warp", "Baseline", "Mode(0)"} {
+		if _, err := ParseMode(bad); err == nil || err.Error() != fmt.Sprintf("unknown mode %q", bad) {
+			t.Errorf("ParseMode(%q) error %v, want unknown mode", bad, err)
 		}
 	}
 }

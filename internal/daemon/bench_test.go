@@ -134,7 +134,7 @@ func BenchmarkDaemonSweepUncached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pts, err := srv.eng.Expand(spec)
+	plan, err := srv.eng.Plan(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -148,5 +148,5 @@ func BenchmarkDaemonSweepUncached(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(len(pts)*b.N)/b.Elapsed().Seconds(), "points/s")
+	b.ReportMetric(float64(len(plan.Points)*b.N)/b.Elapsed().Seconds(), "points/s")
 }

@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -46,6 +45,7 @@ import (
 	"greengpu/internal/runcache"
 	"greengpu/internal/sweep"
 	"greengpu/internal/telemetry"
+	"greengpu/internal/trace"
 	"greengpu/internal/workload"
 )
 
@@ -120,10 +120,6 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies; 0 selects DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 
-	// MaxJobs bounds retained async jobs; when exceeded, the oldest
-	// finished job is evicted. 0 selects DefaultMaxJobs.
-	MaxJobs int
-
 	// StateDir, when non-empty, makes async jobs durable: accepted specs
 	// are journaled (fsynced, CRC-framed) under this directory before the
 	// 202 is returned, and New re-executes any job that had no terminal
@@ -141,7 +137,6 @@ type Config struct {
 const (
 	DefaultMaxInflight  = 64
 	DefaultMaxBodyBytes = 1 << 20
-	DefaultMaxJobs      = 1024
 )
 
 // Server is the daemon's HTTP handler plus its execution state: the
@@ -188,9 +183,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = DefaultMaxJobs
-	}
 	eng := &sweep.Engine{
 		GPU:      cfg.GPU,
 		CPU:      cfg.CPU,
@@ -214,7 +206,7 @@ func New(cfg Config) (*Server, error) {
 		fleng:   &fleet.Engine{Jobs: cfg.Jobs, Cache: cfg.Cache},
 		batch:   batch,
 		mux:     http.NewServeMux(),
-		jobs:    newJobStore(cfg.MaxJobs),
+		jobs:    newJobStore(),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		mhz:     mhz,
 		baseCtx: ctx,
@@ -233,8 +225,8 @@ func New(cfg Config) (*Server, error) {
 		s.recoverJobs(pending)
 	}
 	s.route("POST /v1/simulate", metricSimulate, s.handleSimulate)
-	s.route("POST /v1/sweep", metricSweep, s.handleSweep)
-	s.route("POST /v1/fleet", metricFleet, s.handleFleet)
+	s.route("POST /v1/sweep", metricSweep, s.handleJob(jobSweep))
+	s.route("POST /v1/fleet", metricFleet, s.handleJob(jobFleet))
 	s.route("GET /v1/jobs", metricJobsList, s.handleJobs)
 	s.route("GET /v1/results/{id}", metricResults, s.handleResultGet)
 	s.route("DELETE /v1/results/{id}", metricResults, s.handleResultDelete)
@@ -447,7 +439,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	mode := core.Baseline
 	if req.Mode != "" {
 		var err error
-		if mode, err = sweep.ParseMode(req.Mode); err != nil {
+		if mode, err = core.ParseMode(req.Mode); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -551,7 +543,7 @@ type SweepPoint struct {
 }
 
 // SweepResponse is the sync POST /v1/sweep result: every point of the
-// expanded spec, in the engine's deterministic Expand order.
+// spec, in the engine's deterministic expansion order (sweep.Plan).
 type SweepResponse struct {
 	Spec   string       `json:"spec"`
 	Points []SweepPoint `json:"points"`
@@ -583,48 +575,93 @@ func (s *Server) sweepPoints(results []sweep.PointResult) []SweepPoint {
 	return pts
 }
 
-// handleSweep parses, validates and evaluates a sweep spec. Sync
-// requests run under the request context — a client disconnect cancels
-// unstarted points — and render JSON or, with ?format=csv, exactly the
-// bytes cmd/experiments -sweep -out writes for the same spec.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+// prepared is a sweep or fleet spec that parsed and validated against the
+// engines: the one form in which a sync request, an async job and a job
+// recovered from the journal reach evaluation.
+type prepared struct {
+	kind, spec string
+	plan       sweep.Plan // kind jobSweep
+	fleet      fleet.Spec // kind jobFleet
+}
+
+// prepare parses and fully validates a spec of the given kind; the
+// request is usable only when the error is nil. Every error is the
+// spec's: a live request answers it with 400 before admission, and a
+// recovered job is journaled as failed.
+func (s *Server) prepare(kind, spec string) (*prepared, error) {
+	p := &prepared{kind: kind, spec: spec}
+	var err error
+	switch kind {
+	case jobSweep:
+		var sp sweep.Spec
+		if sp, err = sweep.ParseSpec(spec); err == nil {
+			p.plan, err = s.eng.Plan(sp)
+		}
+	case jobFleet:
+		p.fleet, err = fleet.ParseSpec(spec)
+	default:
+		err = fmt.Errorf("unknown job kind %q", kind)
 	}
-	spec, err := sweep.ParseSpec(req.Spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	return p, err
+}
+
+// outcome is an evaluated request: a sweep's points, or a fleet's result
+// (non-nil exactly for a fleet).
+type outcome struct {
+	points []sweep.PointResult
+	fleet  *fleet.Result
+}
+
+// run evaluates a prepared request under ctx.
+func (s *Server) run(ctx context.Context, p *prepared) (outcome, error) {
+	if p.kind == jobFleet {
+		res, err := s.fleng.Run(ctx, p.fleet)
+		return outcome{fleet: res}, err
 	}
-	// Expand re-validates against the concrete engine (workload names,
-	// ladder bounds) so semantic spec errors are 400s, not mid-run 500s.
-	if _, err := s.eng.Expand(spec); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	points, err := p.plan.Run(ctx)
+	return outcome{points: points}, err
+}
+
+// handleJob serves POST /v1/sweep and /v1/fleet, for specs of the given
+// kind: decode, prepare (400 on any spec error), admission (503 when
+// full), then an async job, or a sync run under the request context — a
+// client disconnect cancels unstarted points — rendered as JSON or, with
+// ?format=csv, exactly the bytes cmd/experiments -sweep or -fleet -out
+// writes for the same spec.
+func (s *Server) handleJob(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req JobRequest
+		if !s.decodeBody(w, r, &req) {
+			return
+		}
+		p, err := s.prepare(kind, req.Spec)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		release, ok := s.acquire(w)
+		if !ok {
+			return
+		}
+		if req.Async {
+			s.startJob(w, p, release)
+			return
+		}
+		defer release()
+		out, err := s.run(r.Context(), p)
+		if err != nil {
+			s.evalError(w, r, err)
+			return
+		}
+		switch {
+		case r.URL.Query().Get("format") == "csv":
+			s.writeCSV(w, r, out)
+		case out.fleet != nil:
+			writeJSON(w, fleetResponse(req.Spec, out.fleet))
+		default:
+			s.writeSweep(w, req.Spec, out.points)
+		}
 	}
-	release, ok := s.acquire(w)
-	if !ok {
-		return
-	}
-	if req.Async {
-		s.startJob(w, jobSweep, req.Spec, release, func(ctx context.Context, j *job) {
-			results, err := s.eng.Run(ctx, spec)
-			s.finishJob(j, ctx, err, func() { j.sweepRes = results })
-		})
-		return
-	}
-	defer release()
-	results, err := s.eng.Run(r.Context(), spec)
-	if err != nil {
-		s.evalError(w, r, err)
-		return
-	}
-	if r.URL.Query().Get("format") == "csv" {
-		writeCSV(w, sweep.Table(s.eng, results))
-		return
-	}
-	s.writeSweep(w, req.Spec, results)
 }
 
 // FleetGroup is one distinct node configuration in a fleet response,
@@ -704,44 +741,6 @@ func fleetResponse(specText string, res *fleet.Result) FleetResponse {
 	return out
 }
 
-// handleFleet parses, validates and evaluates a fleet spec, sync or
-// async, exactly like handleSweep. With ?format=csv the response is the
-// groups table (?table=summary selects the summary), byte-identical to
-// the cmd/experiments -fleet -out CSVs.
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	spec, err := fleet.ParseSpec(req.Spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	release, ok := s.acquire(w)
-	if !ok {
-		return
-	}
-	if req.Async {
-		s.startJob(w, jobFleet, req.Spec, release, func(ctx context.Context, j *job) {
-			res, err := s.fleng.Run(ctx, spec)
-			s.finishJob(j, ctx, err, func() { j.fleetRes = res })
-		})
-		return
-	}
-	defer release()
-	res, err := s.fleng.Run(r.Context(), spec)
-	if err != nil {
-		s.evalError(w, r, err)
-		return
-	}
-	if r.URL.Query().Get("format") == "csv" {
-		writeFleetCSV(w, r, res)
-		return
-	}
-	writeJSON(w, fleetResponse(req.Spec, res))
-}
-
 // evalError maps a sync evaluation failure to a response: canceled
 // requests get a terse 499-style close (the client is gone), everything
 // else is an internal error — spec problems were rejected before
@@ -757,24 +756,24 @@ func (s *Server) evalError(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, http.StatusInternalServerError, err.Error())
 }
 
-// writeCSV renders a trace table with the exact bytes Table.WriteCSV
-// produces for the CLI's -out files.
-func writeCSV(w http.ResponseWriter, t interface{ WriteCSV(io.Writer) error }) {
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	_ = t.WriteCSV(w)
-}
-
-// writeFleetCSV renders the requested fleet table (?table=groups, the
-// default, or ?table=summary).
-func writeFleetCSV(w http.ResponseWriter, r *http.Request, res *fleet.Result) {
-	switch r.URL.Query().Get("table") {
-	case "", "groups":
-		writeCSV(w, fleet.GroupsTable(res))
-	case "summary":
-		writeCSV(w, fleet.SummaryTable(res))
+// writeCSV renders an outcome with the exact bytes trace.Table.WriteCSV
+// produces for the CLI's -out files: a sweep's points table, or the fleet
+// table ?table selects (groups, the default, or summary).
+func (s *Server) writeCSV(w http.ResponseWriter, r *http.Request, out outcome) {
+	var t *trace.Table
+	switch table := r.URL.Query().Get("table"); {
+	case out.fleet == nil:
+		t = sweep.Table(s.eng, out.points)
+	case table == "" || table == "groups":
+		t = fleet.GroupsTable(out.fleet)
+	case table == "summary":
+		t = fleet.SummaryTable(out.fleet)
 	default:
 		writeError(w, http.StatusBadRequest, "table must be groups or summary")
+		return
 	}
+	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+	_ = t.WriteCSV(w)
 }
 
 // FlightRecorderResponse is the GET /v1/flightrecorder result: the

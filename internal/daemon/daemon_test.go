@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 
 	"greengpu/internal/experiments"
 	"greengpu/internal/fleet"
+	"greengpu/internal/jobstore"
 	"greengpu/internal/runcache"
 	"greengpu/internal/sweep"
 	"greengpu/internal/telemetry"
@@ -298,7 +301,18 @@ func TestFleetMatchesEngine(t *testing.T) {
 		t.Errorf("groups mismatch: %d vs %d", len(got.Groups), len(want.Groups))
 	}
 
-	// CSV renderings must be byte-identical to the CLI's fleet tables.
+	var accepted JobResponse
+	if code := postJSON(t, ts.URL+"/v1/fleet",
+		fmt.Sprintf(`{"spec":%q,"async":true}`, specText), &accepted); code != 202 {
+		t.Fatalf("async status %d", code)
+	}
+	if st := waitJob(t, ts.URL, accepted.ID); st.Status != "done" {
+		t.Fatalf("async fleet ended %q (%s)", st.Status, st.Error)
+	}
+	job := ts.URL + "/v1/results/" + accepted.ID
+
+	// CSV renderings, sync and async, must be byte-identical to the CLI's
+	// fleet tables.
 	for table, render := range map[string]func(*fleet.Result) interface {
 		WriteCSV(io.Writer) error
 	}{
@@ -319,6 +333,57 @@ func TestFleetMatchesEngine(t *testing.T) {
 		if !bytes.Equal(data, wantCSV.Bytes()) {
 			t.Errorf("fleet %s CSV differs from CLI table", table)
 		}
+		if code, data := getBody(t, job+"?format=csv&table="+table); code != 200 || !bytes.Equal(data, wantCSV.Bytes()) {
+			t.Errorf("async fleet %s CSV (status %d) differs from CLI table", table, code)
+		}
+	}
+	if code := postJSON(t, ts.URL+"/v1/fleet?format=csv&table=bogus",
+		fmt.Sprintf(`{"spec":%q}`, specText), nil); code != 400 {
+		t.Errorf("sync table=bogus: status %d, want 400", code)
+	}
+	if code, _ := getBody(t, job+"?format=csv&table=bogus"); code != 400 {
+		t.Errorf("async table=bogus: status %d, want 400", code)
+	}
+}
+
+// TestSpecErrorsBeforeAdmission: every spec error on /v1/sweep and
+// /v1/fleet, sync or async, is a 400 decided before admission — with the
+// only admission slot taken — and starts or journals no job.
+func TestSpecErrorsBeforeAdmission(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.MaxInflight = 1
+		c.StateDir = dir
+	})
+	srv.sem <- struct{}{}
+	for _, tc := range []struct{ name, path, spec string }{
+		{"sweep unknown key", "/v1/sweep", "turbo=1"},
+		{"sweep unknown workload", "/v1/sweep", "workloads=nope"},
+		{"sweep level out of range", "/v1/sweep", "workloads=kmeans core=99"},
+		{"fleet unknown class", "/v1/fleet", "nodes=10 classes=riva128"},
+		{"fleet unknown workload", "/v1/fleet", "nodes=10 workloads=nope"},
+		{"fleet all and a workload", "/v1/fleet", "nodes=10 workloads=all,kmeans"},
+	} {
+		for _, async := range []bool{false, true} {
+			body, err := json.Marshal(JobRequest{Spec: tc.spec, Async: async})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code := postJSON(t, ts.URL+tc.path, string(body), nil); code != 400 {
+				t.Errorf("%s (async %t): status %d, want 400", tc.name, async, code)
+			}
+		}
+	}
+	<-srv.sem
+	if c := srv.jobs.counts(); c != (JobCounts{}) {
+		t.Errorf("rejected specs left jobs: %+v", c)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "jobs.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, _ := jobstore.DecodeAll(data); len(recs) != 0 {
+		t.Errorf("rejected specs were journaled: %+v", recs)
 	}
 }
 

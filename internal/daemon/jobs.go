@@ -19,9 +19,7 @@ import (
 	"sync"
 	"time"
 
-	"greengpu/internal/fleet"
 	"greengpu/internal/jobstore"
-	"greengpu/internal/sweep"
 )
 
 // Job kinds and states, as they appear in JSON responses.
@@ -50,14 +48,18 @@ type job struct {
 	state    string
 	err      string
 	finished time.Time
-	sweepRes []sweep.PointResult
-	fleetRes *fleet.Result
+	out      outcome // set once the job is done
 }
 
+// maxJobs bounds the async jobs a store retains; beyond it, the oldest
+// finished job is evicted.
+const maxJobs = 1024
+
 // jobStore holds jobs by id, evicting the oldest finished jobs beyond
-// the retention bound. Running jobs are never evicted, and every state
-// transition — registration, eviction, completion, discard — happens
-// under the one mutex, so a DELETE can never race a completion write.
+// the retention bound max (maxJobs). Running jobs are never evicted, and
+// every state transition — registration, eviction, completion, discard —
+// happens under the one mutex, so a DELETE can never race a completion
+// write.
 type jobStore struct {
 	mu    sync.Mutex
 	next  uint64 // id counter when no journal assigns sequence numbers
@@ -66,8 +68,8 @@ type jobStore struct {
 	order []string // insertion order, the eviction scan order
 }
 
-func newJobStore(max int) *jobStore {
-	return &jobStore{max: max, jobs: make(map[string]*job)}
+func newJobStore() *jobStore {
+	return &jobStore{max: maxJobs, jobs: make(map[string]*job)}
 }
 
 // nextSeq reserves the next id for a journal-less server (the journal's
@@ -128,9 +130,9 @@ func terminalState(ctx context.Context, err error) string {
 // so a job that became evictable as finished is always journaled as
 // finished — a crash in between re-runs the job, which deterministic
 // replay makes harmless. Append failures are ignored for the same
-// reason. The state flip, the result attach and the finished timestamp
+// reason. The state flip, the stored result and the finished timestamp
 // all happen under the store mutex.
-func (s *Server) finishJob(j *job, ctx context.Context, err error, attach func()) {
+func (s *Server) finishJob(j *job, ctx context.Context, out outcome, err error) {
 	state := terminalState(ctx, err)
 	errText := ""
 	if state == jobFailed {
@@ -150,8 +152,8 @@ func (s *Server) finishJob(j *job, ctx context.Context, err error, attach func()
 	if state == jobCanceled {
 		metricCanceled.Inc()
 	}
-	if state == jobDone && attach != nil {
-		attach()
+	if state == jobDone {
+		j.out = out
 	}
 }
 
@@ -200,101 +202,84 @@ type JobResponse struct {
 }
 
 // startJob journals the accepted request (when a journal is attached),
-// launches run as a detached job under the server's base context, and
-// answers 202 with the job id. The fsync happens before the 202 leaves
-// the server: once a client holds an id, a crash cannot lose the job. A
-// journal write failure is a 500 and the job never starts — accepting
-// unjournaled work would silently drop it on restart. The admission slot
-// transfers to the job and is released when it finishes.
-func (s *Server) startJob(w http.ResponseWriter, kind, spec string, release func(), run func(ctx context.Context, j *job)) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j := &job{kind: kind, spec: spec, cancel: cancel, created: time.Now(), state: jobRunning}
+// spawns it as a job, and answers 202 with the job id. The fsync happens
+// before the 202 leaves the server: once a client holds an id, a crash
+// cannot lose the job. A journal write failure is a 500 and the job never
+// starts — accepting unjournaled work would silently drop it on restart.
+// The admission slot transfers to the job and is released when it
+// finishes.
+func (s *Server) startJob(w http.ResponseWriter, p *prepared, release func()) {
+	j := &job{kind: p.kind, spec: p.spec, created: time.Now()}
 	if s.journal != nil {
 		j.seq = s.journal.NextSeq()
-	} else {
-		j.seq = s.jobs.nextSeq()
-	}
-	j.id = strconv.FormatUint(j.seq, 10)
-	if s.journal != nil {
 		err := s.journal.Append(jobstore.Record{
-			Seq: j.seq, Op: jobstore.OpAccept, Kind: kind, Spec: spec, At: j.created.UnixNano(),
+			Seq: j.seq, Op: jobstore.OpAccept, Kind: j.kind, Spec: j.spec, At: j.created.UnixNano(),
 		})
 		if err != nil {
-			cancel()
 			release()
 			writeError(w, http.StatusInternalServerError, "job journal write failed: "+err.Error())
 			return
 		}
+	} else {
+		j.seq = s.jobs.nextSeq()
 	}
-	s.jobs.add(j)
+	j.id = strconv.FormatUint(j.seq, 10)
 	metricJobs.Inc()
+	s.spawn(j, p, release)
+	writeJSONStatus(w, http.StatusAccepted, JobResponse{ID: j.id, Kind: j.kind, Spec: j.spec, Status: jobRunning})
+}
+
+// spawn registers j as running and evaluates p as it in a goroutine that
+// Serve's drain waits for, under a child of the base context that DELETE
+// cancels, then records the outcome with finishJob. A live job arrives
+// holding its admission slot (release); a recovered job (nil release)
+// first waits for one like a fresh request, so recovery cannot push live
+// traffic past MaxInflight.
+func (s *Server) spawn(j *job, p *prepared, release func()) {
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	j.cancel, j.state = cancel, jobRunning
+	s.jobs.add(j)
 	s.bg.Add(1)
 	go func() {
 		defer s.bg.Done()
-		defer release()
 		defer cancel()
-		run(ctx, j)
-	}()
-	writeJSONStatus(w, http.StatusAccepted, JobResponse{ID: j.id, Kind: kind, Spec: spec, Status: jobRunning})
-}
-
-// recoverJobs re-registers and re-executes the journal's pending jobs.
-// Each recovered job waits for an admission slot like a fresh request
-// (recovery cannot starve live traffic past MaxInflight) and runs under
-// the base context, so drains treat it exactly like any other job. A
-// pending record whose spec no longer parses — a daemon downgrade, a
-// removed workload — is journaled as failed rather than retried forever.
-func (s *Server) recoverJobs(pending []jobstore.Record) {
-	for _, rec := range pending {
-		rec := rec
-		ctx, cancel := context.WithCancel(s.baseCtx)
-		j := &job{
-			seq: rec.Seq, id: strconv.FormatUint(rec.Seq, 10),
-			kind: rec.Kind, spec: rec.Spec, cancel: cancel,
-			created: time.Unix(0, rec.At), recovered: true, state: jobRunning,
-		}
-		var run func(ctx context.Context)
-		switch rec.Kind {
-		case jobSweep:
-			spec, err := sweep.ParseSpec(rec.Spec)
-			if err == nil {
-				run = func(ctx context.Context) {
-					results, rerr := s.eng.Run(ctx, spec)
-					s.finishJob(j, ctx, rerr, func() { j.sweepRes = results })
-				}
-			} else {
-				run = func(ctx context.Context) { s.finishJob(j, ctx, err, nil) }
-			}
-		case jobFleet:
-			spec, err := fleet.ParseSpec(rec.Spec)
-			if err == nil {
-				run = func(ctx context.Context) {
-					res, rerr := s.fleng.Run(ctx, spec)
-					s.finishJob(j, ctx, rerr, func() { j.fleetRes = res })
-				}
-			} else {
-				run = func(ctx context.Context) { s.finishJob(j, ctx, err, nil) }
-			}
-		default:
-			err := fmt.Errorf("unknown journaled job kind %q", rec.Kind)
-			run = func(ctx context.Context) { s.finishJob(j, ctx, err, nil) }
-		}
-		s.jobs.add(j)
-		s.recovered++
-		metricRecovered.Inc()
-		s.bg.Add(1)
-		go func() {
-			defer s.bg.Done()
-			defer cancel()
+		if release == nil {
 			select {
 			case s.sem <- struct{}{}:
+				release = func() { <-s.sem }
 			case <-ctx.Done():
-				s.finishJob(j, ctx, ctx.Err(), nil)
+				s.finishJob(j, ctx, outcome{}, ctx.Err())
 				return
 			}
-			defer func() { <-s.sem }()
-			run(ctx)
-		}()
+		}
+		defer release()
+		out, err := s.run(ctx, p)
+		s.finishJob(j, ctx, out, err)
+	}()
+}
+
+// recoverJobs re-registers the journal's pending jobs under their
+// original ids and re-executes them through prepare and spawn, exactly
+// like live ones; drains treat them like any other job. A pending record
+// that fails prepare — an unknown kind, or a spec that a daemon downgrade
+// or a removed workload made invalid — is journaled as failed rather than
+// retried on every restart.
+func (s *Server) recoverJobs(pending []jobstore.Record) {
+	for _, rec := range pending {
+		j := &job{
+			seq: rec.Seq, id: strconv.FormatUint(rec.Seq, 10),
+			kind: rec.Kind, spec: rec.Spec,
+			created: time.Unix(0, rec.At), recovered: true,
+		}
+		s.recovered++
+		metricRecovered.Inc()
+		p, err := s.prepare(rec.Kind, rec.Spec)
+		if err != nil {
+			s.finishJob(j, s.baseCtx, outcome{}, err)
+			s.jobs.add(j)
+			continue
+		}
+		s.spawn(j, p, nil)
 	}
 }
 
@@ -315,21 +300,17 @@ func (s *Server) handleResultGet(w http.ResponseWriter, r *http.Request) {
 	s.jobs.mu.Lock()
 	resp := JobResponse{ID: j.id, Kind: j.kind, Spec: j.spec, Status: j.state,
 		Recovered: j.recovered, Error: j.err}
-	sweepRes, fleetRes := j.sweepRes, j.fleetRes
+	out := j.out
 	s.jobs.mu.Unlock()
-	if resp.Status == jobDone && r.URL.Query().Get("format") == "csv" {
-		if j.kind == jobSweep {
-			writeCSV(w, sweep.Table(s.eng, sweepRes))
-		} else {
-			writeFleetCSV(w, r, fleetRes)
-		}
-		return
-	}
 	if resp.Status == jobDone {
-		if j.kind == jobSweep {
-			resp.Points = s.sweepPoints(sweepRes)
+		if r.URL.Query().Get("format") == "csv" {
+			s.writeCSV(w, r, out)
+			return
+		}
+		if out.fleet == nil {
+			resp.Points = s.sweepPoints(out.points)
 		} else {
-			fr := fleetResponse(j.spec, fleetRes)
+			fr := fleetResponse(j.spec, out.fleet)
 			resp.Groups = fr.Groups
 			resp.Summary = &fr.Summary
 		}

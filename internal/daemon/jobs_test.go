@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,43 +172,75 @@ func TestJournalAcceptBeforeResponse(t *testing.T) {
 }
 
 // TestJournalRecovery crashes a journaled daemon (by building the journal
-// state a SIGKILL would leave: an accept record with no terminal record)
-// and verifies a new daemon re-executes the job and serves CSV results
-// byte-identical to a sync run of the same spec.
+// state a SIGKILL would leave: accept records with no terminal record)
+// and verifies a new daemon re-executes a sweep and a fleet job and
+// serves CSV results byte-identical to sync runs of the same specs.
 func TestJournalRecovery(t *testing.T) {
-	const specText = "workloads=kmeans,hotspot core=all iters=4"
+	jobs := []struct {
+		seq        uint64
+		kind, spec string
+	}{
+		{3, jobSweep, "workloads=kmeans,hotspot core=all iters=4"},
+		{4, jobFleet, "nodes=200 workloads=kmeans,hotspot faults=0,1"},
+	}
 	dir := t.TempDir()
 	j, _, err := jobstore.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(jobstore.Record{
-		Seq: 3, Op: jobstore.OpAccept, Kind: jobSweep, Spec: specText,
-		At: time.Now().Add(-time.Minute).UnixNano(),
-	}); err != nil {
-		t.Fatal(err)
+	for _, jb := range jobs {
+		if err := j.Append(jobstore.Record{
+			Seq: jb.seq, Op: jobstore.OpAccept, Kind: jb.kind, Spec: jb.spec,
+			At: time.Now().Add(-time.Minute).UnixNano(),
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	srv, ts := newTestServer(t, func(c *Config) { c.StateDir = dir })
-	if srv.RecoveredJobs() != 1 {
-		t.Fatalf("RecoveredJobs = %d, want 1", srv.RecoveredJobs())
+	if srv.RecoveredJobs() != len(jobs) {
+		t.Fatalf("RecoveredJobs = %d, want %d", srv.RecoveredJobs(), len(jobs))
 	}
-	st := waitJob(t, ts.URL, "3")
-	if st.Status != "done" {
-		t.Fatalf("recovered job ended %q (%s)", st.Status, st.Error)
-	}
-	if !st.Recovered {
-		t.Fatal("recovered job not marked recovered in /v1/results")
-	}
-	code, recoveredCSV := getBody(t, ts.URL+"/v1/results/3?format=csv")
-	if code != 200 {
-		t.Fatalf("csv status %d", code)
+	// Byte-identity against uninterrupted sync runs of the same specs on
+	// a fresh server (fresh cache: identity comes from determinism, not
+	// from sharing a cache with the recovered run).
+	_, ts2 := newTestServer(t, nil)
+	for _, jb := range jobs {
+		id := fmt.Sprint(jb.seq)
+		st := waitJob(t, ts.URL, id)
+		if st.Status != "done" {
+			t.Fatalf("recovered %s job ended %q (%s)", jb.kind, st.Status, st.Error)
+		}
+		if !st.Recovered {
+			t.Fatalf("recovered %s job not marked recovered in /v1/results", jb.kind)
+		}
+		code, recoveredCSV := getBody(t, ts.URL+"/v1/results/"+id+"?format=csv")
+		if code != 200 {
+			t.Fatalf("%s csv status %d", jb.kind, code)
+		}
+		resp, err := http.Post(ts2.URL+"/v1/"+jb.kind+"?format=csv", "application/json",
+			bytes.NewReader([]byte(fmt.Sprintf(`{"spec":%q}`, jb.spec))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncCSV := new(bytes.Buffer)
+		if _, err := syncCSV.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("sync %s status %d", jb.kind, resp.StatusCode)
+		}
+		if !bytes.Equal(recoveredCSV, syncCSV.Bytes()) {
+			t.Fatalf("recovered %s CSV differs from uninterrupted run: %d vs %d bytes",
+				jb.kind, len(recoveredCSV), syncCSV.Len())
+		}
 	}
 
-	// The index marks it too, with the original accept time.
+	// The index marks them too, with the original accept time.
 	code, data := getBody(t, ts.URL+"/v1/jobs")
 	if code != 200 {
 		t.Fatal(code)
@@ -216,34 +249,12 @@ func TestJournalRecovery(t *testing.T) {
 	if err := json.Unmarshal(data, &idx); err != nil {
 		t.Fatal(err)
 	}
-	if len(idx.Jobs) != 1 || !idx.Jobs[0].Recovered {
+	if len(idx.Jobs) != len(jobs) || !idx.Jobs[0].Recovered || !idx.Jobs[1].Recovered {
 		t.Fatalf("index after recovery: %s", data)
 	}
 
-	// Byte-identity against an uninterrupted sync run of the same spec on
-	// a fresh server (fresh cache: identity comes from determinism, not
-	// from sharing a cache with the recovered run).
-	_, ts2 := newTestServer(t, nil)
-	resp, err := http.Post(ts2.URL+"/v1/sweep?format=csv", "application/json",
-		bytes.NewReader([]byte(fmt.Sprintf(`{"spec":%q}`, specText))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	syncCSV := new(bytes.Buffer)
-	if _, err := syncCSV.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("sync sweep status %d", resp.StatusCode)
-	}
-	if !bytes.Equal(recoveredCSV, syncCSV.Bytes()) {
-		t.Fatalf("recovered CSV differs from uninterrupted run: %d vs %d bytes",
-			len(recoveredCSV), syncCSV.Len())
-	}
-
-	// A third open sees no pending work: the recovered job's terminal
-	// record is journaled.
+	// A third open sees no pending work: the recovered jobs' terminal
+	// records are journaled.
 	srv.Close()
 	j3, pending, err := jobstore.Open(dir, nil)
 	if err != nil {
@@ -255,32 +266,45 @@ func TestJournalRecovery(t *testing.T) {
 	}
 }
 
-// TestRecoveryBadSpec pins that a journaled spec that no longer parses is
+// TestRecoveryBadSpec pins that a journaled job that no longer prepares
+// — a spec that fails to parse or to validate, or an unknown kind — is
 // journaled as failed instead of being retried on every restart.
 func TestRecoveryBadSpec(t *testing.T) {
-	dir := t.TempDir()
-	j, _, err := jobstore.Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(jobstore.Record{
-		Seq: 0, Op: jobstore.OpAccept, Kind: jobSweep, Spec: "no-such-knob=1",
-		At: time.Now().UnixNano(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
+	for _, tc := range []struct{ name, kind, spec, inError string }{
+		{"sweep unknown key", jobSweep, "no-such-knob=1", "no-such-knob"},
+		{"sweep unknown workload", jobSweep, "workloads=nope", "nope"},
+		{"fleet unknown workload", jobFleet, "nodes=10 workloads=nope", "nope"},
+		{"unknown kind", "render", "workloads=kmeans", "render"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, _, err := jobstore.Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(jobstore.Record{
+				Seq: 0, Op: jobstore.OpAccept, Kind: tc.kind, Spec: tc.spec,
+				At: time.Now().UnixNano(),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
 
-	srv, ts := newTestServer(t, func(c *Config) { c.StateDir = dir })
-	st := waitJob(t, ts.URL, "0")
-	if st.Status != "failed" || st.Error == "" {
-		t.Fatalf("unparsable recovered job = %+v, want failed with error", st)
-	}
-	srv.Close()
+			srv, ts := newTestServer(t, func(c *Config) { c.StateDir = dir })
+			if srv.RecoveredJobs() != 1 {
+				t.Fatalf("RecoveredJobs = %d, want 1", srv.RecoveredJobs())
+			}
+			st := waitJob(t, ts.URL, "0")
+			if st.Status != "failed" || !strings.Contains(st.Error, tc.inError) {
+				t.Fatalf("recovered job = %+v, want failed with an error naming %q", st, tc.inError)
+			}
+			srv.Close()
 
-	srv2, _ := newTestServer(t, func(c *Config) { c.StateDir = dir })
-	if srv2.RecoveredJobs() != 0 {
-		t.Fatalf("failed job recovered again: RecoveredJobs = %d", srv2.RecoveredJobs())
+			srv2, _ := newTestServer(t, func(c *Config) { c.StateDir = dir })
+			if srv2.RecoveredJobs() != 0 {
+				t.Fatalf("failed job recovered again: RecoveredJobs = %d", srv2.RecoveredJobs())
+			}
+		})
 	}
 }
 
@@ -288,9 +312,10 @@ func TestRecoveryBadSpec(t *testing.T) {
 // and eviction under -race: the store mutex must make every transition
 // atomic. Jobs are tiny cached sweeps so hundreds finish quickly.
 func TestJobStoreHammer(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
-		c.MaxJobs = 4 // force constant eviction pressure
-	})
+	srv, ts := newTestServer(t, nil)
+	srv.jobs.mu.Lock()
+	srv.jobs.max = 4 // force constant eviction pressure
+	srv.jobs.mu.Unlock()
 	const (
 		workers = 8
 		perW    = 12

@@ -67,7 +67,7 @@ func (s *Server) writeSweep(w http.ResponseWriter, spec string, results []sweep.
 // s.sweepPoints(results)} and encoding/json's trailing newline to b.
 // Strings go through json.Marshal, which escapes them and cannot fail on
 // a string: the spec once, and each workload name once per run of points
-// that share it (Expand order keeps a workload's points together).
+// that share it (a plan's order keeps a workload's points together).
 func (s *Server) appendSweep(b []byte, spec string, results []sweep.PointResult) ([]byte, error) {
 	text, _ := json.Marshal(spec)
 	b = append(b, `{"spec":`...)

@@ -113,7 +113,7 @@ func (e *Env) predictValidateLadder(label string, opts predict.Options) ([]Predi
 
 	rows := make([]PredictValidationRow, 0, len(spots))
 	for wi, spot := range spots {
-		// Expand order keeps each workload's grid contiguous,
+		// Plan order keeps each workload's grid contiguous,
 		// core-outer/memory-inner.
 		block := brute[wi*per : (wi+1)*per]
 		if block[0].Workload != spot.Workload {

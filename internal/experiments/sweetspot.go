@@ -57,7 +57,7 @@ func (e *Env) SweetSpot() ([]SweetSpotRow, error) {
 		}
 	}
 
-	// Per-workload markers. Expand order groups each workload's ladder
+	// Per-workload markers. Plan order groups each workload's ladder
 	// contiguously; strict less-than keeps the first (lowest-level) point
 	// on ties, deterministically.
 	params := dvfs.DefaultParams()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"greengpu/internal/core"
@@ -307,6 +308,14 @@ func TestParseSpec(t *testing.T) {
 		t.Errorf("ParseSpec:\n got: %+v\nwant: %+v", got, want)
 	}
 
+	// "all" alone selects every profile, in a spec and in a struct.
+	if all, err := ParseSpec("workloads=all"); err != nil || all.Workloads != nil {
+		t.Errorf(`ParseSpec("workloads=all") = %+v, %v`, all, err)
+	}
+	if err := (&Spec{Nodes: 1, Workloads: []string{"all"}}).Validate(); err != nil {
+		t.Errorf(`Workloads ["all"]: %v`, err)
+	}
+
 	defaults, err := ParseSpec("")
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +329,8 @@ func TestParseSpec(t *testing.T) {
 		"nodes", "nodes=", "nodes=0", "nodes=-5", "nodes=99999999",
 		"bogus=1", "classes=riva128", "modes=warp", "faults=9",
 		"faults=-1", "deadline=-1", "deadline=NaN", "iters=-2",
-		"workloads=a,,b", "nodes=ten",
+		"workloads=a,,b", "nodes=ten", "workloads=nope", "workloads=kmeans,nope",
+		"workloads=all,kmeans",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted, want error", bad)
@@ -333,6 +343,7 @@ func TestParseSpec(t *testing.T) {
 		"workloads=a,,b": `fleet: empty workload in "workloads=a,,b"`,
 		"nodes=ten":      `fleet: bad value in "nodes=ten": strconv.Atoi: parsing "ten": invalid syntax`,
 		"iters=1000000":  `fleet: spec asks for more than 262144 iteration records`,
+		"workloads=nope": `fleet: unknown workload "nope" (have ` + strings.Join(rodiniaNames, ", ") + `)`,
 	} {
 		if _, err := ParseSpec(in); err == nil || err.Error() != want {
 			t.Errorf("ParseSpec(%q) error %v, want %s", in, err, want)

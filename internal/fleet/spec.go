@@ -33,6 +33,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -134,9 +135,9 @@ type Spec struct {
 	DeadlineFactor float64
 }
 
-// Validate reports the first statically checkable problem with the spec.
-// Workload names are resolved against the calibrated profiles by
-// Engine.Run.
+// Validate reports the first problem with the spec. Its checks are all
+// static: workload names are checked against workload.Specs, the
+// profiles every class calibrates.
 func (s *Spec) Validate() error {
 	switch {
 	case s.Nodes < 1:
@@ -160,9 +161,11 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("fleet: unknown device class %q (have %s)", name, strings.Join(classNames, ", "))
 		}
 	}
-	for _, w := range s.Workloads {
-		if strings.TrimSpace(w) == "" {
-			return fmt.Errorf("fleet: empty workload name")
+	if len(s.Workloads) != 1 || s.Workloads[0] != "all" {
+		for _, w := range s.Workloads {
+			if !slices.Contains(rodiniaNames, w) {
+				return fmt.Errorf("fleet: unknown workload %q (have %s)", w, strings.Join(rodiniaNames, ", "))
+			}
 		}
 	}
 	for _, m := range s.Modes {
@@ -183,8 +186,15 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// rodiniaWorkloads is the size of the default workload axis.
-var rodiniaWorkloads = len(workload.Specs())
+// rodiniaNames lists the workloads every class calibrates, in registry
+// order: the names a spec may select and the default workload axis.
+var rodiniaNames = func() []string {
+	var names []string
+	for _, w := range workload.Specs() {
+		names = append(names, w.Name)
+	}
+	return names
+}()
 
 // maxConfigs bounds the distinct configurations a valid spec simulates:
 // at most one per node and one per distinct (class, workload, mode, fault
@@ -195,7 +205,7 @@ func (s *Spec) maxConfigs() int {
 	if len(s.Classes) > 0 {
 		c = min(len(s.Classes), c)
 	}
-	w := rodiniaWorkloads
+	w := len(rodiniaNames)
 	if len(s.Workloads) > 0 && s.Workloads[0] != "all" {
 		w = min(len(s.Workloads), w)
 	}
@@ -304,7 +314,7 @@ func ParseSpec(s string) (Spec, error) {
 		case "modes":
 			for _, name := range strings.Split(v, ",") {
 				var m core.Mode
-				if m, err = sweep.ParseMode(name); err != nil {
+				if m, err = core.ParseMode(name); err != nil {
 					break
 				}
 				spec.Modes = append(spec.Modes, m)

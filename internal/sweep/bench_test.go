@@ -22,10 +22,7 @@ func ladderSpec() Spec {
 func BenchmarkSweepBatched(b *testing.B) {
 	e := testEngine(b)
 	spec := ladderSpec()
-	pts, err := e.Expand(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pts := planPoints(b, e, spec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,10 +70,7 @@ func BenchmarkSweepPredicted(b *testing.B) {
 func BenchmarkSweepNaive(b *testing.B) {
 	e := testEngine(b)
 	spec := ladderSpec()
-	pts, err := e.Expand(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pts := planPoints(b, e, spec)
 	prof, err := workload.ByName(e.Profiles, "kmeans")
 	if err != nil {
 		b.Fatal(err)
@@ -104,10 +98,7 @@ func BenchmarkSweepHolistic(b *testing.B) {
 	e := testEngine(b)
 	spec := ladderSpec()
 	spec.Mode = core.Holistic
-	pts, err := e.Expand(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pts := planPoints(b, e, spec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

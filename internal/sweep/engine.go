@@ -80,55 +80,65 @@ type PointResult struct {
 	Fast bool
 }
 
-// Expand resolves a spec into its ordered point list: workloads outermost,
-// then the core ladder, then the memory ladder (draws replace the ladder).
-// The order is part of the engine's determinism contract — results are
-// returned in exactly this order at any Jobs value. Expand rejects a spec
-// whose points, at their resolved iteration counts, would produce more
-// than MaxRecords iteration records, before it allocates them.
-func (e *Engine) Expand(spec Spec) ([]Point, error) {
-	pts, _, err := e.expand(&spec)
-	return pts, err
+// Plan is a spec validated and expanded against one engine, ready to
+// Run (more than once, if need be). Engine.Plan builds it.
+type Plan struct {
+	// Points are the spec's points, read-only, in the engine's
+	// deterministic order — workloads outermost, then the core ladder, then
+	// the memory ladder (draws replace the ladder) — which is the order of
+	// Run's results at any Jobs value.
+	Points []Point
+
+	e     *Engine
+	spec  Spec
+	profs []*workload.Profile // selected profiles, in selection order
+	base  core.Config         // the batch's shared configuration
 }
 
-// expand is Expand that also returns the selected profiles, in selection
-// order, for the batch that evaluates the points.
-func (e *Engine) expand(spec *Spec) ([]Point, []*workload.Profile, error) {
+// Plan validates the spec against the engine and expands it. It rejects
+// unknown workloads, ladder indices beyond the devices' ladders, and
+// specs whose points, at their resolved iteration counts, would produce
+// more than MaxRecords iteration records, before it allocates them.
+func (e *Engine) Plan(spec Spec) (Plan, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, nil, err
+		return Plan{}, err
 	}
 	profs, err := workload.Select(e.Profiles, spec.Workloads)
 	if err != nil {
-		return nil, nil, err
+		return Plan{}, err
+	}
+	p := Plan{e: e, spec: spec, profs: profs, base: e.baseConfig(&spec)}
+	if err := p.base.Validate(); err != nil {
+		return Plan{}, err
 	}
 	if spec.Draws > 0 {
 		if err := checkRecords(profs, spec.Draws, spec.Iterations); err != nil {
-			return nil, nil, err
+			return Plan{}, err
 		}
-		pts := make([]Point, 0, len(profs)*spec.Draws)
-		for _, p := range profs {
+		p.Points = make([]Point, 0, len(profs)*spec.Draws)
+		for _, pr := range profs {
 			for d := 0; d < spec.Draws; d++ {
-				pts = append(pts, Point{Workload: p.Name, Draw: d, Core: -1, Mem: -1, CPU: -1})
+				p.Points = append(p.Points, Point{Workload: pr.Name, Draw: d, Core: -1, Mem: -1, CPU: -1})
 			}
 		}
-		return pts, profs, nil
+		return p, nil
 	}
-	cores, mems, cpuLvl, err := e.ladder(spec)
+	cores, mems, cpuLvl, err := e.ladder(&spec)
 	if err != nil {
-		return nil, nil, err
+		return Plan{}, err
 	}
 	if err := checkRecords(profs, len(cores)*len(mems), spec.Iterations); err != nil {
-		return nil, nil, err
+		return Plan{}, err
 	}
-	pts := make([]Point, 0, len(profs)*len(cores)*len(mems))
-	for _, p := range profs {
+	p.Points = make([]Point, 0, len(profs)*len(cores)*len(mems))
+	for _, pr := range profs {
 		for _, c := range cores {
 			for _, m := range mems {
-				pts = append(pts, Point{Workload: p.Name, Draw: -1, Core: c, Mem: m, CPU: cpuLvl})
+				p.Points = append(p.Points, Point{Workload: pr.Name, Draw: -1, Core: c, Mem: m, CPU: cpuLvl})
 			}
 		}
 	}
-	return pts, profs, nil
+	return p, nil
 }
 
 // checkRecords rejects n points per profile whose iteration records, at
@@ -319,31 +329,32 @@ func (b *Batch) Key(name string, cfg core.Config) (runcache.Key, bool) {
 	return runcache.KeyOf(&b.e.GPU, &b.e.CPU, &b.e.Bus, wt.prof, &cfg, ""), true
 }
 
-// Run expands and evaluates the spec, returning results in Expand order.
+// Run plans and evaluates the spec (Plan, then Plan.Run).
+func (e *Engine) Run(ctx context.Context, spec Spec) ([]PointResult, error) {
+	p, err := e.Plan(spec)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(ctx)
+}
+
+// Run evaluates the plan's points, returning results in Points order.
 // When ctx is canceled, points that have not started are skipped, points
 // already running complete (so an attached run cache never holds partial
 // entries), and the error is ctx.Err(). The daemon routes client
 // disconnects through this path.
-func (e *Engine) Run(ctx context.Context, spec Spec) ([]PointResult, error) {
-	pts, profs, err := e.expand(&spec)
+func (p *Plan) Run(ctx context.Context) ([]PointResult, error) {
+	b, err := p.e.newBatch(p.profs)
 	if err != nil {
 		return nil, err
 	}
-	b, err := e.newBatch(profs)
-	if err != nil {
-		return nil, err
-	}
-	base := e.baseConfig(&spec)
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
-	eligible := fastEligible(&base)
+	eligible := fastEligible(&p.base)
 	metricBatches.Inc()
-	metricPoints.Add(uint64(len(pts)))
-	return parallel.Map(ctx, pts,
+	metricPoints.Add(uint64(len(p.Points)))
+	return parallel.Map(ctx, p.Points,
 		func(_ int, pt Point) (PointResult, error) {
-			return b.evalPoint(&spec, &base, eligible, pt)
-		}, e.Jobs)
+			return b.evalPoint(&p.spec, &p.base, eligible, pt)
+		}, p.e.Jobs)
 }
 
 // evalPoint evaluates one point of a spec: the batch-validated base

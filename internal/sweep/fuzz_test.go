@@ -38,10 +38,10 @@ func FuzzSweepSpec(f *testing.F) {
 		if verr := spec.Validate(); verr != nil {
 			t.Fatalf("ParseSpec(%q) accepted a spec that fails Validate: %v", s, verr)
 		}
-		a, errA := e.Expand(spec)
-		b, errB := e.Expand(spec)
-		if (errA == nil) != (errB == nil) || !reflect.DeepEqual(a, b) {
-			t.Fatalf("Expand(%q) is not deterministic", s)
+		a, errA := e.Plan(spec)
+		b, errB := e.Plan(spec)
+		if (errA == nil) != (errB == nil) || !reflect.DeepEqual(a.Points, b.Points) {
+			t.Fatalf("Plan(%q) is not deterministic", s)
 		}
 	})
 }

@@ -86,7 +86,7 @@ var errTooManyRecords = fmt.Errorf("sweep: spec asks for more than %d iteration 
 
 // Validate reports the first statically checkable problem with the spec.
 // Level indices and workload names are resolved against a concrete engine
-// by Engine.Expand, which also checks MaxRecords against the resolved
+// by Engine.Plan, which also checks MaxRecords against the resolved
 // points and iteration counts.
 func (s *Spec) Validate() error {
 	switch {
@@ -163,7 +163,7 @@ func ParseSpec(s string) (Spec, error) {
 		case "seed":
 			spec.Seed, err = strconv.ParseUint(v, 10, 64)
 		case "mode":
-			spec.Mode, err = ParseMode(v)
+			spec.Mode, err = core.ParseMode(v)
 		default:
 			return false, nil
 		}
@@ -250,7 +250,7 @@ func parseLevels(v string) ([]int, error) {
 
 // maxRangeSpan bounds a single a-b ladder range. Real ladders have a
 // handful of levels; the bound keeps a typo ("0-999999999") from
-// materializing a giant slice before Expand rejects the indices.
+// materializing a giant slice before Plan rejects the indices.
 const maxRangeSpan = 4096
 
 func parseIndex(v string) (int, error) {
@@ -262,21 +262,4 @@ func parseIndex(v string) (int, error) {
 		return 0, fmt.Errorf("negative index %d", n)
 	}
 	return n, nil
-}
-
-// ParseMode resolves a framework-mode name as the sweep and fleet spec
-// mini-languages spell them, accepting the paper's aliases
-// ("frequency-scaling", "greengpu") alongside the short forms.
-func ParseMode(v string) (core.Mode, error) {
-	switch v {
-	case "baseline":
-		return core.Baseline, nil
-	case "scaling", "frequency-scaling":
-		return core.FreqScaling, nil
-	case "division":
-		return core.Division, nil
-	case "holistic", "greengpu":
-		return core.Holistic, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", v)
 }

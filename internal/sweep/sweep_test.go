@@ -6,8 +6,11 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"greengpu/internal/core"
+	"greengpu/internal/division"
+	"greengpu/internal/dvfs"
 	"greengpu/internal/faultinject"
 	"greengpu/internal/runcache"
 	"greengpu/internal/testbed"
@@ -26,14 +29,21 @@ func testEngine(t testing.TB) *Engine {
 	return &Engine{GPU: gpu, CPU: cpu, Bus: b, Profiles: profiles, Jobs: 1}
 }
 
+// planPoints returns spec's points as e.Plan expands them.
+func planPoints(t testing.TB, e *Engine, spec Spec) []Point {
+	t.Helper()
+	p, err := e.Plan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Points
+}
+
 // naiveRun evaluates the expanded points one at a time on fresh machines —
 // the exact per-point path the batch evaluator must reproduce.
 func naiveRun(t testing.TB, e *Engine, spec Spec) []*core.Result {
 	t.Helper()
-	pts, err := e.Expand(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := planPoints(t, e, spec)
 	out := make([]*core.Result, len(pts))
 	for i, pt := range pts {
 		prof, err := workload.ByName(e.Profiles, pt.Workload)
@@ -55,10 +65,7 @@ func naiveRun(t testing.TB, e *Engine, spec Spec) []*core.Result {
 // flags.
 func evalFull(t testing.TB, e *Engine, spec Spec) ([]*core.Result, []bool) {
 	t.Helper()
-	pts, err := e.Expand(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := planPoints(t, e, spec)
 	b, err := e.NewBatch()
 	if err != nil {
 		t.Fatal(err)
@@ -156,10 +163,7 @@ func TestSpinWaitOff(t *testing.T) {
 	e := testEngine(t)
 	spec := Spec{Workloads: []string{"nbody"}, Iterations: 2, CPULevel: -1,
 		CoreLevels: []int{2}, MemLevels: []int{3}}
-	pts, err := e.Expand(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := planPoints(t, e, spec)
 	b, err := e.NewBatch()
 	if err != nil {
 		t.Fatal(err)
@@ -184,6 +188,96 @@ func TestSpinWaitOff(t *testing.T) {
 		}
 		if got.SpinTime != 0 || got.SpinEnergy != 0 {
 			t.Errorf("SpinWait=false accrued spin: %v %v", got.SpinTime, got.SpinEnergy)
+		}
+	}
+}
+
+// TestFastEligibleCoversConfigFields is fastEligible's field guard. Every
+// core.Config field is in one of three classes — a clause of the rule, a
+// field the closed form reads, or a field a baseline run never reads —
+// and a new field fails here until it is classified, so no field that
+// changes a run can take the closed form unnoticed. The classes are
+// checked, not only listed: each rule field, set on a baseline ladder
+// point, takes it off the closed form, and each never-read field, set on
+// the same point, leaves it on the closed form with core.Run's result.
+func TestFastEligibleCoversConfigFields(t *testing.T) {
+	ratio, plan := 0.25, faultinject.Default(7)
+	rule := map[string]func(*core.Config){
+		"Mode":           func(c *core.Config) { c.Mode = core.FreqScaling },
+		"StaticRatio":    func(c *core.Config) { c.StaticRatio = &ratio },
+		"FaultPlan":      func(c *core.Config) { c.FaultPlan = &plan },
+		"ActuatorFilter": func(c *core.Config) { c.ActuatorFilter = func(d dvfs.Decision) dvfs.Decision { return d } },
+		"DivisionPolicy": func(c *core.Config) { c.DivisionPolicy = division.NewQilin(division.DefaultQilinConfig()) },
+		"OnDVFS":         func(c *core.Config) { c.OnDVFS = func(time.Duration, float64, float64, dvfs.Decision) {} },
+		"OnCPUGovernor":  func(c *core.Config) { c.OnCPUGovernor = func(time.Duration, float64, int) {} },
+		"OnIteration":    func(c *core.Config) { c.OnIteration = func(core.IterationStats) {} },
+	}
+	// The closed form's own inputs, covered by TestFastPathMatchesNaive,
+	// TestSpinWaitOff and FuzzFastVsCore.
+	read := []string{"Iterations", "SpinWait", "InitialLevels"}
+	neverRead := map[string]func(*core.Config){
+		"DVFSInterval": func(c *core.Config) { c.DVFSInterval = time.Second },
+		"GPUScaler":    func(c *core.Config) { c.GPUScaler.Beta = 0.5 },
+		"Fixed8Scaler": func(c *core.Config) { c.Fixed8Scaler = true },
+		"SMScaling":    func(c *core.Config) { c.SMScaling = true },
+		"Division":     func(c *core.Config) { c.Division.Initial = 0.5 },
+	}
+	classes := map[string]int{}
+	for name := range rule {
+		classes[name]++
+	}
+	for _, name := range read {
+		classes[name]++
+	}
+	for name := range neverRead {
+		classes[name]++
+	}
+	typ := reflect.TypeOf(core.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if classes[name] != 1 {
+			t.Errorf("core.Config.%s is in %d of fastEligible's field classes, want exactly 1: classify it here and, if it can change a baseline run, add it to the rule", name, classes[name])
+		}
+		delete(classes, name)
+	}
+	for name := range classes {
+		t.Errorf("classified field %s is not in core.Config", name)
+	}
+
+	e := testEngine(t)
+	b, err := e.NewBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := workload.ByName(e.Profiles, "kmeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := func(set func(*core.Config)) core.Config {
+		cfg := core.DefaultConfig(core.Baseline)
+		cfg.Iterations = 3
+		cfg.InitialLevels = &core.Levels{Core: 2, Mem: 3, CPU: len(e.CPU.PStates) - 1}
+		set(&cfg)
+		return cfg
+	}
+	for name, set := range rule {
+		if _, fast, err := b.Eval(prof.Name, point(set)); err != nil || fast {
+			t.Errorf("rule field %s set: fast=%t, err %v; want the full simulation", name, fast, err)
+		}
+	}
+	for name, set := range neverRead {
+		cfg := point(set)
+		got, fast, err := b.Eval(prof.Name, cfg)
+		if err != nil || !fast {
+			t.Errorf("never-read field %s set: fast=%t, err %v; want the closed form", name, fast, err)
+			continue
+		}
+		want, err := core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), prof, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("never-read field %s set: closed form diverges from core.Run:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }
@@ -318,7 +412,7 @@ func TestExpandErrors(t *testing.T) {
 }
 
 // TestRecordCap pins MaxRecords at its boundary: Validate rejects what it
-// can see statically, Expand rejects what only the resolved ladders and
+// can see statically, Plan rejects what only the resolved ladders and
 // profile iteration counts reveal, and both accept a spec exactly at the
 // cap.
 func TestRecordCap(t *testing.T) {
@@ -342,9 +436,9 @@ func TestRecordCap(t *testing.T) {
 		{"full ladder over cap", Spec{CPULevel: -1, Iterations: MaxRecords / 36}, false},
 		{"overflowing draws", Spec{Iterations: 1 << 40, Draws: 1 << 40}, false},
 	} {
-		_, err := e.Expand(tc.spec)
+		_, err := e.Plan(tc.spec)
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: Expand error %v, want ok=%v", tc.name, err, tc.ok)
+			t.Errorf("%s: Plan error %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }
@@ -407,10 +501,7 @@ func TestTableByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := e.Expand(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := planPoints(t, e, spec)
 	want := naiveRun(t, e, spec)
 	naivePRs := make([]PointResult, len(want))
 	for i := range want {
