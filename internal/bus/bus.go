@@ -79,7 +79,7 @@ func (b *Bus) TransferTime(n units.Bytes) time.Duration {
 // completes. Transfers are serialized FIFO: a transfer issued while the bus
 // is busy starts when the channel frees up. It returns the completion time,
 // which saturates at sim.MaxTime like every other simulation instant.
-func (b *Bus) Transfer(n units.Bytes, name string, onDone func()) time.Duration {
+func (b *Bus) Transfer(n units.Bytes, onDone func()) time.Duration {
 	service := b.TransferTime(n)
 	start := b.engine.Now()
 	if b.busyUntil > start {
@@ -93,7 +93,7 @@ func (b *Bus) Transfer(n units.Bytes, name string, onDone func()) time.Duration 
 	if onDone == nil {
 		onDone = nop
 	}
-	b.engine.Schedule(end, "bus:"+name, onDone)
+	b.engine.Schedule(end, onDone)
 	return end
 }
 

@@ -58,7 +58,7 @@ func TestTransferCompletion(t *testing.T) {
 	e := sim.New()
 	b := New(e, testConfig())
 	var doneAt time.Duration
-	b.Transfer(1e9, "h2d", func() { doneAt = e.Now() })
+	b.Transfer(1e9, func() { doneAt = e.Now() })
 	e.Run()
 	want := 1010 * time.Millisecond
 	if doneAt != want {
@@ -70,8 +70,8 @@ func TestFIFOSerialization(t *testing.T) {
 	e := sim.New()
 	b := New(e, testConfig())
 	var order []string
-	b.Transfer(1e9, "first", func() { order = append(order, "first") })     // ends 1.01s
-	b.Transfer(0.5e9, "second", func() { order = append(order, "second") }) // ends 1.01+0.51
+	b.Transfer(1e9, func() { order = append(order, "first") })    // ends 1.01s
+	b.Transfer(0.5e9, func() { order = append(order, "second") }) // ends 1.01+0.51
 	if !b.Busy() {
 		t.Error("bus should be busy")
 	}
@@ -90,8 +90,8 @@ func TestFIFOSerialization(t *testing.T) {
 func TestCounters(t *testing.T) {
 	e := sim.New()
 	b := New(e, testConfig())
-	b.Transfer(1e9, "a", nil)
-	b.Transfer(2e9, "b", nil)
+	b.Transfer(1e9, nil)
+	b.Transfer(2e9, nil)
 	e.Run()
 	c := b.Counters()
 	if c.Transfers != 2 {
@@ -109,7 +109,7 @@ func TestCounters(t *testing.T) {
 func TestNilCallback(t *testing.T) {
 	e := sim.New()
 	b := New(e, testConfig())
-	b.Transfer(100, "nil-cb", nil)
+	b.Transfer(100, nil)
 	e.Run() // must not panic
 }
 
@@ -117,7 +117,7 @@ func TestZeroByteTransferStillPaysLatency(t *testing.T) {
 	e := sim.New()
 	b := New(e, testConfig())
 	var doneAt time.Duration
-	b.Transfer(0, "sync", func() { doneAt = e.Now() })
+	b.Transfer(0, func() { doneAt = e.Now() })
 	e.Run()
 	if doneAt != 10*time.Millisecond {
 		t.Errorf("zero-byte transfer done at %v, want 10ms", doneAt)
@@ -134,7 +134,7 @@ func TestSerializationProperty(t *testing.T) {
 		for i, kb := range sizesKB {
 			n := units.Bytes(kb) * 1024
 			total += b.TransferTime(n)
-			b.Transfer(n, "t", nil)
+			b.Transfer(n, nil)
 			_ = i
 		}
 		e.Run()

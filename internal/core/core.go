@@ -27,14 +27,12 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"greengpu/internal/cpusim"
 	"greengpu/internal/division"
 	"greengpu/internal/dvfs"
 	"greengpu/internal/faultinject"
-	"greengpu/internal/governor"
 	"greengpu/internal/gpusim"
 	"greengpu/internal/sim"
 	"greengpu/internal/telemetry"
@@ -162,7 +160,7 @@ type Config struct {
 	// FaultPlan, when non-nil and not Zero, injects the deterministic
 	// sensor, actuator, meter and straggler faults of internal/faultinject
 	// and arms the hardened recovery paths (hold-last-good, retry with
-	// backoff, watchdog failsafe — tuned by dvfs.GuardConfig's defaults).
+	// backoff, watchdog failsafe — see dvfs.Guard).
 	// Unlike ActuatorFilter the plan is pure data, so faulty runs stay
 	// cacheable: the run cache fingerprints the plan into the point key. A
 	// nil or Zero plan leaves the control loop byte-identical to a build
@@ -192,8 +190,8 @@ type Levels struct {
 const GovernorInterval = time.Second
 
 // RecoveryCounts tallies the recovery actions the hardened control paths
-// took, summed over the GPU guard, the CPU guard, and the hardened CPU
-// governor.
+// took, summed over the GPU guard, the CPU guard, and the CPU governor's
+// hold-last-good.
 type RecoveryCounts struct {
 	// HeldSamples is sensor samples replaced by the last good reading.
 	HeldSamples uint64
@@ -365,30 +363,30 @@ type framework struct {
 
 	divider division.Policy
 	scaler  *dvfs.Scaler
-	cpuGov  governor.Policy
 
 	// Fault-injection state, all nil/zero unless a non-Zero FaultPlan is
 	// armed. The fault-free path never touches any of it beyond nil checks.
 	injector *faultinject.Injector
 	gpuGuard *dvfs.Guard
 	cpuGuard *dvfs.Guard
-	hardGov  *governor.Hardened
 	gpuGate  func() (dvfs.TransitionResult, int)
 	cpuGate  func() (dvfs.TransitionResult, int)
+	// cpuLastGood is the governor's last good utilization sample.
+	cpuLastGood float64
 	// Totals at the start of the current iteration, for per-iteration
 	// deltas.
 	faultsAtIter faultinject.Counts
 	recovAtIter  RecoveryCounts
 
 	// Governor decisions tallied for one Add per metric at run end.
-	govTally governor.Tally
+	gov govTally
 
 	ratio      float64
 	iterations int
 
 	// One kernel and one CPU job are reused by every iteration (each
-	// completes before the next iteration starts), and the callbacks that
-	// drive them are bound once per run.
+	// completes before the next iteration starts), and their names and the
+	// callbacks that drive them are set once per run.
 	kernel       gpusim.Kernel
 	cpuJob       cpusim.Job
 	submitKernel func()
@@ -420,6 +418,7 @@ func (f *framework) run() (*Result, error) {
 		// front; append grows past the cap as usual.
 		Iterations: make([]IterationStats, 0, min(f.iterations, maxPreallocIterations)),
 	}
+	f.kernel.Name, f.cpuJob.Name = f.profile.Name, f.profile.Name
 	f.kernel.OnComplete = func() { f.sideDone(&f.gpuPending, &f.gpuDoneAt) }
 	f.cpuJob.OnComplete = func() { f.sideDone(&f.cpuPending, &f.cpuDoneAt) }
 	f.submitKernel = func() { m.GPU.Submit(&f.kernel) }
@@ -482,29 +481,23 @@ func (f *framework) run() (*Result, error) {
 		} else {
 			f.scaler = dvfs.NewScaler(gpu.CoreLevels(), gpu.MemLevels(), cfg.GPUScaler)
 		}
-		f.cpuGov = governor.NewOndemand()
 		if f.injector != nil {
 			// Harden both control loops: guards gate every transition and
 			// hold-last-good covers dropped samples; the failsafe is the
 			// peak (performance-safe) operating point of each domain.
 			f.gpuGuard = dvfs.NewGuard(
-				dvfs.GuardConfig{Failsafe: dvfs.Decision{
-					CoreLevel: len(gpu.CoreLevels()) - 1,
-					MemLevel:  len(gpu.MemLevels()) - 1,
-				}},
+				dvfs.Decision{CoreLevel: len(gpu.CoreLevels()) - 1, MemLevel: len(gpu.MemLevels()) - 1},
 				dvfs.Decision{CoreLevel: gpu.CoreLevel(), MemLevel: gpu.MemLevel()})
 			f.cpuGuard = dvfs.NewGuard(
-				dvfs.GuardConfig{Failsafe: dvfs.Decision{CoreLevel: cpu.Levels() - 1}},
+				dvfs.Decision{CoreLevel: cpu.Levels() - 1},
 				dvfs.Decision{CoreLevel: cpu.Level()})
-			f.hardGov = governor.Harden(f.cpuGov)
-			f.cpuGov = f.hardGov
 		}
 		var smPolicy *dvfs.SMPolicy
 		if cfg.SMScaling {
 			smPolicy = dvfs.NewSMPolicy(gpu.Config().SMs)
 		}
 		lastCnt := gpu.Counters()
-		f.dvfsTicker = m.Engine.Every(cfg.DVFSInterval, "tier2:gpu-dvfs", func() {
+		f.dvfsTicker = m.Engine.Every(cfg.DVFSInterval, func() {
 			cnt := gpu.Counters()
 			w := cnt.Since(lastCnt)
 			lastCnt = cnt
@@ -571,21 +564,25 @@ func (f *framework) run() (*Result, error) {
 				})
 			}
 		})
-		govNext := f.govTally.Bind(f.cpuGov)
 		// An ondemand tick that keeps the P-state repeats itself until the
 		// next event: nothing before it can change the CPU's utilization or
 		// level. Such a tick skips ahead to the first governor boundary at
-		// or after that event and credits the skipped decisions. An armed
-		// fault plan hardens the governor, which keeps a last-good reading,
-		// and a governor hook sees every tick.
-		skipIdle := cfg.OnCPUGovernor == nil && f.hardGov == nil
-		f.govTicker = m.Engine.Every(GovernorInterval, "tier2:cpu-governor", func() {
+		// or after that event and counts the skipped decisions. An armed
+		// fault plan holds the last good reading, which a skip would not
+		// replay, and a governor hook sees every tick.
+		skipIdle := cfg.OnCPUGovernor == nil && f.injector == nil
+		f.govTicker = m.Engine.Every(GovernorInterval, func() {
 			u := cpu.MaxCoreUtilization()
+			util := u
 			if f.injector != nil {
+				// The hook sees the raw reading; ondemand decides on the
+				// held one.
 				u = f.injector.CPUSensor(u)
+				util = f.holdCPUSample(u)
 			}
-			level, tally := cpu.Level(), f.govTally
-			next := govNext(u, level, cpu.Levels())
+			level := cpu.Level()
+			next, jump := ondemand(util, level, cpu.Levels())
+			f.gov.count(1, jump)
 			if f.cpuGuard != nil {
 				// The guard gates the P-state write like a GPU transition;
 				// the unused memory domain stays at level 0.
@@ -596,7 +593,7 @@ func (f *framework) run() (*Result, error) {
 				cfg.OnCPUGovernor(m.Engine.Now(), u, next)
 			}
 			if skipIdle && next == level {
-				f.govTally.Credit(tally, f.govTicker.SkipIdle())
+				f.gov.count(f.govTicker.SkipIdle(), jump)
 			}
 		})
 	}
@@ -642,7 +639,7 @@ const maxPreallocIterations = 1024
 // Add each.
 func (f *framework) flushMetrics() {
 	metricIterations.Add(uint64(len(f.result.Iterations)))
-	f.govTally.Flush()
+	f.gov.flush()
 	if f.scaler != nil {
 		f.scaler.FlushMetrics()
 	}
@@ -679,9 +676,7 @@ func (f *framework) recoverySnapshot() RecoveryCounts {
 		rc.DeferredApplies += c.DeferredApplies
 		rc.WatchdogTrips += c.WatchdogTrips
 	}
-	if f.hardGov != nil {
-		rc.HeldSamples += f.hardGov.Holds()
-	}
+	rc.HeldSamples += f.gov.holds
 	return rc
 }
 
@@ -695,14 +690,13 @@ func (f *framework) startIteration() {
 	r := f.ratio
 	gpuUnits := (1 - r) * workload.UnitsPerIteration
 	cpuUnits := r * workload.UnitsPerIteration
-	name := f.profile.Name + ":iter" + strconv.Itoa(f.iterIndex)
 
 	// Repartitioning traffic when the ratio moved since last iteration.
 	if f.iterIndex > 0 && f.divider != nil {
 		h := f.divider.History()
 		last := h[len(h)-1]
 		if bytes := f.profile.RepartitionTraffic(last.R, last.NewR); bytes > 0 {
-			m.Bus.Transfer(bytes, name+":repartition", nil)
+			m.Bus.Transfer(bytes, nil)
 		}
 	}
 
@@ -714,17 +708,15 @@ func (f *framework) startIteration() {
 		if f.injector != nil {
 			kernelUnits *= f.injector.Straggler()
 		}
-		f.kernel.Name = name
 		f.kernel.Phases = f.profile.AppendGPUPhases(f.kernel.Phases[:0], kernelUnits)
 		xfer := f.profile.TransferBytes(gpuUnits)
-		m.Bus.Transfer(xfer, name+":h2d", f.submitKernel)
+		m.Bus.Transfer(xfer, f.submitKernel)
 	} else {
 		f.sideDone(&f.gpuPending, &f.gpuDoneAt)
 	}
 
 	// CPU side.
 	if cpuUnits > 1e-9 {
-		f.cpuJob.Name = name + ":cpu"
 		f.cpuJob.Ops = f.profile.CPUOps(cpuUnits)
 		m.CPU.Run(&f.cpuJob)
 	} else {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"greengpu/internal/faultinject"
+	"greengpu/internal/telemetry"
 	"greengpu/internal/testbed"
 	"greengpu/internal/workload"
 )
@@ -150,6 +152,49 @@ func TestSensorDropsAreHeld(t *testing.T) {
 	}
 	if res.Recoveries.HeldSamples != res.Faults.GPUSensorDropped {
 		t.Fatalf("held %d samples but dropped %d", res.Recoveries.HeldSamples, res.Faults.GPUSensorDropped)
+	}
+}
+
+// TestCPUSensorDropsAreHeld: every dropped CPU sample is held by the
+// governor's hold-last-good, in the run's recovery counts and in its
+// metric, while the governor hook still sees the raw (NaN) reading.
+func TestCPUSensorDropsAreHeld(t *testing.T) {
+	was := telemetry.Enabled()
+	telemetry.Enable()
+	defer func() {
+		if !was {
+			telemetry.Disable()
+		}
+	}()
+	const held = "greengpu_governor_held_samples_total"
+	for _, c := range []struct {
+		mode Mode
+		rate float64
+	}{{FreqScaling, 1}, {Holistic, 0.3}} {
+		plan := faultinject.Plan{Seed: 5, CPUDropRate: c.rate}
+		var nans uint64
+		before := telemetry.Default.CounterValue(held)
+		res := runMode(t, "kmeans", c.mode, func(cfg *Config) {
+			cfg.FaultPlan = &plan
+			cfg.OnCPUGovernor = func(_ time.Duration, util float64, _ int) {
+				if math.IsNaN(util) {
+					nans++
+				}
+			}
+		})
+		dropped := res.Faults.CPUSensorDropped
+		if dropped == 0 {
+			t.Fatalf("%v at drop rate %v: no CPU sample dropped", c.mode, c.rate)
+		}
+		if res.Recoveries.HeldSamples != dropped {
+			t.Errorf("%v at drop rate %v: held %d samples, dropped %d", c.mode, c.rate, res.Recoveries.HeldSamples, dropped)
+		}
+		if got := telemetry.Default.CounterValue(held) - before; got != dropped {
+			t.Errorf("%v at drop rate %v: %s advanced by %d, dropped %d", c.mode, c.rate, held, got, dropped)
+		}
+		if nans != dropped {
+			t.Errorf("%v at drop rate %v: governor hook saw %d NaN samples, dropped %d", c.mode, c.rate, nans, dropped)
+		}
 	}
 }
 

@@ -172,7 +172,6 @@ type jobExec struct {
 	remOps   float64
 	segStart time.Duration
 	segT     time.Duration
-	name     string // job event label, built once at Run
 	endEvent sim.Event
 }
 
@@ -268,7 +267,7 @@ func (c *CPU) Run(j *Job) {
 	j.started = c.engine.Now()
 	// One job runs at a time, so its execution state lives in a reused
 	// buffer rather than a fresh allocation.
-	c.jobBuf = jobExec{job: j, cores: cores, remOps: j.Ops, name: "cpu:" + j.Name}
+	c.jobBuf = jobExec{job: j, cores: cores, remOps: j.Ops}
 	c.job = &c.jobBuf
 	c.startSegment()
 }
@@ -380,7 +379,7 @@ func (c *CPU) startSegment() {
 		c.finishJob()
 		return
 	}
-	je.endEvent = c.engine.After(t, je.name, c.jobEnd)
+	je.endEvent = c.engine.After(t, c.jobEnd)
 }
 
 func (c *CPU) finishJob() {

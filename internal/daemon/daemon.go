@@ -623,11 +623,11 @@ func (s *Server) run(ctx context.Context, p *prepared) (outcome, error) {
 }
 
 // handleJob serves POST /v1/sweep and /v1/fleet, for specs of the given
-// kind: decode, prepare (400 on any spec error), admission (503 when
-// full), then an async job, or a sync run under the request context — a
-// client disconnect cancels unstarted points — rendered as JSON or, with
-// ?format=csv, exactly the bytes cmd/experiments -sweep or -fleet -out
-// writes for the same spec.
+// kind: decode, prepare (400 on any spec error, or on a sync fleet CSV's
+// unknown ?table), admission (503 when full), then an async job, or a sync
+// run under the request context — a client disconnect cancels unstarted
+// points — rendered as JSON or, with ?format=csv, exactly the bytes
+// cmd/experiments -sweep or -fleet -out writes for the same spec.
 func (s *Server) handleJob(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req JobRequest
@@ -637,6 +637,11 @@ func (s *Server) handleJob(kind string) http.HandlerFunc {
 		p, err := s.prepare(kind, req.Spec)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		csv := r.URL.Query().Get("format") == "csv"
+		if kind == jobFleet && !req.Async && csv && fleetTable(r) == nil {
+			writeError(w, http.StatusBadRequest, errFleetTable)
 			return
 		}
 		release, ok := s.acquire(w)
@@ -654,7 +659,7 @@ func (s *Server) handleJob(kind string) http.HandlerFunc {
 			return
 		}
 		switch {
-		case r.URL.Query().Get("format") == "csv":
+		case csv:
 			s.writeCSV(w, r, out)
 		case out.fleet != nil:
 			writeJSON(w, fleetResponse(req.Spec, out.fleet))
@@ -756,20 +761,32 @@ func (s *Server) evalError(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, http.StatusInternalServerError, err.Error())
 }
 
+// errFleetTable is the 400 answer to a fleet CSV's unknown ?table.
+const errFleetTable = "table must be groups or summary"
+
+// fleetTable returns the fleet CSV table ?table selects — groups, the
+// default, or summary — and nil for any other name.
+func fleetTable(r *http.Request) func(*fleet.Result) *trace.Table {
+	switch r.URL.Query().Get("table") {
+	case "", "groups":
+		return fleet.GroupsTable
+	case "summary":
+		return fleet.SummaryTable
+	}
+	return nil
+}
+
 // writeCSV renders an outcome with the exact bytes trace.Table.WriteCSV
 // produces for the CLI's -out files: a sweep's points table, or the fleet
-// table ?table selects (groups, the default, or summary).
+// table ?table selects.
 func (s *Server) writeCSV(w http.ResponseWriter, r *http.Request, out outcome) {
 	var t *trace.Table
-	switch table := r.URL.Query().Get("table"); {
-	case out.fleet == nil:
+	if out.fleet == nil {
 		t = sweep.Table(s.eng, out.points)
-	case table == "" || table == "groups":
-		t = fleet.GroupsTable(out.fleet)
-	case table == "summary":
-		t = fleet.SummaryTable(out.fleet)
-	default:
-		writeError(w, http.StatusBadRequest, "table must be groups or summary")
+	} else if table := fleetTable(r); table != nil {
+		t = table(out.fleet)
+	} else {
+		writeError(w, http.StatusBadRequest, errFleetTable)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")

@@ -356,15 +356,22 @@ func TestSpecErrorsBeforeAdmission(t *testing.T) {
 		c.StateDir = dir
 	})
 	srv.sem <- struct{}{}
-	for _, tc := range []struct{ name, path, spec string }{
-		{"sweep unknown key", "/v1/sweep", "turbo=1"},
-		{"sweep unknown workload", "/v1/sweep", "workloads=nope"},
-		{"sweep level out of range", "/v1/sweep", "workloads=kmeans core=99"},
-		{"fleet unknown class", "/v1/fleet", "nodes=10 classes=riva128"},
-		{"fleet unknown workload", "/v1/fleet", "nodes=10 workloads=nope"},
-		{"fleet all and a workload", "/v1/fleet", "nodes=10 workloads=all,kmeans"},
+	for _, tc := range []struct {
+		name, path, spec string
+		syncOnly         bool // an async job's ?table is read from its result request
+	}{
+		{"sweep unknown key", "/v1/sweep", "turbo=1", false},
+		{"sweep unknown workload", "/v1/sweep", "workloads=nope", false},
+		{"sweep level out of range", "/v1/sweep", "workloads=kmeans core=99", false},
+		{"fleet unknown class", "/v1/fleet", "nodes=10 classes=riva128", false},
+		{"fleet unknown workload", "/v1/fleet", "nodes=10 workloads=nope", false},
+		{"fleet all and a workload", "/v1/fleet", "nodes=10 workloads=all,kmeans", false},
+		{"fleet csv unknown table", "/v1/fleet?format=csv&table=bogus", "nodes=10", true},
 	} {
 		for _, async := range []bool{false, true} {
+			if async && tc.syncOnly {
+				continue
+			}
 			body, err := json.Marshal(JobRequest{Spec: tc.spec, Async: async})
 			if err != nil {
 				t.Fatal(err)

@@ -257,7 +257,7 @@ func FuzzGuardSample(f *testing.F) {
 	f.Add(0.5, 0.5)
 	f.Add(math.NaN(), 0.2)
 	f.Add(math.Inf(1), math.Inf(-1))
-	g := NewGuard(GuardConfig{Failsafe: Decision{CoreLevel: 3, MemLevel: 2}}, Decision{})
+	g := NewGuard(Decision{CoreLevel: 3, MemLevel: 2}, Decision{})
 	f.Fuzz(func(t *testing.T, uc, um float64) {
 		guc, gum, _ := g.Sample(uc, um)
 		if math.IsNaN(guc) || math.IsInf(guc, 0) || math.IsNaN(gum) || math.IsInf(gum, 0) {

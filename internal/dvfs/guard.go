@@ -1,10 +1,6 @@
 package dvfs
 
-import (
-	"fmt"
-
-	"greengpu/internal/telemetry"
-)
+import "greengpu/internal/telemetry"
 
 // Guard metrics (see docs/OBSERVABILITY.md). No-ops unless telemetry is
 // enabled. Sample and Step only bump the guard's own Counts; FlushMetrics
@@ -37,55 +33,14 @@ const (
 	TransitionDeferred
 )
 
-// GuardConfig tunes the recovery state machine. The zero value selects the
-// documented defaults; Failsafe should be the platform's performance-safe
-// decision (highest core and memory levels) and has no useful zero value,
-// so NewGuard requires it explicitly.
-type GuardConfig struct {
-	// WatchdogK is the number of consecutive failed transition attempts
-	// that trips the watchdog. Default 3.
-	WatchdogK int
-	// BackoffMax caps the retry backoff, in epochs between attempts.
-	// Backoff starts at 1 epoch and doubles per failure. Default 8.
-	BackoffMax int
-	// FailsafeHold is how many epochs the guard pins the failsafe decision
-	// after a watchdog trip before resuming normal control. Default 8.
-	FailsafeHold int
-	// Failsafe is the decision enforced when the watchdog trips. Falling
-	// back to the highest frequencies trades energy for safety, as the
-	// paper's real testbed does implicitly: the card's reset state is its
-	// shipped (peak) clocks.
-	Failsafe Decision
-}
-
-func (c *GuardConfig) withDefaults() GuardConfig {
-	out := *c
-	if out.WatchdogK == 0 {
-		out.WatchdogK = 3
-	}
-	if out.BackoffMax == 0 {
-		out.BackoffMax = 8
-	}
-	if out.FailsafeHold == 0 {
-		out.FailsafeHold = 8
-	}
-	return out
-}
-
-// Validate reports the first problem with the configuration, if any.
-// Zero fields are valid (defaults fill them in).
-func (c *GuardConfig) Validate() error {
-	if c.WatchdogK < 0 {
-		return fmt.Errorf("dvfs: GuardConfig.WatchdogK = %d, must be non-negative", c.WatchdogK)
-	}
-	if c.BackoffMax < 0 {
-		return fmt.Errorf("dvfs: GuardConfig.BackoffMax = %d, must be non-negative", c.BackoffMax)
-	}
-	if c.FailsafeHold < 0 {
-		return fmt.Errorf("dvfs: GuardConfig.FailsafeHold = %d, must be non-negative", c.FailsafeHold)
-	}
-	return nil
-}
+const (
+	// watchdogK is the number of consecutive failed transition attempts
+	// that trips the watchdog.
+	watchdogK = 3
+	// failsafeHold is how many epochs the guard pins the failsafe decision
+	// after a watchdog trip before resuming normal control.
+	failsafeHold = 8
+)
 
 // GuardCounts tallies the guard's recovery actions.
 type GuardCounts struct {
@@ -122,19 +77,21 @@ func (c GuardCounts) Sub(earlier GuardCounts) GuardCounts {
 //     reading for dropped (non-finite) samples, so one failed poll does not
 //     yank the controller toward idle;
 //   - bounded retry with backoff: a failed transition is retried after 1
-//     epoch, then 2, 4, … up to BackoffMax, holding the old level in
-//     between, so a flapping driver is not hammered every epoch;
-//   - watchdog failsafe: after WatchdogK consecutive failures the guard
-//     pins the Failsafe (performance-safe) decision for FailsafeHold
-//     epochs, then resumes normal control.
+//     epoch, then after 2, holding the old level in between, so a flapping
+//     driver is not hammered every epoch;
+//   - watchdog failsafe: the third consecutive failure pins the failsafe
+//     (performance-safe) decision for 8 epochs, then normal control
+//     resumes. Falling back to the highest frequencies trades energy for
+//     safety, as the paper's real testbed does implicitly: the card's
+//     reset state is its shipped (peak) clocks.
 //
 // The guard is not safe for concurrent use; like the controllers it wraps
 // it belongs to one simulated machine's event loop. All methods are
 // allocation-free.
 type Guard struct {
-	cfg     GuardConfig
-	counts  GuardCounts
-	flushed GuardCounts // counts already added to the package metrics
+	failsafe Decision
+	counts   GuardCounts
+	flushed  GuardCounts // counts already added to the package metrics
 
 	last Decision // level pair the guard believes is in force
 
@@ -149,15 +106,11 @@ type Guard struct {
 	lastUc, lastUm float64 // most recent good sample, for Sample
 }
 
-// NewGuard creates a guard that assumes initial is currently in force —
-// typically the run's initial frequency levels. Zero GuardConfig fields
-// take the documented defaults. It panics on an invalid configuration; use
-// GuardConfig.Validate to check first.
-func NewGuard(cfg GuardConfig, initial Decision) *Guard {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Guard{cfg: cfg.withDefaults(), last: initial, backoff: 1}
+// NewGuard creates a guard that enforces failsafe when its watchdog trips
+// and assumes initial is currently in force — typically the run's initial
+// frequency levels.
+func NewGuard(failsafe, initial Decision) *Guard {
+	return &Guard{failsafe: failsafe, last: initial, backoff: 1}
 }
 
 // Counts returns the recovery actions taken so far.
@@ -184,8 +137,7 @@ func (g *Guard) InFailsafe() bool { return g.failsafeLeft > 0 }
 // Sample passes a (core, mem) utilization pair through hold-last-good: a
 // pair containing any non-finite reading is replaced wholesale by the last
 // good pair (0, 0 before the first good sample — the same idle fallback
-// sanitizeUtil uses) and held reports the substitution. CPU callers pass
-// their single utilization as uc with um = 0.
+// sanitizeUtil uses) and held reports the substitution.
 func (g *Guard) Sample(uc, um float64) (float64, float64, bool) {
 	if isFinite(uc) && isFinite(um) {
 		g.lastUc, g.lastUm = uc, um
@@ -264,15 +216,12 @@ func (g *Guard) Step(want Decision, gate func() (TransitionResult, int)) Decisio
 		g.fails++
 		g.wait = g.backoff
 		g.backoff *= 2
-		if g.backoff > g.cfg.BackoffMax {
-			g.backoff = g.cfg.BackoffMax
-		}
-		if g.fails >= g.cfg.WatchdogK {
+		if g.fails >= watchdogK {
 			g.counts.WatchdogTrips++
-			g.failsafeLeft = g.cfg.FailsafeHold
+			g.failsafeLeft = failsafeHold
 			// The failsafe is the platform's reset state and is modelled
 			// as always reachable — it does not pass through the gate.
-			g.last = g.cfg.Failsafe
+			g.last = g.failsafe
 			g.pendingIn = 0
 			g.fails = 0
 			g.backoff = 1

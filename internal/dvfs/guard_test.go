@@ -2,40 +2,39 @@ package dvfs
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
 func alwaysFail() (TransitionResult, int)  { return TransitionFailed, 0 }
 func alwaysApply() (TransitionResult, int) { return TransitionApplied, 0 }
 
-// TestGuardWatchdogFiresAfterK: exactly K consecutive transition failures
-// trip the watchdog — not K−1 — and the failsafe decision is pinned for
-// FailsafeHold epochs before normal control resumes.
+// TestGuardWatchdogFiresAfterK: the backoff waits 1 epoch, then 2, so
+// attempts fall at epochs 0, 2 and 5; the third consecutive failure — not
+// the second — trips the watchdog, and the failsafe decision is pinned for
+// failsafeHold epochs before normal control resumes.
 func TestGuardWatchdogFiresAfterK(t *testing.T) {
-	const k, hold = 3, 4
 	failsafe := Decision{CoreLevel: 9, MemLevel: 9}
-	g := NewGuard(GuardConfig{WatchdogK: k, BackoffMax: 1, FailsafeHold: hold, Failsafe: failsafe},
-		Decision{CoreLevel: 0, MemLevel: 0})
+	old := Decision{CoreLevel: 0, MemLevel: 0}
+	g := NewGuard(failsafe, old)
 	want := Decision{CoreLevel: 2, MemLevel: 1}
 
-	attempts := 0
-	gate := func() (TransitionResult, int) {
-		attempts++
-		return TransitionFailed, 0
-	}
-	// BackoffMax=1 means every epoch retries; drive epochs until the
-	// watchdog fires and check it took exactly k failed attempts.
-	for epoch := 0; epoch < 50 && g.Counts().WatchdogTrips == 0; epoch++ {
-		d := g.Step(want, gate)
-		if g.Counts().WatchdogTrips == 0 && d != (Decision{CoreLevel: 0, MemLevel: 0}) {
+	var attempts []int
+	epoch := 0
+	for ; epoch < 50 && g.Counts().WatchdogTrips == 0; epoch++ {
+		d := g.Step(want, func() (TransitionResult, int) {
+			attempts = append(attempts, epoch)
+			return TransitionFailed, 0
+		})
+		if g.Counts().WatchdogTrips == 0 && d != old {
 			t.Fatalf("epoch %d: enforced %+v before watchdog, want old level", epoch, d)
 		}
 	}
 	if got := g.Counts().WatchdogTrips; got != 1 {
 		t.Fatalf("WatchdogTrips = %d, want 1", got)
 	}
-	if attempts != k {
-		t.Fatalf("watchdog tripped after %d failed attempts, want exactly %d", attempts, k)
+	if wantAt := []int{0, 2, 5}; !slices.Equal(attempts, wantAt) {
+		t.Fatalf("failed attempts at epochs %v before the trip, want %v", attempts, wantAt)
 	}
 	if !g.InFailsafe() {
 		t.Fatal("not in failsafe immediately after trip")
@@ -43,9 +42,9 @@ func TestGuardWatchdogFiresAfterK(t *testing.T) {
 	if g.Enforced() != failsafe {
 		t.Fatalf("Enforced = %+v after trip, want failsafe %+v", g.Enforced(), failsafe)
 	}
-	// The failsafe is pinned for `hold` epochs: the gate must not be
+	// The failsafe is pinned for failsafeHold epochs: the gate must not be
 	// consulted and the decision must stay failsafe.
-	for i := 0; i < hold; i++ {
+	for i := 0; i < failsafeHold; i++ {
 		if d := g.Step(want, func() (TransitionResult, int) {
 			t.Fatal("gate called during failsafe hold")
 			return TransitionApplied, 0
@@ -63,42 +62,37 @@ func TestGuardWatchdogFiresAfterK(t *testing.T) {
 }
 
 // TestGuardBackoff: after a failure the guard holds for 1 epoch, then 2,
-// then 4… capped at BackoffMax, calling the gate only when an attempt is
-// due.
+// calling the gate only when an attempt is due, and a watchdog trip resets
+// the backoff, so the episode after the failsafe hold starts over at 1.
 func TestGuardBackoff(t *testing.T) {
-	g := NewGuard(GuardConfig{WatchdogK: 100, BackoffMax: 4, FailsafeHold: 1,
-		Failsafe: Decision{CoreLevel: 5}}, Decision{})
+	g := NewGuard(Decision{CoreLevel: 5}, Decision{})
 	want := Decision{CoreLevel: 3, MemLevel: 2}
 	var attemptEpochs []int
-	gate := func() (TransitionResult, int) { return TransitionFailed, 0 }
 	for epoch := 0; epoch < 20; epoch++ {
-		calls := 0
-		g.Step(want, func() (TransitionResult, int) { calls++; return gate() })
-		if calls > 0 {
+		g.Step(want, func() (TransitionResult, int) {
 			attemptEpochs = append(attemptEpochs, epoch)
-		}
+			return TransitionFailed, 0
+		})
 	}
-	// Attempt at 0, wait 1 → attempt at 2, wait 2 → 5, wait 4 → 10, wait 4
-	// (capped) → 15.
-	wantEpochs := []int{0, 2, 5, 10, 15}
-	if len(attemptEpochs) < len(wantEpochs) {
-		t.Fatalf("attempts at %v, want prefix %v", attemptEpochs, wantEpochs)
+	// Attempts at 0, 2 and 5 trip the watchdog; the hold covers epochs 6
+	// to 13; the next episode attempts at 14, 16 and 19.
+	wantEpochs := []int{0, 2, 5, 6 + failsafeHold, 8 + failsafeHold, 11 + failsafeHold}
+	if !slices.Equal(attemptEpochs, wantEpochs) {
+		t.Fatalf("attempts at %v, want %v", attemptEpochs, wantEpochs)
 	}
-	for i, e := range wantEpochs {
-		if attemptEpochs[i] != e {
-			t.Fatalf("attempts at %v, want %v", attemptEpochs[:len(wantEpochs)], wantEpochs)
-		}
+	if got := g.Counts().WatchdogTrips; got != 2 {
+		t.Fatalf("WatchdogTrips = %d, want 2", got)
 	}
-	// All attempts after the first are retries.
-	if got := g.Counts().Retries; got != uint64(len(attemptEpochs)-1) {
-		t.Fatalf("Retries = %d, want %d", got, len(attemptEpochs)-1)
+	// Every attempt after the first of an episode is a retry.
+	if got := g.Counts().Retries; got != 4 {
+		t.Fatalf("Retries = %d, want 4", got)
 	}
 }
 
 // TestGuardDeferredLands: a deferred transition takes effect exactly delay
 // epochs later, holding the old level in between.
 func TestGuardDeferredLands(t *testing.T) {
-	g := NewGuard(GuardConfig{Failsafe: Decision{CoreLevel: 5}}, Decision{CoreLevel: 1})
+	g := NewGuard(Decision{CoreLevel: 5}, Decision{CoreLevel: 1})
 	want := Decision{CoreLevel: 4, MemLevel: 3}
 	const delay = 3
 	d := g.Step(want, func() (TransitionResult, int) { return TransitionDeferred, delay })
@@ -129,7 +123,7 @@ func TestGuardDeferredLands(t *testing.T) {
 // TestGuardSampleHoldLastGood: non-finite samples are replaced by the last
 // good pair; before any good sample the fallback is idle (0, 0).
 func TestGuardSampleHoldLastGood(t *testing.T) {
-	g := NewGuard(GuardConfig{Failsafe: Decision{}}, Decision{})
+	g := NewGuard(Decision{}, Decision{})
 	uc, um, held := g.Sample(math.NaN(), 0.5)
 	if !held || uc != 0 || um != 0 {
 		t.Fatalf("first dropped sample: (%v,%v,held=%v), want (0,0,true)", uc, um, held)
@@ -148,7 +142,7 @@ func TestGuardSampleHoldLastGood(t *testing.T) {
 // TestGuardStableWantIsFree: when the controller keeps wanting the level
 // already in force, the gate is never consulted and failure state resets.
 func TestGuardStableWantIsFree(t *testing.T) {
-	g := NewGuard(GuardConfig{WatchdogK: 3, Failsafe: Decision{CoreLevel: 5}}, Decision{CoreLevel: 2})
+	g := NewGuard(Decision{CoreLevel: 5}, Decision{CoreLevel: 2})
 	// Two failures toward level 3 (not enough to trip)…
 	g.Step(Decision{CoreLevel: 3}, alwaysFail)
 	g.Step(Decision{CoreLevel: 3}, alwaysFail) // backoff epoch, no attempt
@@ -171,7 +165,7 @@ func TestGuardStableWantIsFree(t *testing.T) {
 // TestGuardAllocFree: Sample and Step run inside the DVFS epoch tick and
 // must not allocate.
 func TestGuardAllocFree(t *testing.T) {
-	g := NewGuard(GuardConfig{Failsafe: Decision{CoreLevel: 5, MemLevel: 5}}, Decision{})
+	g := NewGuard(Decision{CoreLevel: 5, MemLevel: 5}, Decision{})
 	want := Decision{CoreLevel: 1, MemLevel: 1}
 	gate := func() (TransitionResult, int) { return TransitionFailed, 0 }
 	var i int

@@ -246,7 +246,6 @@ type execState struct {
 	uCore    float64
 	uMem     float64
 
-	name     string // phase event label, built once per kernel
 	endEvent sim.Event
 }
 
@@ -463,9 +462,8 @@ func (g *GPU) start(k *Kernel) {
 	g.accrue()
 	k.started = g.engine.Now()
 	// One kernel runs at a time, so its execution state lives in a reused
-	// buffer rather than a fresh allocation, and the diagnostic event
-	// label is built once per kernel rather than per phase.
-	g.execBuf = execState{kernel: k, name: "gpu:" + k.Name}
+	// buffer rather than a fresh allocation.
+	g.execBuf = execState{kernel: k}
 	g.running = &g.execBuf
 	g.loadPhase()
 }
@@ -501,7 +499,7 @@ func (g *GPU) startSegment() {
 	}
 	es.uCore = units.Clamp(tc.Seconds()/t.Seconds(), 0, 1)
 	es.uMem = units.Clamp(tm.Seconds()/t.Seconds(), 0, 1)
-	es.endEvent = g.engine.After(t, es.name, g.phaseEnd)
+	es.endEvent = g.engine.After(t, g.phaseEnd)
 }
 
 func (g *GPU) onPhaseEnd() {

@@ -8,12 +8,12 @@ import (
 )
 
 // metricRetries counts re-issued storage operations across every
-// RetryPolicy user (journal appends, cache stores).
+// RetryPolicy user (the job journal's appends).
 var metricRetries = telemetry.NewCounter("greengpu_iofault_retries_total",
 	"Storage operations re-issued after a transient failure (bounded backoff).")
 
 // RetryPolicy is the bounded retry/backoff helper for transient storage
-// failures. It carries dvfs.GuardConfig's policy shape to the
+// failures. It carries dvfs.Guard's policy shape to the
 // infrastructure layer: the backoff starts at Backoff, doubles per
 // failure, and is capped at BackoffMax, with a hard attempt bound instead
 // of a watchdog (storage callers surface the final error; they have no

@@ -84,7 +84,7 @@ func (m *Meter) Start() {
 		return
 	}
 	m.sample()
-	m.ticker = m.engine.Every(m.cfg.Interval, "meter:"+m.cfg.Name, m.sample)
+	m.ticker = m.engine.Every(m.cfg.Interval, m.sample)
 }
 
 // Stop halts sampling. The trace is retained.

@@ -265,7 +265,8 @@ func (e *encoder) coreConfig(c *core.Config) {
 		e.tag(tagPresent)
 		e.float(*c.StaticRatio)
 	}
-	// The guard settings: zeros select dvfs.GuardConfig's defaults.
+	// Three slots for the hardened guards' settings, which are constants
+	// of dvfs.Guard; always zero, they keep every key stable.
 	e.int(0)
 	e.int(0)
 	e.int(0)

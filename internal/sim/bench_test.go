@@ -12,7 +12,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 	fn := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+time.Microsecond, "b", fn)
+		e.Schedule(e.Now()+time.Microsecond, fn)
 		e.Step()
 	}
 }
@@ -20,7 +20,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 // BenchmarkTicker measures a periodic controller's steady-state cost.
 func BenchmarkTicker(b *testing.B) {
 	e := New()
-	e.Every(time.Second, "tick", func() {})
+	e.Every(time.Second, func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -38,7 +38,7 @@ func BenchmarkCancel(b *testing.B) {
 	evs := make([]Event, 0, 1024)
 	fill := func() {
 		for j := 0; j < 1024; j++ {
-			evs = append(evs, e.Schedule(e.Now()+time.Duration(j+1)*time.Millisecond, "c", fn))
+			evs = append(evs, e.Schedule(e.Now()+time.Duration(j+1)*time.Millisecond, fn))
 		}
 	}
 	fill()
@@ -66,7 +66,7 @@ func TestCancelDoesNotAllocate(t *testing.T) {
 	evs := make([]Event, 0, 1024)
 	fill := func() {
 		for j := 0; j < 1024; j++ {
-			evs = append(evs, e.Schedule(e.Now()+time.Duration(j+1)*time.Millisecond, "c", fn))
+			evs = append(evs, e.Schedule(e.Now()+time.Duration(j+1)*time.Millisecond, fn))
 		}
 	}
 	drain := func() {
@@ -94,14 +94,14 @@ func BenchmarkScheduleCancelChurn(b *testing.B) {
 	fn := func() {}
 	// A standing population of events keeps the heap realistically deep.
 	for j := 0; j < 256; j++ {
-		e.Schedule(e.Now()+time.Duration(j+1)*time.Second, "bg", fn)
+		e.Schedule(e.Now()+time.Duration(j+1)*time.Second, fn)
 	}
-	ev := e.Schedule(e.Now()+time.Millisecond, "churn", fn)
+	ev := e.Schedule(e.Now()+time.Millisecond, fn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Cancel(ev)
-		ev = e.Schedule(e.Now()+time.Duration(i%1000+1)*time.Millisecond, "churn", fn)
+		ev = e.Schedule(e.Now()+time.Duration(i%1000+1)*time.Millisecond, fn)
 	}
 }
 
@@ -111,12 +111,12 @@ func BenchmarkDeepHeap(b *testing.B) {
 	e := New()
 	fn := func() {}
 	for j := 0; j < 4096; j++ {
-		e.Schedule(e.Now()+time.Duration(j+1)*time.Hour, "bg", fn)
+		e.Schedule(e.Now()+time.Duration(j+1)*time.Hour, fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+time.Microsecond, "hot", fn)
+		e.Schedule(e.Now()+time.Microsecond, fn)
 		e.Step()
 	}
 }

@@ -157,9 +157,9 @@ func FuzzEngineVsModel(f *testing.F) {
 				nextID++
 				var ev Event
 				if op == 0 {
-					ev = e.Schedule(e.Now()+d, "s", record(id))
+					ev = e.Schedule(e.Now()+d, record(id))
 				} else {
-					ev = e.After(d, "a", record(id))
+					ev = e.After(d, record(id))
 				}
 				handles = append(handles, handlePair{ev: ev, model: m.schedule(m.now+d, id, nil)})
 			case 2: // Cancel a handle, possibly stale
@@ -185,7 +185,7 @@ func FuzzEngineVsModel(f *testing.F) {
 						tk.SkipIdle()
 					}
 				}
-				tk = e.Every(p, "t", fn)
+				tk = e.Every(p, fn)
 				tickers = append(tickers, tk)
 				modelTickers = append(modelTickers, mt)
 			case 5: // Ticker.Stop, possibly repeated

@@ -73,7 +73,6 @@ type event struct {
 	at     time.Duration
 	seq    uint64
 	fn     func()
-	name   string
 	ticker *Ticker // owning ticker, which fires instead of fn; nil otherwise
 	index  int32   // heap index, -1 while pooled
 	gen    uint64  // bumped on every recycle; stale handles mismatch
@@ -88,14 +87,10 @@ type Event struct {
 	node *event
 	gen  uint64
 	at   time.Duration
-	name string
 }
 
 // Time returns the instant the event is (or was) scheduled to fire.
 func (ev Event) Time() time.Duration { return ev.at }
-
-// Name returns the diagnostic label given at scheduling time.
-func (ev Event) Name() string { return ev.name }
 
 // Scheduled reports whether the event is still pending.
 func (ev Event) Scheduled() bool {
@@ -117,7 +112,6 @@ func (e *Engine) alloc() *event {
 // not retain closures (and whatever they capture) between uses.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
-	ev.name = ""
 	ev.ticker = nil
 	ev.index = -1
 	ev.gen++
@@ -126,28 +120,28 @@ func (e *Engine) recycle(ev *event) {
 
 // Schedule registers fn to run at absolute simulation time at. Scheduling in
 // the past (before Now) panics: it would silently corrupt causality.
-func (e *Engine) Schedule(at time.Duration, name string, fn func()) Event {
+func (e *Engine) Schedule(at time.Duration, fn func()) Event {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v which is before now %v", name, at, e.now))
+		panic(fmt.Sprintf("sim: scheduling at %v which is before now %v", at, e.now))
 	}
 	if fn == nil {
 		panic("sim: Schedule with nil callback")
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.name, ev.fn = at, e.seq, name, fn
+	ev.at, ev.seq, ev.fn = at, e.seq, fn
 	e.seq++
 	e.queue.push(ev)
-	return Event{node: ev, gen: ev.gen, at: at, name: name}
+	return Event{node: ev, gen: ev.gen, at: at}
 }
 
 // After registers fn to run d after the current time. Delays that would
 // overflow the simulation clock saturate at MaxTime (an event effectively
 // beyond any run's horizon) instead of wrapping into the past.
-func (e *Engine) After(d time.Duration, name string, fn func()) Event {
+func (e *Engine) After(d time.Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: After(%v) with negative delay", d))
 	}
-	return e.Schedule(AddTime(e.now, d), name, fn)
+	return e.Schedule(AddTime(e.now, d), fn)
 }
 
 // AddTime advances a simulation timestamp by a non-negative delay with the
@@ -248,12 +242,12 @@ type Ticker struct {
 
 // Every schedules fn to run every period, with the first firing one full
 // period from now. The period must be positive.
-func (e *Engine) Every(period time.Duration, name string, fn func()) *Ticker {
+func (e *Engine) Every(period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: Every(%v) with non-positive period", period))
 	}
 	t := &Ticker{engine: e, period: period, fn: fn, node: e.alloc()}
-	t.node.name, t.node.ticker = name, t
+	t.node.ticker = t
 	t.arm()
 	return t
 }

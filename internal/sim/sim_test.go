@@ -12,9 +12,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	e := New()
 	var got []int
-	e.Schedule(3*time.Second, "c", func() { got = append(got, 3) })
-	e.Schedule(1*time.Second, "a", func() { got = append(got, 1) })
-	e.Schedule(2*time.Second, "b", func() { got = append(got, 2) })
+	e.Schedule(3*time.Second, func() { got = append(got, 3) })
+	e.Schedule(1*time.Second, func() { got = append(got, 1) })
+	e.Schedule(2*time.Second, func() { got = append(got, 2) })
 	if n := e.Run(); n != 3 {
 		t.Fatalf("Run processed %d events, want 3", n)
 	}
@@ -34,7 +34,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	at := 5 * time.Second
 	for _, name := range []string{"first", "second", "third", "fourth"} {
 		name := name
-		e.Schedule(at, name, func() { got = append(got, name) })
+		e.Schedule(at, func() { got = append(got, name) })
 	}
 	e.Run()
 	want := []string{"first", "second", "third", "fourth"}
@@ -47,14 +47,14 @@ func TestFIFOTieBreak(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := New()
-	e.Schedule(time.Second, "x", func() {})
+	e.Schedule(time.Second, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.Schedule(500*time.Millisecond, "past", func() {})
+	e.Schedule(500*time.Millisecond, func() {})
 }
 
 func TestNilCallbackPanics(t *testing.T) {
@@ -64,7 +64,7 @@ func TestNilCallbackPanics(t *testing.T) {
 			t.Fatal("expected panic for nil callback")
 		}
 	}()
-	e.Schedule(time.Second, "nil", nil)
+	e.Schedule(time.Second, nil)
 }
 
 func TestAfterNegativePanics(t *testing.T) {
@@ -74,13 +74,13 @@ func TestAfterNegativePanics(t *testing.T) {
 			t.Fatal("expected panic for negative After")
 		}
 	}()
-	e.After(-time.Second, "neg", func() {})
+	e.After(-time.Second, func() {})
 }
 
 func TestCancel(t *testing.T) {
 	e := New()
 	fired := false
-	ev := e.Schedule(time.Second, "x", func() { fired = true })
+	ev := e.Schedule(time.Second, func() { fired = true })
 	if !ev.Scheduled() {
 		t.Fatal("event should be scheduled")
 	}
@@ -103,7 +103,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	evs := make([]Event, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		evs[i] = e.Schedule(time.Duration(i+1)*time.Second, "n", func() { got = append(got, i) })
+		evs[i] = e.Schedule(time.Duration(i+1)*time.Second, func() { got = append(got, i) })
 	}
 	e.Cancel(evs[4])
 	e.Cancel(evs[7])
@@ -124,7 +124,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []time.Duration
 	for _, d := range []time.Duration{1, 2, 3, 4, 5} {
 		d := d * time.Second
-		e.Schedule(d, "x", func() { fired = append(fired, d) })
+		e.Schedule(d, func() { fired = append(fired, d) })
 	}
 	n := e.RunUntil(3 * time.Second)
 	if n != 3 {
@@ -159,7 +159,7 @@ func TestStopInsideCallback(t *testing.T) {
 	e := New()
 	count := 0
 	for i := 1; i <= 5; i++ {
-		e.Schedule(time.Duration(i)*time.Second, "x", func() {
+		e.Schedule(time.Duration(i)*time.Second, func() {
 			count++
 			if count == 2 {
 				e.Stop()
@@ -180,9 +180,9 @@ func TestStopInsideCallback(t *testing.T) {
 func TestSchedulingFromCallback(t *testing.T) {
 	e := New()
 	var got []time.Duration
-	e.Schedule(time.Second, "a", func() {
+	e.Schedule(time.Second, func() {
 		got = append(got, e.Now())
-		e.After(2*time.Second, "b", func() { got = append(got, e.Now()) })
+		e.After(2*time.Second, func() { got = append(got, e.Now()) })
 	})
 	e.Run()
 	if len(got) != 2 || got[0] != time.Second || got[1] != 3*time.Second {
@@ -193,7 +193,7 @@ func TestSchedulingFromCallback(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := New()
 	var ticks []time.Duration
-	tk := e.Every(3*time.Second, "tick", func() {
+	tk := e.Every(3*time.Second, func() {
 		ticks = append(ticks, e.Now())
 	})
 	e.RunUntil(10 * time.Second)
@@ -220,7 +220,7 @@ func TestTickerStopFromInsideTick(t *testing.T) {
 	e := New()
 	count := 0
 	var tk *Ticker
-	tk = e.Every(time.Second, "tick", func() {
+	tk = e.Every(time.Second, func() {
 		count++
 		if count == 2 {
 			tk.Stop()
@@ -239,17 +239,14 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 			t.Fatal("expected panic for zero period")
 		}
 	}()
-	e.Every(0, "bad", func() {})
+	e.Every(0, func() {})
 }
 
 func TestEventAccessors(t *testing.T) {
 	e := New()
-	ev := e.Schedule(7*time.Second, "probe", func() {})
+	ev := e.Schedule(7*time.Second, func() {})
 	if ev.Time() != 7*time.Second {
 		t.Errorf("Time = %v", ev.Time())
-	}
-	if ev.Name() != "probe" {
-		t.Errorf("Name = %q", ev.Name())
 	}
 }
 
@@ -261,7 +258,7 @@ func TestOrderingProperty(t *testing.T) {
 		var fired []time.Duration
 		for _, d := range delays {
 			at := time.Duration(d) * time.Millisecond
-			e.Schedule(at, "x", func() { fired = append(fired, e.Now()) })
+			e.Schedule(at, func() { fired = append(fired, e.Now()) })
 		}
 		e.Run()
 		if len(fired) != len(delays) {
@@ -292,7 +289,7 @@ func TestRunUntilSplitProperty(t *testing.T) {
 			var fired []time.Duration
 			for _, d := range delays {
 				at := time.Duration(d) * time.Millisecond
-				e.Schedule(at, "x", func() { fired = append(fired, e.Now()) })
+				e.Schedule(at, func() { fired = append(fired, e.Now()) })
 			}
 			end := 300 * time.Millisecond
 			if splitAt {
@@ -323,14 +320,14 @@ func TestRunUntilSplitProperty(t *testing.T) {
 // handles are inert even after the engine reuses the node for a new event.
 func TestStaleHandleAfterFire(t *testing.T) {
 	e := New()
-	first := e.Schedule(time.Second, "first", func() {})
+	first := e.Schedule(time.Second, func() {})
 	e.Run()
 	if first.Scheduled() {
 		t.Fatal("fired event still reports Scheduled")
 	}
 	// The pool reuses first's node for the next event.
 	fired := false
-	second := e.Schedule(2*time.Second, "second", func() { fired = true })
+	second := e.Schedule(2*time.Second, func() { fired = true })
 	if first.Scheduled() {
 		t.Fatal("stale handle reports Scheduled after node reuse")
 	}
@@ -345,8 +342,8 @@ func TestStaleHandleAfterFire(t *testing.T) {
 		t.Fatal("reused event never fired")
 	}
 	// Accessors on stale handles keep reporting scheduling-time values.
-	if first.Time() != time.Second || first.Name() != "first" {
-		t.Errorf("stale handle accessors = (%v, %q)", first.Time(), first.Name())
+	if first.Time() != time.Second {
+		t.Errorf("stale handle Time = %v", first.Time())
 	}
 }
 
@@ -354,10 +351,10 @@ func TestStaleHandleAfterFire(t *testing.T) {
 // must stay inert across reuse just like a fired one.
 func TestStaleHandleAfterCancel(t *testing.T) {
 	e := New()
-	a := e.Schedule(time.Second, "a", func() { t.Fatal("cancelled event fired") })
+	a := e.Schedule(time.Second, func() { t.Fatal("cancelled event fired") })
 	e.Cancel(a)
 	ok := false
-	b := e.Schedule(time.Second, "b", func() { ok = true })
+	b := e.Schedule(time.Second, func() { ok = true })
 	e.Cancel(a) // stale: must not cancel b
 	if !b.Scheduled() {
 		t.Fatal("stale double-cancel killed the reused event")
@@ -374,10 +371,10 @@ func TestScheduleFireDoesNotAllocate(t *testing.T) {
 	e := New()
 	fn := func() {}
 	// Warm the pool.
-	e.Schedule(e.Now(), "warm", fn)
+	e.Schedule(e.Now(), fn)
 	e.Step()
 	allocs := testing.AllocsPerRun(100, func() {
-		e.Schedule(e.Now()+time.Microsecond, "x", fn)
+		e.Schedule(e.Now()+time.Microsecond, fn)
 		e.Step()
 	})
 	if allocs != 0 {
@@ -389,7 +386,7 @@ func TestScheduleFireDoesNotAllocate(t *testing.T) {
 // they skip idle ticks.
 func TestTickerTickDoesNotAllocate(t *testing.T) {
 	e := New()
-	e.Every(time.Second, "tick", func() {})
+	e.Every(time.Second, func() {})
 	e.Step() // warm: first pooled node enters circulation
 	allocs := testing.AllocsPerRun(100, func() { e.Step() })
 	if allocs != 0 {
@@ -401,8 +398,8 @@ func TestTickerTickDoesNotAllocate(t *testing.T) {
 	e = New()
 	var tk *Ticker
 	skipped := uint64(0)
-	tk = e.Every(time.Second, "skip", func() { skipped += tk.SkipIdle() })
-	e.Every(10*time.Second, "slow", func() {})
+	tk = e.Every(time.Second, func() { skipped += tk.SkipIdle() })
+	e.Every(10*time.Second, func() {})
 	e.Step()
 	allocs = testing.AllocsPerRun(100, func() { e.Step() })
 	if allocs != 0 {
@@ -446,7 +443,7 @@ func TestSkipIdle(t *testing.T) {
 			var got []firing
 			var skipped []uint64
 			var tk *Ticker
-			tk = e.Every(c.period, "tick", func() {
+			tk = e.Every(c.period, func() {
 				got = append(got, firing{"tick", e.Now()})
 				if len(skipped) == 0 {
 					skipped = append(skipped, tk.SkipIdle())
@@ -456,7 +453,7 @@ func TestSkipIdle(t *testing.T) {
 			})
 			want := []firing{{"tick", c.period}, {"tick", c.second}}
 			if c.event >= 0 {
-				e.Schedule(c.event, "event", func() { got = append(got, firing{"event", e.Now()}) })
+				e.Schedule(c.event, func() { got = append(got, firing{"event", e.Now()}) })
 				want = []firing{want[0], {"event", c.event}, want[1]}
 			}
 			e.Run()
@@ -503,17 +500,17 @@ func TestSkipIdleBesideEveryTickTwin(t *testing.T) {
 			e := New()
 			var log []entry
 			var tk *Ticker
-			tk = e.Every(period, "tick", func() {
+			tk = e.Every(period, func() {
 				log = append(log, entry{-1, e.Now()})
 				if skip {
 					tk.SkipIdle()
 				}
 			})
 			for i, s := range shots {
-				e.Schedule(s.at, "shot", func() {
+				e.Schedule(s.at, func() {
 					log = append(log, entry{i, e.Now()})
 					if s.follow >= 0 {
-						e.After(s.follow, "follow", func() {
+						e.After(s.follow, func() {
 							log = append(log, entry{len(shots) + i, e.Now()})
 						})
 					}
@@ -569,7 +566,7 @@ func TestSkipIdleBesideEveryTickTwin(t *testing.T) {
 func TestAfterSaturatesOnOverflow(t *testing.T) {
 	e := New()
 	e.RunUntil(time.Hour)
-	ev := e.After(MaxTime, "far", func() {})
+	ev := e.After(MaxTime, func() {})
 	if ev.Time() != MaxTime {
 		t.Errorf("overflowing After scheduled at %v, want MaxTime", ev.Time())
 	}
