@@ -266,6 +266,51 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// closedFormEligible reports whether ClosedForm expresses the
+// configuration: the baseline mode's event sequence with no dynamic
+// control, no fault injection and no observers. Everything else takes the
+// event path. TestClosedFormCoversConfigFields fails on a Config field
+// this rule has not classified.
+func (c *Config) closedFormEligible() bool {
+	return c.Mode == Baseline &&
+		(c.StaticRatio == nil || *c.StaticRatio == 0) &&
+		(c.FaultPlan == nil || c.FaultPlan.Zero()) &&
+		c.ActuatorFilter == nil &&
+		c.DivisionPolicy == nil &&
+		c.OnDVFS == nil &&
+		c.OnCPUGovernor == nil &&
+		c.OnIteration == nil
+}
+
+// runIterations is the number of iterations a run of p under cfg
+// completes: the override when positive, else the profile's count, and at
+// least one, since the loop always runs one.
+func runIterations(p *workload.Profile, cfg *Config) int {
+	if cfg.Iterations > 0 {
+		return cfg.Iterations
+	}
+	return max(p.Iterations, 1)
+}
+
+// startLevels resolves the run's initial clock levels on ladders of
+// nCore, nMem and nCPU levels: InitialLevels when set, else the peak for
+// modes without tier 2 (the Rodinia default / best-performance
+// configuration) and the lowest levels for modes with it, which start
+// from the card's default and let the scaler ramp up, as in the paper's
+// Fig. 5 runs. The CPU mirrors the GPU.
+func (c *Config) startLevels(nCore, nMem, nCPU int) (Levels, error) {
+	switch l := c.InitialLevels; {
+	case l != nil:
+		if l.Core < 0 || l.Core >= nCore || l.Mem < 0 || l.Mem >= nMem || l.CPU < 0 || l.CPU >= nCPU {
+			return Levels{}, fmt.Errorf("core: InitialLevels %+v out of range", *l)
+		}
+		return *l, nil
+	case c.Mode.scales():
+		return Levels{}, nil
+	}
+	return Levels{Core: nCore - 1, Mem: nMem - 1, CPU: nCPU - 1}, nil
+}
+
 // IterationStats describes one completed iteration.
 type IterationStats struct {
 	Index int
@@ -407,10 +452,7 @@ func (f *framework) run() (*Result, error) {
 	m := f.machine
 	cfg := f.cfg
 
-	f.iterations = f.profile.Iterations
-	if cfg.Iterations > 0 {
-		f.iterations = cfg.Iterations
-	}
+	f.iterations = runIterations(f.profile, &cfg)
 	f.result = &Result{
 		Workload: f.profile.Name,
 		Mode:     cfg.Mode,
@@ -436,28 +478,13 @@ func (f *framework) run() (*Result, error) {
 		}
 	}
 
-	// Initial clocks: modes without tier 2 pin everything at peak (the
-	// Rodinia default / best-performance configuration); modes with
-	// tier 2 start from the card's default lowest levels and let the
-	// scaler ramp up, as in the paper's Fig. 5 runs. The CPU mirrors it.
 	gpu, cpu := m.GPU, m.CPU
-	switch {
-	case cfg.InitialLevels != nil:
-		l := cfg.InitialLevels
-		if l.Core < 0 || l.Core >= len(gpu.CoreLevels()) ||
-			l.Mem < 0 || l.Mem >= len(gpu.MemLevels()) ||
-			l.CPU < 0 || l.CPU >= cpu.Levels() {
-			return nil, fmt.Errorf("core: InitialLevels %+v out of range", *l)
-		}
-		gpu.SetLevels(l.Core, l.Mem)
-		cpu.SetLevel(l.CPU)
-	case cfg.Mode.scales():
-		gpu.SetLevels(0, 0)
-		cpu.SetLevel(0)
-	default:
-		gpu.SetLevels(len(gpu.CoreLevels())-1, len(gpu.MemLevels())-1)
-		cpu.SetLevel(cpu.Levels() - 1)
+	lv, err := cfg.startLevels(len(gpu.CoreLevels()), len(gpu.MemLevels()), cpu.Levels())
+	if err != nil {
+		return nil, err
 	}
+	gpu.SetLevels(lv.Core, lv.Mem)
+	cpu.SetLevel(lv.CPU)
 
 	// Tier 1 setup.
 	switch {

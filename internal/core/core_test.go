@@ -10,6 +10,7 @@ import (
 	"greengpu/internal/division"
 	"greengpu/internal/dvfs"
 	"greengpu/internal/testbed"
+	"greengpu/internal/units"
 	"greengpu/internal/workload"
 )
 
@@ -37,7 +38,43 @@ func runMode(t *testing.T, name string, mode Mode, mut func(*Config)) *Result {
 	if err != nil {
 		t.Fatalf("Run(%s, %v): %v", name, mode, err)
 	}
+	checkResult(t, res)
 	return res
+}
+
+// checkResult fails t unless r holds the invariants of every result: each
+// iteration's wall time is the later of its two sides, and its energy
+// splits exactly into the card's and the CPU side's; the wall times sum to
+// TotalTime; the totals split exactly; and the iteration energies sum to
+// Energy within len(Iterations)·2⁻⁵² relative, because each iteration's
+// energy is a difference of meter snapshots. A totals-only result (nil
+// Iterations) is held to the totals split alone.
+func checkResult(t testing.TB, r *Result) {
+	t.Helper()
+	if r.EnergyGPU+r.EnergyCPU != r.Energy {
+		t.Errorf("%s %v: EnergyGPU %v + EnergyCPU %v != Energy %v", r.Workload, r.Mode, r.EnergyGPU, r.EnergyCPU, r.Energy)
+	}
+	if r.Iterations == nil {
+		return
+	}
+	var wall time.Duration
+	var energy units.Energy
+	for _, it := range r.Iterations {
+		if it.WallTime != max(it.TC, it.TG) {
+			t.Errorf("%s %v iteration %d: WallTime %v != max(TC %v, TG %v)", r.Workload, r.Mode, it.Index, it.WallTime, it.TC, it.TG)
+		}
+		if it.EnergyGPU+it.EnergyCPU != it.Energy {
+			t.Errorf("%s %v iteration %d: EnergyGPU %v + EnergyCPU %v != Energy %v", r.Workload, r.Mode, it.Index, it.EnergyGPU, it.EnergyCPU, it.Energy)
+		}
+		wall += it.WallTime
+		energy += it.Energy
+	}
+	if wall != r.TotalTime {
+		t.Errorf("%s %v: iteration wall times sum to %v, TotalTime %v", r.Workload, r.Mode, wall, r.TotalTime)
+	}
+	if tol := float64(len(r.Iterations)) * 0x1p-52 * math.Abs(r.Energy.Joules()); math.Abs((energy - r.Energy).Joules()) > tol {
+		t.Errorf("%s %v: iteration energies sum to %v, Energy %v (tolerance %g J)", r.Workload, r.Mode, energy, r.Energy, tol)
+	}
 }
 
 func TestModeString(t *testing.T) {

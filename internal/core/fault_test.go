@@ -85,6 +85,7 @@ func TestDefaultPlanCompletesEveryWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: run failed under default fault plan: %v", p.Name, err)
 		}
+		checkResult(t, res)
 		if res.Energy <= 0 || res.TotalTime <= 0 {
 			t.Fatalf("%s: degenerate result under faults: %+v", p.Name, res)
 		}

@@ -16,8 +16,8 @@ import (
 // skip. It runs one scaling or holistic point twice, plainly and with a
 // no-op OnCPUGovernor hook, which makes the governor tick on every period,
 // and requires reflect.DeepEqual results. The point is fuzzed over the
-// workload (one of the nine testbed profiles, or phases built the way
-// FuzzFastVsCore builds them), SpinWait, the start levels, one to six
+// workload (one of the nine testbed profiles, or fuzzed phases, as
+// fuzzProfile builds them), SpinWait, the start levels, one to six
 // iterations and the DVFS period: at least 1 ms, shorter or longer than
 // GovernorInterval, a multiple of it or not. Points whose every-tick run
 // would take more than about 10^5 ticks of the shorter period are skipped.
@@ -96,10 +96,11 @@ func FuzzGovernorSkip(f *testing.F) {
 }
 
 // fuzzProfile returns testbed profile which%10, or for 9 a profile
-// calibrated from fuzzed phases as FuzzFastVsCore builds them: one to
-// twenty, three bytes each (work weight, core and memory utilization),
-// with an iteration time up to 1e11 s. It skips inputs the simulator does
-// not represent.
+// calibrated from fuzzed phases: one to twenty, three bytes each (work
+// weight, core and memory utilization), with an iteration time up to
+// 1e11 s, which reaches the clock's saturation range. It skips inputs the
+// simulator does not represent. FuzzGovernorSkip and FuzzClosedForm share
+// it.
 func fuzzProfile(t *testing.T, gpu gpusim.Config, cpu cpusim.Config, gt *gpusim.Tables,
 	profiles []*workload.Profile, which uint8, phaseBytes []byte, iterSeconds float64) *workload.Profile {
 	t.Helper()

@@ -5,7 +5,8 @@ import "greengpu/internal/units"
 // Tables holds the per-P-state derived constants of a CPU configuration,
 // decoupled from any live device: the same flattened tables the CPU hot
 // paths index, built once and shared read-only across a whole batch of
-// simulation points (see internal/sweep).
+// simulation points (see core.ClosedForm, which internal/sweep builds per
+// batch).
 //
 // Entries are computed by exactly the same code the device uses, so power
 // and job timing derived from a Tables are bit-identical to what a freshly

@@ -9,7 +9,8 @@ import (
 // Tables holds the per-frequency-level derived constants of a GPU
 // configuration, decoupled from any live device: the same
 // structure-of-arrays the GPU hot paths index, built once and shared
-// read-only across a whole batch of simulation points (see internal/sweep).
+// read-only across a whole batch of simulation points (see core.ClosedForm,
+// which internal/sweep builds per batch).
 //
 // Entries are computed by exactly the same code the device uses (with all
 // stream multiprocessors active), so timing and power derived from a Tables
@@ -101,7 +102,8 @@ func demandTimesAt(ops, bytes, coreDenom, memDenom float64) (tc, tm time.Duratio
 // UnifyPhaseTime combines per-domain busy times into the phase's execution
 // time under the roofline-with-overlap model: max(Tc, Tm, Ts) + γ·min(Tc,
 // Tm), where the stall floor Ts is given in seconds. It is exported so
-// batch evaluators can time phases from Tables without a live device.
+// the baseline closed form (core.ClosedForm) can time phases from Tables
+// without a live device.
 func UnifyPhaseTime(tc, tm time.Duration, stall, gamma float64) time.Duration {
 	lo, hi := tc, tm
 	if lo > hi {
@@ -122,8 +124,8 @@ func powerAt(p *PowerParams, fcR, fmR, coreScale float64, uc, um float64) units.
 }
 
 // CoreTime returns the core-domain busy time of ops operations at core
-// level core. It is one separable half of a phase's timing, for batch
-// evaluators that tabulate the two domains independently.
+// level core. It is one separable half of a phase's timing, for the
+// closed form, which tabulates the two domains independently.
 func (t *Tables) CoreTime(ops float64, core int) time.Duration {
 	tc, _ := demandTimesAt(ops, 0, t.CoreDenom[core], t.MemDenom[0])
 	return tc

@@ -147,8 +147,8 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 // AddTime advances a simulation timestamp by a non-negative delay with the
 // same saturation rule the engine clock uses: sums that would overflow the
 // int64 nanosecond range pin to MaxTime instead of wrapping into the past.
-// Exported so batch evaluators (internal/sweep) replaying the clock outside
-// an Engine advance it bit-identically.
+// Exported so code that computes event times outside an Engine, such as
+// the bus's transfer ends, advances the clock bit-identically.
 func AddTime(t, d time.Duration) time.Duration {
 	at := t + d
 	if at < t { // int64 overflow

@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"math"
-	"slices"
 	"time"
 
 	"greengpu/internal/bus"
@@ -14,7 +12,6 @@ import (
 	"greengpu/internal/gpusim"
 	"greengpu/internal/parallel"
 	"greengpu/internal/runcache"
-	"greengpu/internal/sim"
 	"greengpu/internal/telemetry"
 	"greengpu/internal/testbed"
 	"greengpu/internal/trace"
@@ -215,38 +212,31 @@ func (e *Engine) inheritPlan(cfg *core.Config) {
 	}
 }
 
-// config specializes the batch's base configuration for one point.
-func (e *Engine) config(spec *Spec, pt Point) core.Config {
-	cfg := e.baseConfig(spec)
-	var lv core.Levels
-	specialize(&cfg, spec, pt, &lv)
-	return cfg
-}
-
-// specialize pins a ladder point's initial levels, or installs a draw
-// point's per-draw fault plan (which wins over the ambient one). lv is
-// caller-provided storage for the levels, so the hot path's copy can live
-// on its evaluator's stack.
-func specialize(cfg *core.Config, spec *Spec, pt Point, lv *core.Levels) {
+// specialize returns base specialized to one point: a ladder point's
+// initial levels, stored in lv, or a draw point's per-draw fault plan
+// (which wins over the ambient one). lv is caller storage, and the result
+// is returned by value, so a caller that keeps the configuration in its
+// own frame keeps the levels there too.
+func specialize(base core.Config, spec *Spec, pt Point, lv *core.Levels) core.Config {
 	if pt.Draw >= 0 {
 		plan := faultinject.Default(parallel.TaskSeed(spec.Seed, pt.Draw))
-		cfg.FaultPlan = &plan
+		base.FaultPlan = &plan
 	} else {
 		*lv = core.Levels{Core: pt.Core, Mem: pt.Mem, CPU: pt.CPU}
-		cfg.InitialLevels = lv
+		base.InitialLevels = lv
 	}
+	return base
 }
 
-// Batch is one batch's shared precomputation — the validated device level
-// tables plus the per-workload phase columns — detached from any particular
-// spec so external callers (the fleet engine, the daemon) can evaluate
-// ad-hoc configurations through the same evaluation body Engine.Run uses.
-// A Batch is immutable after construction and safe for concurrent use.
+// Batch is one batch's shared precomputation — each workload's baseline
+// closed form over the validated device level tables, built once — detached
+// from any particular spec so external callers (the fleet engine, the
+// daemon) can evaluate ad-hoc configurations through the same evaluation
+// body Engine.Run uses. A Batch is immutable after construction and safe
+// for concurrent use.
 type Batch struct {
 	e   *Engine
-	gt  *gpusim.Tables
-	ct  *cpusim.Tables
-	wts []workloadTables
+	cfs []core.ClosedForm
 }
 
 // NewBatch validates the engine's device configurations and precomputes
@@ -260,8 +250,8 @@ func (e *Engine) NewBatch() (*Batch, error) {
 }
 
 // newBatch is the one builder of a batch's tables: it validates the bus,
-// builds both devices' frequency-level tables, and tabulates each profile
-// against them. It returns the batch by value so Run and
+// builds both devices' frequency-level tables, and tabulates each profile's
+// closed form against them. It returns the batch by value so Run and
 // PredictSweetSpots keep theirs off the heap.
 func (e *Engine) newBatch(profs []*workload.Profile) (Batch, error) {
 	if err := e.Bus.Validate(); err != nil {
@@ -275,19 +265,19 @@ func (e *Engine) newBatch(profs []*workload.Profile) (Batch, error) {
 	if err != nil {
 		return Batch{}, err
 	}
-	wts := make([]workloadTables, len(profs))
+	cfs := make([]core.ClosedForm, len(profs))
 	for i, p := range profs {
-		wts[i].build(p, gt, &e.Bus)
+		cfs[i] = core.NewClosedForm(p, gt, ct, &e.Bus)
 	}
-	return Batch{e: e, gt: gt, ct: ct, wts: wts}, nil
+	return Batch{e: e, cfs: cfs}, nil
 }
 
-// table returns the named workload's tables, or nil when the batch does
-// not hold the workload.
-func (b *Batch) table(name string) *workloadTables {
-	for i := range b.wts {
-		if b.wts[i].prof.Name == name {
-			return &b.wts[i]
+// form returns the named workload's closed form, or nil when the batch
+// does not hold the workload.
+func (b *Batch) form(name string) *core.ClosedForm {
+	for i := range b.cfs {
+		if b.cfs[i].Profile.Name == name {
+			return &b.cfs[i]
 		}
 	}
 	return nil
@@ -298,8 +288,8 @@ func (b *Batch) table(name string) *workloadTables {
 // engine's ambient plan, mirroring Engine.Run. The bool reports whether
 // the closed-form evaluator produced the result.
 func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
-	wt := b.table(name)
-	if wt == nil {
+	cf := b.form(name)
+	if cf == nil {
 		return nil, false, fmt.Errorf("sweep: workload %q not in batch", name)
 	}
 	b.e.inheritPlan(&cfg)
@@ -307,8 +297,8 @@ func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
 		return nil, false, err
 	}
 	metricPoints.Inc()
-	iters, fast := wt.route(&cfg, fastEligible(&cfg))
-	r, err := b.result(wt, &cfg, iters, fast)
+	iters, fast := route(cf, &cfg)
+	r, err := b.result(cf, &cfg, iters, fast)
 	return r, fast, err
 }
 
@@ -318,15 +308,15 @@ func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
 // group by this key so their groups collapse exactly when the cache would
 // collapse them.
 func (b *Batch) Key(name string, cfg core.Config) (runcache.Key, bool) {
-	wt := b.table(name)
-	if wt == nil {
+	cf := b.form(name)
+	if cf == nil {
 		return runcache.Key{}, false
 	}
 	b.e.inheritPlan(&cfg)
 	if !runcache.Cacheable(&cfg) {
 		return runcache.Key{}, false
 	}
-	return runcache.KeyOf(&b.e.GPU, &b.e.CPU, &b.e.Bus, wt.prof, &cfg, ""), true
+	return runcache.KeyOf(&b.e.GPU, &b.e.CPU, &b.e.Bus, cf.Profile, &cfg, ""), true
 }
 
 // Run plans and evaluates the spec (Plan, then Plan.Run).
@@ -348,36 +338,38 @@ func (p *Plan) Run(ctx context.Context) ([]PointResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	eligible := fastEligible(&p.base)
 	metricBatches.Inc()
 	metricPoints.Add(uint64(len(p.Points)))
 	return parallel.Map(ctx, p.Points,
 		func(_ int, pt Point) (PointResult, error) {
-			return b.evalPoint(&p.spec, &p.base, eligible, pt)
+			return b.evalPoint(&p.spec, &p.base, pt)
 		}, p.e.Jobs)
 }
 
 // evalPoint evaluates one point of a spec: the batch-validated base
 // configuration specialized to the point, through the evaluation body.
 // Per-draw plans (validated by core.Run on the fallback path) are the only
-// per-point deviation from the base, and they never take the closed form.
-// A closed-form point that no run cache will keep accumulates only its
-// totals: nothing reads its per-iteration records. Value receivers keep a
+// per-point deviation from the base. A closed-form point that no run cache
+// will keep accumulates only its totals, from a configuration in this
+// frame: nothing reads its per-iteration records, and nothing keeps the
+// configuration, so the point allocates nothing. result can keep its
+// configuration past the call (core.Run's framework, a cache entry's
+// computation), so it gets its own. Value receivers keep a
 // stack-constructed batch out of the heap when closures capture it.
-func (b Batch) evalPoint(spec *Spec, base *core.Config, eligible bool, pt Point) (PointResult, error) {
-	cfg := *base
+func (b Batch) evalPoint(spec *Spec, base *core.Config, pt Point) (PointResult, error) {
+	cf := b.form(pt.Workload)
 	var lv core.Levels
-	specialize(&cfg, spec, pt, &lv)
-	wt := b.table(pt.Workload)
-	iters, fast := wt.route(&cfg, eligible && pt.Draw < 0)
+	cfg := specialize(*base, spec, pt, &lv)
+	iters, fast := route(cf, &cfg)
 	if fast && !b.keeps(&cfg) {
 		var r core.Result // nil Iterations: the loop stores no records
-		if err := b.closedForm(wt, &cfg, iters, &r); err != nil {
+		if err := cf.Totals(&cfg, iters, &r); err != nil {
 			return PointResult{Point: pt, Fast: fast}, err
 		}
 		return totals(pt, &r, fast), nil
 	}
-	r, err := b.result(wt, &cfg, iters, fast)
+	own := specialize(*base, spec, pt, new(core.Levels))
+	r, err := b.result(cf, &own, iters, fast)
 	if err != nil {
 		return PointResult{Point: pt, Fast: fast}, err
 	}
@@ -391,14 +383,11 @@ func totals(pt Point, r *core.Result, fast bool) PointResult {
 }
 
 // route resolves cfg's iteration count and decides the path every point
-// takes: the closed form when eligible (fastEligible of cfg, which spec
-// callers derive once from their shared base) holds and the workload's
-// iteration limit admits the run, and core.Run otherwise. It counts the
-// point as fast or fallback. fast depends only on the batch and cfg, so
-// it is the same on a cache hit and a miss.
-func (wt *workloadTables) route(cfg *core.Config, eligible bool) (iters int, fast bool) {
-	iters = wt.iterations(cfg)
-	fast = eligible && iters <= wt.maxIters
+// takes — the closed form when it admits cfg, core.Run otherwise — and
+// counts the point as fast or fallback. fast depends only on the batch and
+// cfg, so it is the same on a cache hit and a miss.
+func route(cf *core.ClosedForm, cfg *core.Config) (iters int, fast bool) {
+	iters, fast = cf.Admits(cfg)
 	if fast {
 		metricFastPath.Inc()
 	} else {
@@ -417,274 +406,23 @@ func (b Batch) keeps(cfg *core.Config) bool {
 // keeps the point. route and result are the evaluation body every point
 // goes through; evalPoint bypasses result only for a closed-form point no
 // cache keeps.
-func (b Batch) result(wt *workloadTables, cfg *core.Config, iters int, fast bool) (*core.Result, error) {
+func (b Batch) result(cf *core.ClosedForm, cfg *core.Config, iters int, fast bool) (*core.Result, error) {
 	e := b.e
 	compute := func() (*core.Result, error) {
 		if fast {
-			return b.fastRun(wt, cfg, iters)
+			return cf.Run(cfg, iters)
 		}
-		return core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), wt.prof, *cfg)
+		return core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), cf.Profile, *cfg)
 	}
 	if !b.keeps(cfg) {
 		return compute()
 	}
-	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, wt.prof, cfg, "")
+	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, cf.Profile, cfg, "")
 	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
 		r, err := compute()
 		return runcache.Value{Result: r}, err
 	})
 	return v.Result, err
-}
-
-// fastEligible reports whether the closed-form evaluator expresses the
-// configuration: the baseline mode's event sequence with no dynamic
-// control, no fault injection, and no observers. Everything else falls
-// back to a full simulation.
-func fastEligible(cfg *core.Config) bool {
-	return cfg.Mode == core.Baseline &&
-		(cfg.StaticRatio == nil || *cfg.StaticRatio == 0) &&
-		(cfg.FaultPlan == nil || cfg.FaultPlan.Zero()) &&
-		cfg.ActuatorFilter == nil &&
-		cfg.DivisionPolicy == nil &&
-		cfg.OnDVFS == nil &&
-		cfg.OnCPUGovernor == nil &&
-		cfg.OnIteration == nil
-}
-
-// maxPhases is the number of positive-length phases the closed-form loop
-// holds in its fixed, stack-allocated phase array. Profiles with more
-// phases (none on the testbed) take core.Run.
-const maxPhases = 16
-
-// workloadTables is the per-workload shared precomputation of a batch:
-// the host→device bus time and, per kernel phase, the per-domain busy
-// times tabulated against each ladder (the separable halves of the phase
-// timing model). Points that differ in one knob index the other domain's
-// unchanged column — the incremental-recompute mechanism.
-type workloadTables struct {
-	prof    *workload.Profile
-	busTime time.Duration // host→device transfer service time
-	gamma   float64
-	phases  []phaseTables
-
-	// maxIters is the longest run, in iterations, the closed-form loop
-	// expresses at every ladder point: the run ends before sim.MaxTime,
-	// so the clock never saturates. 0 when the profile has more phases
-	// than the loop holds or one iteration can already reach the horizon.
-	maxIters int
-}
-
-type phaseTables struct {
-	stall float64
-	tc    []time.Duration // core busy time per core level
-	tm    []time.Duration // memory busy time per memory level
-}
-
-// build precomputes the profile's batch tables, with exactly the
-// arithmetic (and operation order) the live path uses in
-// Profile.GPUKernel, Bus.TransferTime and GPU.startSegment, and the
-// closed form's iteration limit.
-func (wt *workloadTables) build(prof *workload.Profile, gt *gpusim.Tables, b *bus.Config) {
-	const gpuUnits = (1 - 0) * workload.UnitsPerIteration // baseline: r = 0
-	xfer := prof.TransferBytes(gpuUnits)
-	*wt = workloadTables{
-		prof:    prof,
-		busTime: b.Latency + b.Bandwidth.TransferTime(xfer),
-		gamma:   gt.Gamma(),
-		phases:  make([]phaseTables, len(prof.Phases)),
-	}
-	nc, nm := len(gt.CoreDenom), len(gt.MemDenom)
-	for i, ph := range prof.Phases {
-		u := gpuUnits * ph.Fraction
-		ops := ph.OpsPerUnit * u
-		bytes := ph.BytesPerUnit * u
-		pt := phaseTables{
-			stall: ph.StallPerUnit * u,
-			tc:    make([]time.Duration, nc),
-			tm:    make([]time.Duration, nm),
-		}
-		for c := 0; c < nc; c++ {
-			pt.tc[c] = gt.CoreTime(ops, c)
-		}
-		for m := 0; m < nm; m++ {
-			pt.tm[m] = gt.MemTime(bytes, m)
-		}
-		wt.phases[i] = pt
-	}
-	if len(wt.phases) > maxPhases {
-		return
-	}
-	// A phase's time grows with each domain's busy time (γ ∈ [0,1]), so
-	// the slowest columns bound every ladder point's iteration span.
-	span := wt.busTime
-	for i := range wt.phases {
-		ph := &wt.phases[i]
-		t := gpusim.UnifyPhaseTime(slices.Max(ph.tc), slices.Max(ph.tm), ph.stall, wt.gamma)
-		if t <= 0 {
-			continue
-		}
-		if t >= sim.MaxTime-span {
-			return // one iteration can already reach the horizon
-		}
-		span += t
-	}
-	wt.maxIters = math.MaxInt
-	if span > 0 {
-		wt.maxIters = int((sim.MaxTime - 1) / span)
-	}
-}
-
-// iterations resolves cfg's iteration count for this workload exactly as
-// core.Run does: the override when positive, else the profile's count,
-// and at least one.
-func (wt *workloadTables) iterations(cfg *core.Config) int {
-	iters := wt.prof.Iterations
-	if cfg.Iterations > 0 {
-		iters = cfg.Iterations
-	}
-	return max(iters, 1) // the framework loop always runs one iteration
-}
-
-// fastRun is the closed form's full result: the closed-form loop with
-// the result's own Iterations as its records.
-func (b Batch) fastRun(wt *workloadTables, cfg *core.Config, iters int) (*core.Result, error) {
-	res := newFastResult(wt.prof.Name, cfg.Mode, iters)
-	if err := b.closedForm(wt, cfg, iters, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// closedForm replays the baseline event sequence in closed form, with the
-// engine's exact accrual arithmetic (same operands, same order), so the
-// totals it stores into res — and the per-iteration records, when
-// res.Iterations holds iters of them — are byte-identical to core.Run on a
-// fresh machine. With nil res.Iterations it stores only the totals. The
-// caller guarantees the run fits the closed form (iters <= wt.maxIters),
-// so no event time reaches the clock's saturation range.
-//
-// Every baseline iteration is identical — same levels, same demands, same
-// bus window — so the per-phase durations and energy increments are
-// derived once per point and replayed per iteration as pure accumulation.
-func (b Batch) closedForm(wt *workloadTables, cfg *core.Config, iters int, res *core.Result) error {
-	e, gt := b.e, b.gt
-	c := len(e.GPU.CoreLevels) - 1
-	m := len(e.GPU.MemLevels) - 1
-	cpuLvl := len(e.CPU.PStates) - 1
-	if l := cfg.InitialLevels; l != nil {
-		if l.Core < 0 || l.Core >= len(e.GPU.CoreLevels) ||
-			l.Mem < 0 || l.Mem >= len(e.GPU.MemLevels) ||
-			l.CPU < 0 || l.CPU >= len(e.CPU.PStates) {
-			return fmt.Errorf("core: InitialLevels %+v out of range", *l)
-		}
-		c, m, cpuLvl = l.Core, l.Mem, l.CPU
-	}
-	cpuBusy := 0
-	if cfg.SpinWait {
-		cpuBusy = 1
-	}
-	idleP := gt.Power(c, m, 0, 0)
-	cpuP := b.ct.PowerAt(cpuLvl, cpuBusy)
-	spin := cfg.SpinWait
-
-	// Per-point precompute: phase durations and energies at (c, m),
-	// pulled from the batch's shared per-domain columns into a fixed-size
-	// array on the evaluator's stack.
-	var phases [maxPhases]phaseEval
-	nPhases := 0
-	span := wt.busTime
-	for p := range wt.phases {
-		ph := &wt.phases[p]
-		tc, tm := ph.tc[c], ph.tm[m]
-		t := gpusim.UnifyPhaseTime(tc, tm, ph.stall, wt.gamma)
-		if t <= 0 {
-			continue // zero-length phase: completes without accrual
-		}
-		uc := units.Clamp(tc.Seconds()/t.Seconds(), 0, 1)
-		um := units.Clamp(tm.Seconds()/t.Seconds(), 0, 1)
-		phases[nPhases] = phaseEval{
-			dt:     t,
-			energy: gt.Power(c, m, uc, um).Over(t),
-		}
-		nPhases++
-		span += t
-	}
-	iterWall := span
-	idleE := idleP.Over(wt.busTime)
-	cpuEIter := cpuP.Over(span)
-
-	recs := res.Iterations
-	var now time.Duration
-	var gpuE, cpuE, spinE units.Energy
-	var spinT time.Duration
-	for i := 0; i < iters; i++ {
-		startGPU, startCPU := gpuE, cpuE
-		// Host→device transfer window: the GPU accrues it idle when the
-		// kernel starts; then one accrual per positive-length phase.
-		if wt.busTime > 0 {
-			gpuE += idleE
-		}
-		for p := 0; p < nPhases; p++ {
-			gpuE += phases[p].energy
-		}
-		// The CPU side has no work (r = 0): it accrues once per
-		// iteration over the whole wall time, spinning one core when
-		// SpinWait models the synchronous CUDA wait.
-		if iterWall > 0 {
-			cpuE += cpuEIter
-			if spin {
-				spinT += iterWall
-				spinE += cpuEIter
-			}
-		}
-		now += iterWall
-		if recs == nil {
-			continue
-		}
-		st := &recs[i]
-		st.Index = i
-		st.TG = iterWall
-		st.WallTime = iterWall
-		st.CoreLevel = c
-		st.MemLevel = m
-		st.CPULevel = cpuLvl
-		st.EnergyGPU = gpuE - startGPU
-		st.EnergyCPU = cpuE - startCPU
-		st.Energy = st.EnergyGPU + st.EnergyCPU
-	}
-	res.TotalTime = now
-	res.EnergyGPU = gpuE
-	res.EnergyCPU = cpuE
-	res.Energy = res.EnergyGPU + res.EnergyCPU
-	res.SpinTime = spinT
-	res.SpinEnergy = spinE
-	return nil
-}
-
-// phaseEval is one positive-length phase at the point's levels.
-type phaseEval struct {
-	dt     time.Duration
-	energy units.Energy
-}
-
-// resultBuf backs a result and its iteration stats with one allocation.
-type resultBuf struct {
-	res   core.Result
-	stats [4]core.IterationStats
-}
-
-// newFastResult allocates a result whose Iterations slice shares the
-// result's allocation for runs short enough (the common case).
-func newFastResult(name string, mode core.Mode, iters int) *core.Result {
-	buf := &resultBuf{}
-	buf.res.Workload = name
-	buf.res.Mode = mode
-	if iters <= len(buf.stats) {
-		buf.res.Iterations = buf.stats[:iters:iters]
-	} else {
-		buf.res.Iterations = make([]core.IterationStats, iters)
-	}
-	return &buf.res
 }
 
 // Table renders results as the suite's standard trace table: one row per

@@ -70,7 +70,6 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	eligible := fastEligible(&base)
 
 	coreF := make([]units.Frequency, len(cores))
 	for i, c := range cores {
@@ -88,7 +87,7 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 		search := func() (predict.Outcome, error) {
 			oc, err := predict.SweetSpot(coreF, memF, func(ci, mi int) (predict.Sample, error) {
 				pt := Point{Workload: n, Draw: -1, Core: cores[ci], Mem: mems[mi], CPU: cpuLvl}
-				pr, err := b.evalPoint(&spec, &base, eligible, pt)
+				pr, err := b.evalPoint(&spec, &base, pt)
 				if err != nil {
 					return predict.Sample{}, err
 				}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -339,41 +340,59 @@ func TestRunFallbackMatrix(t *testing.T) {
 	}
 }
 
-// TestRunSaturationStaysFast: a profile whose span drives the clock into
-// its saturation range is one the closed-form loop cannot express, so its
-// points fall back to core.Run (Fast is false) and stay byte-identical to
-// the per-point engine.
+// TestRunSaturationStaysFast: profiles the closed-form loop cannot express
+// — one whose span drives the clock into its saturation range, and one with
+// more phases than the loop holds — fall back to core.Run through
+// Engine.Run (Fast is false) and stay byte-identical to the per-point
+// engine.
 func TestRunSaturationStaysFast(t *testing.T) {
-	e := testEngine(t)
-	// 4 × 2.4e9 s crosses the ~292-year clock horizon inside the FINAL
-	// iteration's kernel phase: the phase end saturates (sim.AddTime), the
-	// per-point engine completes, and the two paths can be compared.
-	sat, err := workload.Calibrate(workload.Spec{
-		Name:             "saturate",
-		IterationSeconds: 2.4e9,
-		Iterations:       4,
-		Phases:           []workload.PhaseTarget{{Label: "p", Fraction: 1, CoreUtil: 0.7, MemUtil: 0.2}},
-		CPUSlowdown:      5,
-		TransferMB:       1,
-	}, e.GPU, e.CPU)
-	if err != nil {
-		t.Fatal(err)
+	seventeen := make([]workload.PhaseTarget, 17)
+	for i := range seventeen {
+		seventeen[i] = workload.PhaseTarget{Label: fmt.Sprintf("p%d", i), Fraction: 1.0 / 17,
+			CoreUtil: 0.1 + 0.04*float64(i), MemUtil: 0.7 - 0.04*float64(i)}
 	}
-	e.Profiles = append(e.Profiles, sat)
-	spec := Spec{Workloads: []string{"saturate"}, Iterations: 4, CPULevel: -1,
-		CoreLevels: []int{0, 5}, MemLevels: []int{0, 5}}
-	got, err := e.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := naiveRun(t, e, spec)
-	full, _ := evalFull(t, e, spec)
-	for i := range got {
-		if got[i].Fast {
-			t.Errorf("point %d (%+v) took the closed form into clock saturation", i, got[i].Point)
-		}
-		if !sameTotals(got[i], want[i]) || !reflect.DeepEqual(full[i], want[i]) {
-			t.Errorf("point %d (%+v): saturated result diverges from per-point run", i, got[i].Point)
-		}
+	for _, tc := range []struct {
+		name        string
+		iterSeconds float64
+		phases      []workload.PhaseTarget
+	}{
+		// 4 × 2.4e9 s crosses the ~292-year clock horizon inside the FINAL
+		// iteration's kernel phase: the phase end saturates (sim.AddTime),
+		// the per-point engine completes, and the two paths can be compared.
+		{"saturate", 2.4e9, []workload.PhaseTarget{{Label: "p", Fraction: 1, CoreUtil: 0.7, MemUtil: 0.2}}},
+		// One phase more than the closed-form loop holds.
+		{"seventeen", 30, seventeen},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := testEngine(t)
+			prof, err := workload.Calibrate(workload.Spec{
+				Name:             tc.name,
+				IterationSeconds: tc.iterSeconds,
+				Iterations:       4,
+				Phases:           tc.phases,
+				CPUSlowdown:      5,
+				TransferMB:       1,
+			}, e.GPU, e.CPU)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Profiles = append(e.Profiles, prof)
+			spec := Spec{Workloads: []string{tc.name}, Iterations: 4, CPULevel: -1,
+				CoreLevels: []int{0, 5}, MemLevels: []int{0, 5}}
+			got, err := e.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := naiveRun(t, e, spec)
+			full, _ := evalFull(t, e, spec)
+			for i := range got {
+				if got[i].Fast {
+					t.Errorf("point %d (%+v) took the closed form", i, got[i].Point)
+				}
+				if !sameTotals(got[i], want[i]) || !reflect.DeepEqual(full[i], want[i]) {
+					t.Errorf("point %d (%+v): result diverges from per-point run", i, got[i].Point)
+				}
+			}
+		})
 	}
 }

@@ -9,20 +9,21 @@
 //     shared read-only across every point, so per-point setup collapses to
 //     index arithmetic.
 //
-//  2. Incremental recomputation. Per workload, each kernel phase's
+//  2. Incremental recomputation. Per workload, the batch builds the
+//     baseline closed form, core.ClosedForm, once: each kernel phase's
 //     per-domain busy times are tabulated separately against the core and
 //     memory ladders (the timing model is separable below the final
 //     max+γ·min combine). Neighboring points that differ in one knob reuse
-//     the unchanged domain's column outright; the closed-form evaluator
-//     then replays the engine's accrual arithmetic in event order, which a
-//     golden test pins byte-identical to the one-at-a-time path.
+//     the unchanged domain's column outright; the closed form then replays
+//     the engine's accrual arithmetic in event order, which a golden test
+//     pins byte-identical to the one-at-a-time path.
 //
 //  3. A shared run-cache tier. Eligible points are keyed with exactly the
 //     same runcache fingerprints the per-point studies use, so sweeps,
 //     repeated CI runs, and concurrent processes (see runcache file
 //     locking) share hits.
 //
-// Points the closed form cannot express — scaling or dividing modes, armed
+// Points the closed form does not admit — scaling or dividing modes, armed
 // fault plans, profiles with more phases than its loop holds, runs that
 // could reach the simulation clock's horizon — fall back to a full
 // simulation on a fresh machine, preserving correctness for every spec.

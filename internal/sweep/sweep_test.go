@@ -6,11 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"greengpu/internal/core"
-	"greengpu/internal/division"
-	"greengpu/internal/dvfs"
 	"greengpu/internal/faultinject"
 	"greengpu/internal/runcache"
 	"greengpu/internal/testbed"
@@ -27,6 +24,12 @@ func testEngine(t testing.TB) *Engine {
 		t.Fatal(err)
 	}
 	return &Engine{GPU: gpu, CPU: cpu, Bus: b, Profiles: profiles, Jobs: 1}
+}
+
+// config specializes the batch's base configuration for one point, as
+// Engine.Run does.
+func (e *Engine) config(spec *Spec, pt Point) core.Config {
+	return specialize(e.baseConfig(spec), spec, pt, new(core.Levels))
 }
 
 // planPoints returns spec's points as e.Plan expands them.
@@ -93,9 +96,10 @@ func sameTotals(pr PointResult, r *core.Result) bool {
 // of spec: each Batch.Eval result must be byte-identical (DeepEqual over
 // every field, float fields included — no tolerance) to core.Run on a fresh
 // machine, and Run must return core.Run's totals bit for bit, with the
-// same Fast flag as Batch.Eval, both without a run cache (the totals-only
-// closed form) and with one (full results through the cache). It returns
-// how many of its points took the closed form, and how many there are.
+// same Fast flag as Batch.Eval, without a run cache (the totals-only
+// closed form), on a cold cache (full results into the cache) and on the
+// same cache warm. It returns how many of its points took the closed form,
+// and how many there are.
 func checkAgainstNaive(t *testing.T, spec Spec) (fast, points int) {
 	t.Helper()
 	e := testEngine(t)
@@ -110,8 +114,8 @@ func checkAgainstNaive(t *testing.T, spec Spec) (fast, points int) {
 				spec, i, full[i], want[i])
 		}
 	}
-	for _, cached := range []bool{false, true} {
-		if cached {
+	for _, pass := range []string{"uncached", "cold", "warm"} {
+		if pass == "cold" {
 			cache, err := runcache.New(runcache.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -127,8 +131,8 @@ func checkAgainstNaive(t *testing.T, spec Spec) (fast, points int) {
 		}
 		for i := range got {
 			if !sameTotals(got[i], want[i]) || got[i].Fast != fastFull[i] {
-				t.Errorf("%+v cached=%v point %d (%+v): Run totals diverge from per-point run\n got: %+v\nwant: %+v",
-					spec, cached, i, got[i].Point, got[i], want[i])
+				t.Errorf("%+v %s point %d (%+v): Run totals diverge from per-point run\n got: %+v\nwant: %+v",
+					spec, pass, i, got[i].Point, got[i], want[i])
 			}
 		}
 	}
@@ -192,93 +196,22 @@ func TestSpinWaitOff(t *testing.T) {
 	}
 }
 
-// TestFastEligibleCoversConfigFields is fastEligible's field guard. Every
-// core.Config field is in one of three classes — a clause of the rule, a
-// field the closed form reads, or a field a baseline run never reads —
-// and a new field fails here until it is classified, so no field that
-// changes a run can take the closed form unnoticed. The classes are
-// checked, not only listed: each rule field, set on a baseline ladder
-// point, takes it off the closed form, and each never-read field, set on
-// the same point, leaves it on the closed form with core.Run's result.
-func TestFastEligibleCoversConfigFields(t *testing.T) {
-	ratio, plan := 0.25, faultinject.Default(7)
-	rule := map[string]func(*core.Config){
-		"Mode":           func(c *core.Config) { c.Mode = core.FreqScaling },
-		"StaticRatio":    func(c *core.Config) { c.StaticRatio = &ratio },
-		"FaultPlan":      func(c *core.Config) { c.FaultPlan = &plan },
-		"ActuatorFilter": func(c *core.Config) { c.ActuatorFilter = func(d dvfs.Decision) dvfs.Decision { return d } },
-		"DivisionPolicy": func(c *core.Config) { c.DivisionPolicy = division.NewQilin(division.DefaultQilinConfig()) },
-		"OnDVFS":         func(c *core.Config) { c.OnDVFS = func(time.Duration, float64, float64, dvfs.Decision) {} },
-		"OnCPUGovernor":  func(c *core.Config) { c.OnCPUGovernor = func(time.Duration, float64, int) {} },
-		"OnIteration":    func(c *core.Config) { c.OnIteration = func(core.IterationStats) {} },
-	}
-	// The closed form's own inputs, covered by TestFastPathMatchesNaive,
-	// TestSpinWaitOff and FuzzFastVsCore.
-	read := []string{"Iterations", "SpinWait", "InitialLevels"}
-	neverRead := map[string]func(*core.Config){
-		"DVFSInterval": func(c *core.Config) { c.DVFSInterval = time.Second },
-		"GPUScaler":    func(c *core.Config) { c.GPUScaler.Beta = 0.5 },
-		"Fixed8Scaler": func(c *core.Config) { c.Fixed8Scaler = true },
-		"SMScaling":    func(c *core.Config) { c.SMScaling = true },
-		"Division":     func(c *core.Config) { c.Division.Initial = 0.5 },
-	}
-	classes := map[string]int{}
-	for name := range rule {
-		classes[name]++
-	}
-	for _, name := range read {
-		classes[name]++
-	}
-	for name := range neverRead {
-		classes[name]++
-	}
-	typ := reflect.TypeOf(core.Config{})
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		if classes[name] != 1 {
-			t.Errorf("core.Config.%s is in %d of fastEligible's field classes, want exactly 1: classify it here and, if it can change a baseline run, add it to the rule", name, classes[name])
-		}
-		delete(classes, name)
-	}
-	for name := range classes {
-		t.Errorf("classified field %s is not in core.Config", name)
-	}
-
+// TestRunAllocsIndependentOfPoints: an uncached Engine.Run allocates per
+// batch, not per point — on the totals-only closed form a point allocates
+// nothing — so a 6×6 ladder costs what a 2×2 one does.
+func TestRunAllocsIndependentOfPoints(t *testing.T) {
 	e := testEngine(t)
-	b, err := e.NewBatch()
-	if err != nil {
-		t.Fatal(err)
+	allocs := func(ladder []int) float64 {
+		spec := Spec{Workloads: []string{"kmeans"}, Iterations: 4, CPULevel: -1,
+			CoreLevels: ladder, MemLevels: ladder}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := e.Run(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	prof, err := workload.ByName(e.Profiles, "kmeans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	point := func(set func(*core.Config)) core.Config {
-		cfg := core.DefaultConfig(core.Baseline)
-		cfg.Iterations = 3
-		cfg.InitialLevels = &core.Levels{Core: 2, Mem: 3, CPU: len(e.CPU.PStates) - 1}
-		set(&cfg)
-		return cfg
-	}
-	for name, set := range rule {
-		if _, fast, err := b.Eval(prof.Name, point(set)); err != nil || fast {
-			t.Errorf("rule field %s set: fast=%t, err %v; want the full simulation", name, fast, err)
-		}
-	}
-	for name, set := range neverRead {
-		cfg := point(set)
-		got, fast, err := b.Eval(prof.Name, cfg)
-		if err != nil || !fast {
-			t.Errorf("never-read field %s set: fast=%t, err %v; want the closed form", name, fast, err)
-			continue
-		}
-		want, err := core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), prof, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("never-read field %s set: closed form diverges from core.Run:\n got %+v\nwant %+v", name, got, want)
-		}
+	if small, big := allocs([]int{0, 5}), allocs([]int{0, 1, 2, 3, 4, 5}); big != small {
+		t.Errorf("Engine.Run allocates %v objects for 4 points and %v for 36; want no per-point allocation", small, big)
 	}
 }
 
