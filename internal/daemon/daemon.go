@@ -151,9 +151,11 @@ type Server struct {
 	jobs  *jobStore
 	sem   chan struct{}
 
-	// mhz holds the ladders' MHz members of a sweep point's JSON, built
-	// once for writeSweep.
-	mhz ladderMHz
+	// mhz holds the ladders' MHz members of a sweep point's JSON, and
+	// names each profile's name as a JSON string, built once for
+	// writeSweep.
+	mhz   ladderMHz
+	names map[string][]byte
 
 	// journal persists async jobs when Config.StateDir is set; nil
 	// otherwise. recovered counts the pending jobs re-executed at New.
@@ -209,6 +211,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:    newJobStore(),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		mhz:     mhz,
+		names:   jsonNames(cfg.Profiles),
 		baseCtx: ctx,
 		cancel:  cancel,
 	}

@@ -11,12 +11,16 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
+	"time"
 
 	"greengpu/internal/cpusim"
 	"greengpu/internal/gpusim"
 	"greengpu/internal/sweep"
 	"greengpu/internal/units"
+	"greengpu/internal/workload"
 )
 
 // ladderMHz holds, per level of each ladder, the `,"key":MHz` member a
@@ -48,26 +52,60 @@ func newLadderMHz(gpu *gpusim.Config, cpu *cpusim.Config) (ladderMHz, error) {
 	return l, err
 }
 
+// jsonNames renders each profile's name as a JSON string once, for New,
+// so a sweep's points name their workload without a json.Marshal call.
+func jsonNames(profiles []*workload.Profile) map[string][]byte {
+	m := make(map[string][]byte, len(profiles))
+	for _, p := range profiles {
+		m[p.Name], _ = json.Marshal(p.Name)
+	}
+	return m
+}
+
+// maxPooledSweep is the largest response buffer writeSweep keeps for the
+// next request, about 4,000 points. A larger one is dropped after its
+// request, so one sweep at the work cap (262,144 points, about 60 MB of
+// JSON) does not pin its buffer for the life of the process.
+const maxPooledSweep = 1 << 20
+
+// sweepBufs holds writeSweep's response buffers between requests.
+var sweepBufs sync.Pool
+
 // writeSweep sends the sync POST /v1/sweep JSON response: the bytes
 // json.NewEncoder(w).Encode(SweepResponse{spec, s.sweepPoints(results)})
-// would write. Like writeJSON, a total JSON cannot represent answers 500
-// with the error envelope and nothing else.
+// would write, with their Content-Length, so net/http sends the body
+// whole rather than chunked. Like writeJSON, a total JSON cannot represent
+// answers 500 with the error envelope and nothing else. The body is
+// rendered into a pooled buffer, which goes back to the pool once Write
+// has returned (a Writer must not retain what it is given).
 func (s *Server) writeSweep(w http.ResponseWriter, spec string, results []sweep.PointResult) {
+	bp, _ := sweepBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
 	// About 230 bytes per point; one growth at most when names are long.
-	body, err := s.appendSweep(make([]byte, 0, 64+len(spec)+256*len(results)), spec, results)
+	body, err := s.appendSweep(slices.Grow((*bp)[:0], 64+len(spec)+256*len(results)), spec, results)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+	} else {
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+		_, _ = w.Write(body)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
+	if cap(body) <= maxPooledSweep {
+		*bp = body[:0]
+		sweepBufs.Put(bp)
+	}
 }
 
 // appendSweep appends the encoding of SweepResponse{spec,
-// s.sweepPoints(results)} and encoding/json's trailing newline to b.
-// Strings go through json.Marshal, which escapes them and cannot fail on
-// a string: the spec once, and each workload name once per run of points
-// that share it (a plan's order keeps a workload's points together).
+// s.sweepPoints(results)} and encoding/json's trailing newline to b, and
+// returns what it appended up to its error, if any. Strings go through
+// json.Marshal, which escapes them and cannot fail on a string: the spec
+// once, and each workload name once per run of points that share it (a
+// plan's order keeps a workload's points together) unless New rendered
+// it already.
 func (s *Server) appendSweep(b []byte, spec string, results []sweep.PointResult) ([]byte, error) {
 	text, _ := json.Marshal(spec)
 	b = append(b, `{"spec":`...)
@@ -83,7 +121,9 @@ func (s *Server) appendSweep(b []byte, spec string, results []sweep.PointResult)
 		}
 		if nameText == nil || pr.Workload != name {
 			name = pr.Workload
-			nameText, _ = json.Marshal(name)
+			if nameText = s.names[name]; nameText == nil {
+				nameText, _ = json.Marshal(name)
+			}
 		}
 		b = append(b, `{"workload":`...)
 		b = append(b, nameText...)
@@ -100,18 +140,19 @@ func (s *Server) appendSweep(b []byte, spec string, results []sweep.PointResult)
 			b = append(b, s.mhz.mem[pr.Mem]...)
 			b = append(b, s.mhz.cpu[pr.CPU]...)
 		}
+		b = append(b, `,"exec_s":`...)
+		b = appendSeconds(b, pr.TotalTime)
 		for _, m := range [...]struct {
 			key string
 			v   float64
 		}{
-			{`,"exec_s":`, pr.TotalTime.Seconds()},
 			{`,"energy_j":`, pr.Energy.Joules()},
 			{`,"energy_gpu_j":`, pr.EnergyGPU.Joules()},
 			{`,"energy_cpu_j":`, pr.EnergyCPU.Joules()},
 		} {
 			b = append(b, m.key...)
 			if b, err = appendFloat(b, m.v); err != nil {
-				return nil, err
+				return b, err
 			}
 		}
 		b = append(b, `,"fast":`...)
@@ -119,6 +160,40 @@ func (s *Server) appendSweep(b []byte, spec string, results []sweep.PointResult)
 		b = append(b, '}')
 	}
 	return append(b, "]}\n"...), nil
+}
+
+// appendSeconds appends d.Seconds() exactly as appendFloat does. When
+// 1,000 <= d < 10^15 and d.Seconds() is the double nearest d/10^9, it
+// writes d/10^9 from the integer, as a plain decimal without trailing
+// zeros; otherwise it calls appendFloat. The text is the same because:
+//   - d < 2^53, so float64(d)/1e9 is the correctly rounded quotient, and
+//     the guard makes d.Seconds() that double;
+//   - d/10^9 has at most 15 significant digits, and two distinct decimals
+//     of at most 15 digits never round to one double, so the shortest
+//     digits that round-trip, which strconv writes, are d/10^9's own;
+//   - d >= 1,000 puts the value at or above 1e-6, where appendFloat writes
+//     'f' format (below it, encoding/json writes 1e-9, not 0.000000001).
+func appendSeconds(b []byte, d time.Duration) []byte {
+	if d < 1000 || d >= 1e15 || float64(d)/1e9 != d.Seconds() {
+		b, _ = appendFloat(b, d.Seconds()) // finite: cannot fail
+		return b
+	}
+	b = strconv.AppendInt(b, int64(d/time.Second), 10)
+	frac := d % time.Second
+	if frac == 0 {
+		return b
+	}
+	var digits [10]byte // '.' and nine digits of nanoseconds
+	digits[0] = '.'
+	for i := 9; i > 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := len(digits)
+	for digits[n-1] == '0' {
+		n--
+	}
+	return append(b, digits[:n]...)
 }
 
 // appendFloat appends f as encoding/json writes a float64: the shortest

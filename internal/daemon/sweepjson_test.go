@@ -8,7 +8,9 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,8 +32,9 @@ func encodeSweep(t *testing.T, s *Server, spec string, results []sweep.PointResu
 // TestSweepJSONMatchesEncodingJSON holds the sync POST /v1/sweep writer to
 // encoding/json byte for byte: on real sweeps through the handler (the
 // full 324-point ladder, controller-mode subsets, and Monte Carlo draws,
-// whose MHz keys are omitted), and on generated results whose floats and
-// strings probe every formatting and escaping rule.
+// whose MHz keys are omitted), on generated results whose floats and
+// strings probe every formatting and escaping rule, and on durations
+// across every magnitude exec_s can take.
 func TestSweepJSONMatchesEncodingJSON(t *testing.T) {
 	srv, ts := newTestServer(t, func(c *Config) { c.Cache = nil })
 
@@ -144,6 +147,24 @@ func TestSweepJSONMatchesEncodingJSON(t *testing.T) {
 		}
 	})
 
+	t.Run("seconds", func(t *testing.T) {
+		// Durations log-uniform over every magnitude the integer path
+		// serves and past its bounds, of either sign.
+		for i := 0; i < 200000; i++ {
+			d := time.Duration(math.Pow(10, 17*rng.Float64()))
+			if rng.IntN(8) == 0 {
+				d = -d
+			}
+			want, err := json.Marshal(d.Seconds())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendSeconds(nil, d); !bytes.Equal(got, want) {
+				t.Fatalf("appendSeconds(%d) = %s; encoding/json writes %s", int64(d), got, want)
+			}
+		}
+	})
+
 	t.Run("non-finite", func(t *testing.T) {
 		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			pts := []sweep.PointResult{{Point: sweep.Point{Workload: "kmeans", Draw: 0, Core: -1, Mem: -1, CPU: -1},
@@ -159,6 +180,127 @@ func TestSweepJSONMatchesEncodingJSON(t *testing.T) {
 				!strings.HasPrefix(got.Body.String(), `{"error":`) {
 				t.Errorf("%v: writer answered %d %q, writeJSON %d %q", f, got.Code, got.Body, ref.Code, ref.Body)
 			}
+		}
+	})
+}
+
+// TestSweepBufferReuse holds the pooled response buffer to encoding/json:
+// concurrent sync sweeps of different specs and sizes through ServeHTTP
+// each get their own exact bytes and Content-Length (run it under -race),
+// a non-finite 500 between two sweeps leaves the next body intact, and a
+// buffer grown past maxPooledSweep does not return to the pool.
+func TestSweepBufferReuse(t *testing.T) {
+	srv, _ := newTestServer(t, func(c *Config) { c.Cache = nil })
+	specs := []string{
+		"workloads=all core=all mem=all iters=1",
+		"workloads=kmeans core=0 mem=0 iters=2",
+		"workloads=kmeans,hotspot core=0,5 mem=1,4 cpu=1 iters=3 mode=holistic",
+		"workloads=lud draws=2 iters=2",
+		"workloads=nbody,srad_v2 core=2-3 mem=all iters=4",
+	}
+	want := make([][]byte, len(specs))
+	for i, text := range specs {
+		spec, err := sweep.ParseSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := srv.eng.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = encodeSweep(t, srv, text, results)
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for r := 0; r < 3*len(specs); r++ {
+					i := (c + r) % len(specs)
+					body, _ := json.Marshal(JobRequest{Spec: specs[i]})
+					rec := httptest.NewRecorder()
+					srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sweep", bytes.NewReader(body)))
+					if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want[i]) {
+						t.Errorf("%s: status %d, body differs from encoding/json\n got: %.200s\nwant: %.200s",
+							specs[i], rec.Code, rec.Body.Bytes(), want[i])
+						return
+					}
+					if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want[i])) {
+						t.Errorf("%s: Content-Length %q, body is %d bytes", specs[i], cl, len(want[i]))
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+	})
+
+	points := func(n int, energy float64) []sweep.PointResult {
+		pts := make([]sweep.PointResult, n)
+		for i := range pts {
+			pts[i] = sweep.PointResult{Point: sweep.Point{Workload: "kmeans", Draw: i, Core: -1, Mem: -1, CPU: -1},
+				TotalTime: time.Duration(i) * time.Millisecond, Energy: units.Energy(energy), Fast: true}
+		}
+		return pts
+	}
+
+	t.Run("after-500", func(t *testing.T) {
+		ok, bad := points(300, 12.5), points(300, math.Inf(1))
+		for _, pts := range [][]sweep.PointResult{ok, bad, points(3, 1.25), bad, ok} {
+			rec := httptest.NewRecorder()
+			srv.writeSweep(rec, "s", pts)
+			if math.IsInf(pts[0].Energy.Joules(), 0) {
+				if rec.Code != 500 || !strings.HasPrefix(rec.Body.String(), `{"error":`) {
+					t.Errorf("non-finite sweep answered %d %q", rec.Code, rec.Body)
+				}
+				continue
+			}
+			if want := encodeSweep(t, srv, "s", pts); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Errorf("%d points after a 500: status %d, body differs from encoding/json", len(pts), rec.Code)
+			}
+		}
+	})
+
+	t.Run("cap", func(t *testing.T) {
+		big := points(maxPooledSweep/256+1, 12.5)
+		rec := httptest.NewRecorder()
+		srv.writeSweep(rec, "s", big)
+		if rec.Code != 200 || rec.Body.Len() == 0 {
+			t.Fatalf("big sweep answered %d", rec.Code)
+		}
+		// Take everything the pool holds: the big buffer must not be there.
+		for i := 0; i < 64; i++ {
+			bp, _ := sweepBufs.Get().(*[]byte)
+			if bp == nil {
+				break
+			}
+			if cap(*bp) > maxPooledSweep {
+				t.Fatalf("a %d-byte buffer went back to the pool (cap %d)", cap(*bp), maxPooledSweep)
+			}
+		}
+	})
+}
+
+// FuzzAppendSeconds holds appendSeconds to appendFloat(d.Seconds()) for
+// any duration: the integer path must write the same bytes where its
+// guard admits d, and everything else must go through appendFloat. The
+// seeds sit on the guard's edges; 1002237559 ns is a duration whose
+// Seconds() is not the correctly rounded quotient.
+func FuzzAppendSeconds(f *testing.F) {
+	for _, d := range []int64{0, 1, -1, 999, 1000, 1e9, 1_500_000_000, 1e15 - 1, 1e15,
+		math.MaxInt64, -math.MaxInt64, math.MinInt64, 1002237559} {
+		f.Add(d)
+	}
+	f.Fuzz(func(t *testing.T, ns int64) {
+		d := time.Duration(ns)
+		want, err := appendFloat(nil, d.Seconds())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendSeconds(nil, d); !bytes.Equal(got, want) {
+			t.Fatalf("appendSeconds(%d) = %s, appendFloat writes %s", ns, got, want)
 		}
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"greengpu/internal/telemetry"
 )
 
 // spin burns deterministic CPU work, standing in for one simulated
@@ -39,17 +41,27 @@ func BenchmarkMapSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkMapOverhead measures pure scheduling cost with no-op tasks.
+// BenchmarkMapOverhead measures pure scheduling cost with no-op tasks,
+// with telemetry off and on (greengpud's state): the difference is what
+// the pool's own metrics cost.
 func BenchmarkMapOverhead(b *testing.B) {
 	items := make([]int, 1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := Map(context.Background(), items, func(i int, _ int) (int, error) {
-			return i, nil
-		}, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range []string{"off", "on"} {
+		b.Run("telemetry="+mode, func(b *testing.B) {
+			if mode == "on" {
+				telemetry.Enable()
+				defer telemetry.Disable()
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := Map(context.Background(), items, func(i int, _ int) (int, error) {
+					return i, nil
+				}, 8)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

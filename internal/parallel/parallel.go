@@ -35,8 +35,10 @@ import (
 )
 
 // Package metrics (see docs/OBSERVABILITY.md). No-ops unless telemetry is
-// enabled; the worker loop stays allocation-free either way, and the wall
-// clock is only read when telemetry is on.
+// enabled. Workers tally them locally and publish them once per run of
+// flushEvery tasks (see tally), so the worker loop updates no shared
+// metric per task, stays allocation-free, and reads the wall clock only
+// when telemetry is on, once per run.
 var (
 	metricTasks = telemetry.NewCounter("greengpu_parallel_tasks_total",
 		"Tasks executed by the worker pool (skipped tasks excluded).")
@@ -45,33 +47,76 @@ var (
 	metricSkipped = telemetry.NewCounter("greengpu_parallel_tasks_skipped_total",
 		"Tasks skipped because a lower-indexed task failed or the context was done.")
 	metricTaskSeconds = telemetry.NewHistogram("greengpu_parallel_task_seconds",
-		"Wall-clock task duration in seconds.",
+		"Wall-clock task duration in seconds, observed as the mean of each run of tasks a worker executed.",
 		telemetry.ExpBuckets(100e-6, 4, 12)) // 100µs .. ~420s
 )
 
-// observeTask records one executed task's outcome and duration. start is
-// the zero Time when telemetry was off at task start; the duration is then
-// skipped rather than fabricated.
-func observeTask(start time.Time, err error) {
-	if !telemetry.Enabled() {
-		return
+// flushEvery is how many tasks a worker tallies before it publishes them.
+// It bounds how far /metrics lags a running Map, and it amortizes the
+// shared-counter updates and the clock read over closed-form sweep points
+// of well under a microsecond each.
+const flushEvery = 64
+
+// tally is one worker's share of the pool metrics since its last flush:
+// the tasks it executed, failed and skipped, and when the run began. start
+// is the zero Time when telemetry was off at that moment; the run's
+// duration is then skipped rather than fabricated.
+type tally struct {
+	executed, failed, skipped uint64
+	start                     time.Time
+}
+
+// newTally begins a worker's first run.
+func newTally() tally { return tally{start: now()} }
+
+// add counts one claimed task, publishing the run when it is full.
+func (t *tally) add(ran bool, err error) {
+	if !ran {
+		t.skipped++
+	} else if t.executed++; err != nil {
+		t.failed++
 	}
-	metricTasks.Inc()
-	if err != nil {
-		metricTaskErrors.Inc()
-	}
-	if !start.IsZero() {
-		metricTaskSeconds.Observe(time.Since(start).Seconds())
+	if t.executed+t.skipped == flushEvery {
+		t.flush()
 	}
 }
 
-// taskStart reads the wall clock only when telemetry is on, so the disabled
-// path never issues a clock syscall.
-func taskStart() time.Time {
+// flush adds the run to the pool metrics and begins the next one. The
+// histogram records the run's mean task time once, weighted by its
+// executed tasks, so its count stays the executed tasks and its sum their
+// busy time.
+func (t *tally) flush() {
+	if t.executed+t.skipped == 0 {
+		return
+	}
+	metricTasks.Add(t.executed)
+	metricTaskErrors.Add(t.failed)
+	metricSkipped.Add(t.skipped)
+	end := now()
+	if t.executed > 0 && !t.start.IsZero() && !end.IsZero() {
+		metricTaskSeconds.ObserveN(end.Sub(t.start).Seconds()/float64(t.executed), t.executed)
+	}
+	*t = tally{start: end}
+}
+
+// now reads the wall clock only when telemetry is on, so the disabled
+// path never issues a clock read.
+func now() time.Time {
 	if !telemetry.Enabled() {
 		return time.Time{}
 	}
 	return time.Now()
+}
+
+// closed reports, without blocking, whether done is closed. A nil done (a
+// context that can never be canceled) is never closed.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Map runs fn over every item on a pool of at most workers goroutines and
@@ -96,20 +141,27 @@ func Map[T, R any](ctx context.Context, items []T, fn func(index int, item T) (R
 	}
 
 	results := make([]R, n)
+	done := ctx.Done()
 	if workers == 1 {
-		// Inline sequential path: no goroutines, strict input order.
+		// Inline sequential path: no goroutines, strict input order. The
+		// tasks after a failure or a cancellation count as skipped.
+		t := newTally()
 		for i := range items {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			if closed(done) {
+				t.skipped += uint64(n - i)
+				t.flush()
+				return nil, ctx.Err()
 			}
-			start := taskStart()
 			r, err := fn(i, items[i])
-			observeTask(start, err)
+			t.add(true, err)
 			if err != nil {
+				t.skipped += uint64(n - i - 1)
+				t.flush()
 				return nil, err
 			}
 			results[i] = r
 		}
+		t.flush()
 		return results, nil
 	}
 
@@ -126,21 +178,22 @@ func Map[T, R any](ctx context.Context, items []T, fn func(index int, item T) (R
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			t := newTally()
 			for {
 				i := int(next.Add(1))
 				if i >= n {
+					t.flush()
 					return
 				}
-				if int64(i) > lowest.Load() || ctx.Err() != nil {
+				if int64(i) > lowest.Load() || closed(done) {
 					// Skipped: leave errs[i] nil so error selection
 					// stays deterministic (only genuine task failures
 					// participate).
-					metricSkipped.Inc()
+					t.add(false, nil)
 					continue
 				}
-				start := taskStart()
 				r, err := fn(i, items[i])
-				observeTask(start, err)
+				t.add(true, err)
 				if err != nil {
 					errs[i] = err
 					for low := lowest.Load(); int64(i) < low; low = lowest.Load() {

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"greengpu/internal/telemetry"
 )
 
 func TestMapOrderedResults(t *testing.T) {
@@ -206,4 +208,102 @@ func TestPickRangeAndDistribution(t *testing.T) {
 		}
 	}()
 	Pick(1, 0, 0)
+}
+
+// poolCounts reads the four pool metrics a test holds to its own count of
+// the tasks it saw run, fail and be skipped.
+type poolCounts struct{ executed, failed, skipped, observed uint64 }
+
+func readPoolCounts() poolCounts {
+	return poolCounts{metricTasks.Value(), metricTaskErrors.Value(), metricSkipped.Value(), metricTaskSeconds.Count()}
+}
+
+func (c poolCounts) sub(d poolCounts) poolCounts {
+	return poolCounts{c.executed - d.executed, c.failed - d.failed, c.skipped - d.skipped, c.observed - d.observed}
+}
+
+func withTelemetry(t *testing.T) {
+	t.Helper()
+	telemetry.Enable()
+	t.Cleanup(telemetry.Disable)
+}
+
+// TestMapTelemetryCounts holds the worker tallies to the tasks Map ran:
+// at one and four workers, on success, on failures and on cancellation
+// before and during the run, the metric deltas equal the tasks executed,
+// the ones that failed, and the rest as skipped, and the task histogram
+// counts every executed task once.
+func TestMapTelemetryCounts(t *testing.T) {
+	withTelemetry(t)
+	const n = 1000
+	items := make([]int, n)
+	for _, workers := range []int{1, 4} {
+		for _, tc := range []struct {
+			name   string
+			fail   func(i int) bool
+			cancel int // index whose task cancels the context; -1 never, -2 before Map
+		}{
+			{"ok", func(int) bool { return false }, -1},
+			{"failing", func(i int) bool { return i == 300 || i == 700 }, -1},
+			{"canceled", func(int) bool { return false }, -2},
+			{"canceled-midway", func(int) bool { return false }, 400},
+		} {
+			ctx, cancel := context.WithCancel(context.Background())
+			if tc.cancel == -2 {
+				cancel()
+			}
+			var ran, failed atomic.Uint64
+			before := readPoolCounts()
+			_, err := Map(ctx, items, func(i, _ int) (int, error) {
+				ran.Add(1)
+				if i == tc.cancel {
+					cancel()
+				}
+				if tc.fail(i) {
+					failed.Add(1)
+					return 0, fmt.Errorf("task %d", i)
+				}
+				return i, nil
+			}, workers)
+			cancel()
+			if (err == nil) != (tc.name == "ok") {
+				t.Fatalf("workers=%d %s: err %v", workers, tc.name, err)
+			}
+			got := readPoolCounts().sub(before)
+			want := poolCounts{ran.Load(), failed.Load(), n - ran.Load(), ran.Load()}
+			if got != want {
+				t.Errorf("workers=%d %s: metric deltas %+v, want %+v", workers, tc.name, got, want)
+			}
+		}
+	}
+}
+
+// TestMapTelemetryAdvancesWhileRunning: a long Map publishes its tallies
+// as it goes, not only when it returns. Each task in the first half of
+// the input reads tasks_total; no worker can have exited while one of
+// those runs, so only a periodic flush can have advanced it. With
+// 2·workers·(flushEvery+2) tasks, some worker runs more than flushEvery of
+// them in the first half, after its first flush.
+func TestMapTelemetryAdvancesWhileRunning(t *testing.T) {
+	withTelemetry(t)
+	for _, workers := range []int{1, 4} {
+		n := 2 * workers * (flushEvery + 2)
+		var seen atomic.Bool
+		before := metricTasks.Value()
+		_, err := Map(context.Background(), make([]int, n), func(i, _ int) (int, error) {
+			if i < n/2 && metricTasks.Value() > before {
+				seen.Store(true)
+			}
+			return i, nil
+		}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !seen.Load() {
+			t.Errorf("workers=%d: tasks_total did not advance during the first %d of %d tasks", workers, n/2, n)
+		}
+		if got := metricTasks.Value() - before; got != uint64(n) {
+			t.Errorf("workers=%d: tasks_total advanced by %d, want %d", workers, got, n)
+		}
+	}
 }

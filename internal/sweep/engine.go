@@ -296,8 +296,8 @@ func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
-	metricPoints.Inc()
-	iters, fast := route(cf, &cfg)
+	iters, fast := cf.Admits(&cfg)
+	count(1, fast)
 	r, err := b.result(cf, &cfg, iters, fast)
 	return r, fast, err
 }
@@ -339,7 +339,14 @@ func (p *Plan) Run(ctx context.Context) ([]PointResult, error) {
 		return nil, err
 	}
 	metricBatches.Inc()
-	metricPoints.Add(uint64(len(p.Points)))
+	for i := range b.cfs {
+		// Every workload has the same number of points. A ladder point
+		// takes its workload's path, because Admits reads no field
+		// specialize sets; a draw point's per-draw plan is armed, and the
+		// closed form never admits an armed plan.
+		_, fast := b.cfs[i].Admits(&p.base)
+		count(len(p.Points)/len(b.cfs), fast && p.spec.Draws == 0)
+	}
 	return parallel.Map(ctx, p.Points,
 		func(_ int, pt Point) (PointResult, error) {
 			return b.evalPoint(&p.spec, &p.base, pt)
@@ -347,7 +354,8 @@ func (p *Plan) Run(ctx context.Context) ([]PointResult, error) {
 }
 
 // evalPoint evaluates one point of a spec: the batch-validated base
-// configuration specialized to the point, through the evaluation body.
+// configuration specialized to the point, through the evaluation body. It
+// counts nothing; Plan.Run and PredictSweetSpots count their points.
 // Per-draw plans (validated by core.Run on the fallback path) are the only
 // per-point deviation from the base. A closed-form point that no run cache
 // will keep accumulates only its totals, from a configuration in this
@@ -360,7 +368,7 @@ func (b Batch) evalPoint(spec *Spec, base *core.Config, pt Point) (PointResult, 
 	cf := b.form(pt.Workload)
 	var lv core.Levels
 	cfg := specialize(*base, spec, pt, &lv)
-	iters, fast := route(cf, &cfg)
+	iters, fast := cf.Admits(&cfg)
 	if fast && !b.keeps(&cfg) {
 		var r core.Result // nil Iterations: the loop stores no records
 		if err := cf.Totals(&cfg, iters, &r); err != nil {
@@ -382,18 +390,17 @@ func totals(pt Point, r *core.Result, fast bool) PointResult {
 		EnergyGPU: r.EnergyGPU, EnergyCPU: r.EnergyCPU, Fast: fast}
 }
 
-// route resolves cfg's iteration count and decides the path every point
-// takes — the closed form when it admits cfg, core.Run otherwise — and
-// counts the point as fast or fallback. fast depends only on the batch and
-// cfg, so it is the same on a cache hit and a miss.
-func route(cf *core.ClosedForm, cfg *core.Config) (iters int, fast bool) {
-	iters, fast = cf.Admits(cfg)
+// count adds n points, all on one path, to the sweep counters.
+// Callers count once per batch, search or Eval, not once per point; the
+// path, from ClosedForm.Admits, depends only on the batch and the
+// configuration, so it is the same on a cache hit and a miss.
+func count(n int, fast bool) {
+	metricPoints.Add(uint64(n))
 	if fast {
-		metricFastPath.Inc()
+		metricFastPath.Add(uint64(n))
 	} else {
-		metricFallback.Inc()
+		metricFallback.Add(uint64(n))
 	}
-	return iters, fast
 }
 
 // keeps reports whether the engine's run cache will keep cfg's result.
@@ -401,9 +408,9 @@ func (b Batch) keeps(cfg *core.Config) bool {
 	return b.e.Cache != nil && runcache.Cacheable(cfg)
 }
 
-// result computes cfg's full result on the path route chose — the closed
+// result computes cfg's full result on the path Admits chose — the closed
 // form or core.Run on a fresh machine — through the run cache when it
-// keeps the point. route and result are the evaluation body every point
+// keeps the point. Admits and result are the evaluation body every point
 // goes through; evalPoint bypasses result only for a closed-form point no
 // cache keeps.
 func (b Batch) result(cf *core.ClosedForm, cfg *core.Config, iters int, fast bool) (*core.Result, error) {

@@ -82,10 +82,13 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 	variant := predictVariant(opts, cores, mems, cpuLvl)
 
 	out := make([]SpotResult, 0, len(profs))
-	for _, prof := range profs {
+	for i, prof := range profs {
 		n := prof.Name
+		_, fast := b.cfs[i].Admits(&base)
 		search := func() (predict.Outcome, error) {
+			evals := 0
 			oc, err := predict.SweetSpot(coreF, memF, func(ci, mi int) (predict.Sample, error) {
+				evals++
 				pt := Point{Workload: n, Draw: -1, Core: cores[ci], Mem: mems[mi], CPU: cpuLvl}
 				pr, err := b.evalPoint(&spec, &base, pt)
 				if err != nil {
@@ -93,6 +96,9 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 				}
 				return predict.Sample{Core: ci, Mem: mi, Time: pr.TotalTime, Energy: pr.Energy}, nil
 			}, opts)
+			// Every evaluated ladder point takes the workload's path
+			// (see Plan.Run); the search counts them once.
+			count(evals, fast)
 			if err != nil {
 				return oc, err
 			}

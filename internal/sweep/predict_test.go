@@ -340,6 +340,108 @@ func TestRunFallbackMatrix(t *testing.T) {
 	}
 }
 
+// TestPointCountersAddUp: with telemetry on, points_total advances by
+// exactly the fast plus fallback advance, and each of those by the number
+// of evaluated points whose Fast flag is true or false — for Engine.Run on
+// a ladder whose workloads take different paths and on draws, for
+// PredictSweetSpots (whose evaluations are its outcomes' FullEvals), and
+// for Batch.Eval.
+func TestPointCountersAddUp(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	e := testEngine(t)
+	// More phases than the closed-form loop holds: every point falls back.
+	seventeen := make([]workload.PhaseTarget, 17)
+	for i := range seventeen {
+		seventeen[i] = workload.PhaseTarget{Label: fmt.Sprintf("p%d", i), Fraction: 1.0 / 17,
+			CoreUtil: 0.1 + 0.04*float64(i), MemUtil: 0.7 - 0.04*float64(i)}
+	}
+	prof, err := workload.Calibrate(workload.Spec{Name: "seventeen", IterationSeconds: 30, Iterations: 4,
+		Phases: seventeen, CPUSlowdown: 5, TransferMB: 1}, e.GPU, e.CPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Profiles = append(e.Profiles, prof)
+
+	counters := func() [3]uint64 {
+		v := telemetry.Default.CounterValue
+		return [3]uint64{v(telemetry.MetricSweepPoints), v(telemetry.MetricSweepFastPath), v(telemetry.MetricSweepFallback)}
+	}
+	check := func(name string, before [3]uint64, fast, fallback int) {
+		t.Helper()
+		after := counters()
+		points, fastN, fallN := after[0]-before[0], after[1]-before[1], after[2]-before[2]
+		if points != fastN+fallN || fastN != uint64(fast) || fallN != uint64(fallback) {
+			t.Errorf("%s: points +%d, fast +%d, fallback +%d; want fast +%d, fallback +%d and points their sum",
+				name, points, fastN, fallN, fast, fallback)
+		}
+	}
+	byFast := func(results []PointResult) (fast, fallback int) {
+		for _, pr := range results {
+			if pr.Fast {
+				fast++
+			} else {
+				fallback++
+			}
+		}
+		return fast, fallback
+	}
+
+	for _, spec := range []Spec{
+		{Workloads: []string{"kmeans", "seventeen", "hotspot"}, Iterations: 2, CPULevel: -1,
+			CoreLevels: []int{0, 5}, MemLevels: []int{1, 3, 5}},
+		{Workloads: []string{"kmeans", "seventeen"}, Iterations: 2, CPULevel: -1, Draws: 3},
+	} {
+		before := counters()
+		results, err := e.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, fallback := byFast(results)
+		if spec.Draws == 0 && (fast == 0 || fallback == 0) {
+			t.Fatalf("ladder: fast %d, fallback %d; want both paths taken", fast, fallback)
+		}
+		check(fmt.Sprintf("Run draws=%d", spec.Draws), before, fast, fallback)
+	}
+
+	for _, mode := range []core.Mode{core.Baseline, core.Holistic} {
+		before := counters()
+		spots, err := e.PredictSweetSpots(Spec{Workloads: []string{"kmeans", "lud"}, Mode: mode,
+			Iterations: 2, CPULevel: -1}, predict.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		evals := 0
+		for _, s := range spots {
+			evals += s.Outcome.FullEvals
+		}
+		if mode == core.Baseline {
+			check("PredictSweetSpots baseline", before, evals, 0)
+		} else {
+			check("PredictSweetSpots holistic", before, 0, evals)
+		}
+	}
+
+	b, err := e.NewBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.Mode{core.Baseline, core.Holistic} {
+		before := counters()
+		cfg := core.DefaultConfig(mode)
+		cfg.Iterations = 2
+		_, fast, err := b.Eval("kmeans", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast {
+			check("Batch.Eval", before, 1, 0)
+		} else {
+			check("Batch.Eval", before, 0, 1)
+		}
+	}
+}
+
 // TestRunSaturationStaysFast: profiles the closed-form loop cannot express
 // — one whose span drives the clock into its saturation range, and one with
 // more phases than the loop holds — fall back to core.Run through

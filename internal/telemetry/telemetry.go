@@ -364,14 +364,22 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 // Observe records one sample. A no-op while telemetry is disabled; NaN
 // samples are dropped (they would poison the sum).
-func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() || math.IsNaN(v) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v in one update: v's bucket and the
+// count gain n, the sum gains v·n. A caller that tallies a run of
+// observations locally records their mean this way, keeping the count and
+// the sum those observations would give. A no-op while telemetry is
+// disabled, for a NaN v, or for n == 0.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if !enabled.Load() || math.IsNaN(v) || n == 0 {
 		return
 	}
 	// First bucket whose upper bound admits v; len(bounds) is +Inf.
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.count.Add(n)
+	v *= float64(n)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {

@@ -90,6 +90,40 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: n samples recorded in one update land as n
+// Observe calls of the same value would, in bucket, count and sum; n == 0
+// and NaN record nothing, and a disabled histogram ignores the call.
+func TestHistogramObserveN(t *testing.T) {
+	withTelemetry(t)
+	r := NewRegistry()
+	one := NewHistogramIn(r, "one", "", []float64{1, 10})
+	batch := NewHistogramIn(r, "batch", "", []float64{1, 10})
+	for _, s := range []struct {
+		v float64
+		n uint64
+	}{{0.5, 3}, {10, 1}, {2.5, 4}, {99, 2}, {7, 0}, {math.NaN(), 5}} {
+		batch.ObserveN(s.v, s.n)
+		for i := uint64(0); i < s.n; i++ {
+			one.Observe(s.v)
+		}
+	}
+	got, want := batch.snapshot(), one.snapshot()
+	if got.Count != 10 || got.Count != want.Count || got.Sum != want.Sum {
+		t.Errorf("ObserveN count %d sum %v, Observe count %d sum %v (want count 10)",
+			got.Count, got.Sum, want.Count, want.Sum)
+	}
+	for i := range want.Buckets {
+		if got.Buckets[i] != want.Buckets[i] {
+			t.Errorf("bucket %d: ObserveN %+v, Observe %+v", i, got.Buckets[i], want.Buckets[i])
+		}
+	}
+	Disable()
+	batch.ObserveN(1, 3)
+	if batch.Count() != 10 {
+		t.Errorf("disabled ObserveN changed the count to %d", batch.Count())
+	}
+}
+
 func TestHistogramRejectsBadBounds(t *testing.T) {
 	for name, bounds := range map[string][]float64{
 		"decreasing": {10, 1},
@@ -239,6 +273,7 @@ func TestZeroAllocations(t *testing.T) {
 		"Counter.Add":           func() { c.Add(1) },
 		"Gauge.Set":             func() { g.Set(1.5) },
 		"Histogram.Observe":     func() { h.Observe(0.01) },
+		"Histogram.ObserveN":    func() { h.ObserveN(0.01, 64) },
 		"FlightRecorder.Record": func() { fr.Record(rec) },
 	}
 	for _, state := range []struct {
@@ -281,6 +316,7 @@ func TestConcurrencyHammer(t *testing.T) {
 				c.Inc()
 				g.Set(float64(i))
 				h.Observe(float64(i%7) * 1e-5)
+				h.ObserveN(float64(i%5)*1e-4, uint64(i%3))
 				if rec := Recorder(); rec != nil {
 					rec.Record(EpochRecord{Workload: "hammer", Epoch: i, UCore: float64(w)})
 				}
