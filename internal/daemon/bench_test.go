@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -15,7 +16,8 @@ import (
 
 // Daemon load benchmarks: real HTTP over loopback against a warm run
 // cache, the capacity-planning numbers docs/SERVICE.md cites, and the
-// sweep handler in process on a daemon without a run cache. All report
+// sweep handler, and its JSON writer alone, in process on a daemon
+// without a run cache. All report
 // throughput via b.ReportMetric so cmd/benchjson can gate on it:
 //
 //   - req/s     completed HTTP requests per second
@@ -149,4 +151,29 @@ func BenchmarkDaemonSweepUncached(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(plan.Points)*b.N)/b.Elapsed().Seconds(), "points/s")
+}
+
+// BenchmarkDaemonSweepRender renders the results of
+// BenchmarkDaemonSweepUncached's 324-point sweep into a reused buffer: the
+// sync /v1/sweep writer alone, with no evaluation and no HTTP.
+func BenchmarkDaemonSweepRender(b *testing.B) {
+	srv, _ := newTestServer(b, func(c *Config) { c.Cache = nil })
+	const specText = "workloads=all core=all mem=all iters=4"
+	spec, err := sweep.ParseSpec(specText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	results, err := srv.eng.Run(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf []byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = srv.appendSweep(buf[:0], specText, results); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(results)*b.N)/b.Elapsed().Seconds(), "points/s")
 }

@@ -176,8 +176,8 @@ type Server struct {
 }
 
 // New validates the device configurations, precomputes the shared batch
-// tables every /v1/simulate request evaluates through, and wires up the
-// routes.
+// tables every /v1/simulate request and every sweep evaluates through,
+// and wires up the routes.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = DefaultMaxInflight
@@ -598,7 +598,7 @@ func (s *Server) prepare(kind, spec string) (*prepared, error) {
 	case jobSweep:
 		var sp sweep.Spec
 		if sp, err = sweep.ParseSpec(spec); err == nil {
-			p.plan, err = s.eng.Plan(sp)
+			p.plan, err = s.batch.Plan(sp)
 		}
 	case jobFleet:
 		p.fleet, err = fleet.ParseSpec(spec)

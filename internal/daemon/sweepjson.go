@@ -199,22 +199,24 @@ func appendSeconds(b []byte, d time.Duration) []byte {
 // appendFloat appends f as encoding/json writes a float64: the shortest
 // text that round-trips, in 'f' format for 1e-6 <= |f| < 1e21 (and 0) and
 // 'e' format otherwise, with a one-digit negative exponent unpadded
-// (1e-7, not 1e-07). NaN and ±Inf, which JSON cannot represent, are
-// encoding/json's UnsupportedValueError.
+// (1e-7, not 1e-07). appendShortest writes the 'f' range; zero and the
+// 'e' range go through strconv. NaN and ±Inf, which JSON cannot
+// represent, are encoding/json's UnsupportedValueError.
 func appendFloat(b []byte, f float64) ([]byte, error) {
+	abs := math.Abs(f)
+	if abs >= 1e-6 && abs < 1e21 {
+		return appendShortest(b, f), nil
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if abs == 0 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64), nil
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
 	}
 	return b, nil
 }

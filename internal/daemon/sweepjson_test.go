@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/big"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -111,6 +112,9 @@ func TestSweepJSONMatchesEncodingJSON(t *testing.T) {
 		for i := 0; i < 100000; i++ {
 			check(randFloat())
 		}
+		for _, f := range shortestSamples(rng) {
+			check(f)
+		}
 	})
 
 	t.Run("generated", func(t *testing.T) {
@@ -182,6 +186,120 @@ func TestSweepJSONMatchesEncodingJSON(t *testing.T) {
 			}
 		}
 	})
+}
+
+// shortestSamples returns floats concentrated in appendShortest's range,
+// 1e-6 <= |f| < 1e21, of both signs, for each of its branches: bit
+// patterns uniform over the range; c = 2^52 and its neighbours at every
+// exponent (irregular spacing); integers below and around 2^53, which
+// strconv prints by its own exact-integer rule; the neighbours of each
+// 10^k at and inside the range's edges (digit-count changes); and
+// 1–17-digit decimals with their ±1-ulp neighbours (the 10^(k+1)
+// candidate and the ties).
+func shortestSamples(rng *rand.Rand) []float64 {
+	var out []float64
+	around := func(f float64, ulps uint64) {
+		u := math.Float64bits(f)
+		for v := u - ulps; v <= u+ulps; v++ {
+			g := math.Float64frombits(v)
+			out = append(out, g, -g)
+		}
+	}
+	lo, hi := math.Float64bits(1e-6), math.Float64bits(1e21)
+	for i := 0; i < 100000; i++ {
+		f := math.Float64frombits(lo + rng.Uint64N(hi-lo))
+		if i&1 == 1 {
+			f = -f
+		}
+		out = append(out, f)
+	}
+	for q := -80; q <= 20; q++ {
+		for _, c := range []float64{1 << 52, 1<<52 + 2, 3 << 51, 1<<53 - 1} {
+			around(math.Ldexp(c, q), 2)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		n := uint64(math.Pow(2, 53*rng.Float64()))
+		out = append(out, float64(n), float64(n)/8, float64(1<<53-n))
+		around(float64(n), 1)
+	}
+	for k := -6; k <= 21; k++ {
+		f, _ := strconv.ParseFloat("1e"+strconv.Itoa(k), 64)
+		around(f, 3)
+	}
+	for i := 0; i < 40000; i++ {
+		// n digits scaled to a magnitude of 10^-6 to 10^20.
+		n := 1 + rng.IntN(17)
+		digits := strconv.FormatUint(rng.Uint64N(uint64(math.Pow10(n))), 10)
+		f, _ := strconv.ParseFloat(digits+"e"+strconv.Itoa(rng.IntN(27)-5-n), 64)
+		if f != 0 {
+			around(f, 1)
+		}
+	}
+	return out
+}
+
+// TestPow10InvTable recomputes appendShortest's table with math/big, and
+// checks its exponent helpers exactly for every q a double in
+// [1e-6, 1e21) has, with k in the table's range.
+func TestPow10InvTable(t *testing.T) {
+	pow := func(base int64, e int) *big.Rat { // base^e
+		r := new(big.Rat).SetInt(new(big.Int).Exp(big.NewInt(base), big.NewInt(int64(max(e, -e))), nil))
+		if e < 0 {
+			r.Inv(r)
+		}
+		return r
+	}
+	// floorLog returns ⌊log_base x⌋ for x > 0.
+	floorLog := func(base int64, x *big.Rat) int {
+		e := 0
+		for pow(base, e).Cmp(x) > 0 {
+			e--
+		}
+		for pow(base, e+1).Cmp(x) <= 0 {
+			e++
+		}
+		return e
+	}
+	for k := kMin; k <= kMax; k++ {
+		p := pow(10, -k)
+		r := floorLog(2, p)
+		if got := flog2pow10(-k); got != r {
+			t.Errorf("flog2pow10(%d) = %d, want %d", -k, got, r)
+		}
+		g := new(big.Rat).Mul(p, pow(2, 125-r))
+		want := new(big.Int).Quo(g.Num(), g.Denom())
+		want.Add(want, big.NewInt(1))
+		e := pow10Inv[k-kMin]
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(e[0]), 63)
+		got.Add(got, new(big.Int).SetUint64(e[1]))
+		if e[1]>>63 != 0 || got.Cmp(want) != 0 {
+			t.Errorf("pow10Inv[k=%d] = %#x·2^63 + %#x, want g = %#x", k, e[0], e[1], want)
+		}
+	}
+	minQ := int(math.Float64bits(1e-6)>>52) - 1075
+	maxQ := int(math.Float64bits(math.Nextafter(1e21, 0))>>52) - 1075
+	for q := minQ; q <= maxQ; q++ {
+		k, k34 := floorLog(10, pow(2, q)), floorLog(10, new(big.Rat).Mul(big.NewRat(3, 4), pow(2, q)))
+		if flog10pow2(q) != k || flog10ThreeQuartersPow2(q) != k34 {
+			t.Errorf("q=%d: flog10pow2 %d, flog10ThreeQuartersPow2 %d; want %d, %d",
+				q, flog10pow2(q), flog10ThreeQuartersPow2(q), k, k34)
+		}
+		if k34 < kMin || k > kMax {
+			t.Errorf("q=%d: k in [%d, %d] is outside the table's [%d, %d]", q, k34, k, kMin, kMax)
+		}
+	}
+}
+
+// TestAppendFloatAllocs: formatting into a buffer with room allocates
+// nothing, in the 'f' range and outside it.
+func TestAppendFloatAllocs(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	for _, f := range []float64{1234.5678, 0.1, 1e20, 1 << 40, 1e-7, 0} {
+		if n := testing.AllocsPerRun(100, func() { buf, _ = appendFloat(buf[:0], f) }); n != 0 {
+			t.Errorf("appendFloat(%v) allocates %v times", f, n)
+		}
+	}
 }
 
 // TestSweepBufferReuse holds the pooled response buffer to encoding/json:
@@ -301,6 +419,25 @@ func FuzzAppendSeconds(f *testing.F) {
 		}
 		if got := appendSeconds(nil, d); !bytes.Equal(got, want) {
 			t.Fatalf("appendSeconds(%d) = %s, appendFloat writes %s", ns, got, want)
+		}
+	})
+}
+
+// FuzzAppendFloat holds appendFloat to json.Marshal for any float64 bit
+// pattern: the same bytes, or, for NaN and ±Inf, the same error text. The
+// seeds sit on the edges of appendShortest's range and branches.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range []float64{1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1),
+		math.Nextafter(1e21, 0), 1e21, 0x1p52, 0.5, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1),
+		0x1p60, 1<<53 - 1, 0.1, 5e-324, math.MaxFloat64} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, u uint64) {
+		v := math.Float64frombits(u)
+		want, wantErr := json.Marshal(v)
+		got, err := appendFloat(nil, v)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() || !bytes.Equal(got, want) {
+			t.Fatalf("appendFloat(%#x) = %s, %v; encoding/json writes %s, %v", u, got, err, want, wantErr)
 		}
 	})
 }

@@ -78,7 +78,7 @@ type PointResult struct {
 }
 
 // Plan is a spec validated and expanded against one engine, ready to
-// Run (more than once, if need be). Engine.Plan builds it.
+// Run (more than once, if need be). Engine.Plan and Batch.Plan build it.
 type Plan struct {
 	// Points are the spec's points, read-only, in the engine's
 	// deterministic order — workloads outermost, then the core ladder, then
@@ -90,6 +90,7 @@ type Plan struct {
 	spec  Spec
 	profs []*workload.Profile // selected profiles, in selection order
 	base  core.Config         // the batch's shared configuration
+	b     *Batch              // Batch.Plan's batch; nil: each Run builds one
 }
 
 // Plan validates the spec against the engine and expands it. It rejects
@@ -274,7 +275,7 @@ func (e *Engine) newBatch(profs []*workload.Profile) (Batch, error) {
 
 // form returns the named workload's closed form, or nil when the batch
 // does not hold the workload.
-func (b *Batch) form(name string) *core.ClosedForm {
+func (b Batch) form(name string) *core.ClosedForm {
 	for i := range b.cfs {
 		if b.cfs[i].Profile.Name == name {
 			return &b.cfs[i]
@@ -319,6 +320,19 @@ func (b *Batch) Key(name string, cfg core.Config) (runcache.Key, bool) {
 	return runcache.KeyOf(&b.e.GPU, &b.e.CPU, &b.e.Bus, cf.Profile, &cfg, ""), true
 }
 
+// Plan validates and expands the spec as Engine.Plan does, for a plan
+// whose every Run evaluates through this batch instead of building its
+// own tables. A long-lived caller (the daemon) builds one batch and plans
+// every request against it.
+func (b *Batch) Plan(spec Spec) (Plan, error) {
+	p, err := b.e.Plan(spec)
+	if err != nil {
+		return Plan{}, err
+	}
+	p.b = b
+	return p, nil
+}
+
 // Run plans and evaluates the spec (Plan, then Plan.Run).
 func (e *Engine) Run(ctx context.Context, spec Spec) ([]PointResult, error) {
 	p, err := e.Plan(spec)
@@ -334,23 +348,32 @@ func (e *Engine) Run(ctx context.Context, spec Spec) ([]PointResult, error) {
 // entries), and the error is ctx.Err(). The daemon routes client
 // disconnects through this path.
 func (p *Plan) Run(ctx context.Context) ([]PointResult, error) {
-	b, err := p.e.newBatch(p.profs)
+	b, err := p.batch()
 	if err != nil {
 		return nil, err
 	}
 	metricBatches.Inc()
-	for i := range b.cfs {
+	for _, pr := range p.profs {
 		// Every workload has the same number of points. A ladder point
 		// takes its workload's path, because Admits reads no field
 		// specialize sets; a draw point's per-draw plan is armed, and the
 		// closed form never admits an armed plan.
-		_, fast := b.cfs[i].Admits(&p.base)
-		count(len(p.Points)/len(b.cfs), fast && p.spec.Draws == 0)
+		_, fast := b.form(pr.Name).Admits(&p.base)
+		count(len(p.Points)/len(p.profs), fast && p.spec.Draws == 0)
 	}
 	return parallel.Map(ctx, p.Points,
 		func(_ int, pt Point) (PointResult, error) {
 			return b.evalPoint(&p.spec, &p.base, pt)
 		}, p.e.Jobs)
+}
+
+// batch returns the batch Run evaluates through: Batch.Plan's, or one
+// built for the plan's workloads.
+func (p *Plan) batch() (Batch, error) {
+	if p.b != nil {
+		return *p.b, nil
+	}
+	return p.e.newBatch(p.profs)
 }
 
 // evalPoint evaluates one point of a spec: the batch-validated base

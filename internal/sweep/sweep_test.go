@@ -215,6 +215,51 @@ func TestRunAllocsIndependentOfPoints(t *testing.T) {
 	}
 }
 
+// TestBatchPlanReusesBatch: a plan built from a Batch returns what
+// Engine.Run returns, on ladders, draws and holistic points, and builds no
+// tables of its own: its Run allocates as much for nine workloads as for
+// one, where Engine.Run builds a closed form per workload.
+func TestBatchPlanReusesBatch(t *testing.T) {
+	e := testEngine(t)
+	b, err := e.NewBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, spec := range []Spec{
+		{Iterations: 4, CPULevel: -1},
+		{Workloads: []string{"kmeans", "lud"}, Draws: 3, Iterations: 2, CPULevel: -1, Seed: 7},
+		{Workloads: []string{"hotspot"}, Mode: core.Holistic, Iterations: 2, CPULevel: 1,
+			CoreLevels: []int{0, 5}, MemLevels: []int{1}},
+	} {
+		want, err := e.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := b.Plan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := p.Run(ctx); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: Batch.Plan's run differs from Engine.Run (%v)", spec, err)
+		}
+	}
+	allocs := func(workloads []string) float64 {
+		p, err := b.Plan(Spec{Workloads: workloads, Iterations: 4, CPULevel: -1, CoreLevels: []int{0}, MemLevels: []int{0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := p.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, all := allocs([]string{"kmeans"}), allocs(nil); one != all {
+		t.Errorf("a batch plan's Run allocates %v objects for one workload and %v for all; want no per-workload allocation", one, all)
+	}
+}
+
 // TestJobsDeterminism pins the sharding contract: identical results at any
 // worker count, with and without an ambient chaos plan.
 func TestJobsDeterminism(t *testing.T) {
