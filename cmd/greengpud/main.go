@@ -106,30 +106,17 @@ func run(ctx context.Context, o *options, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := daemon.Config{
-		GPU:          env.GPU,
-		CPU:          env.CPU,
-		Bus:          env.Bus,
-		Profiles:     env.Profiles,
-		Jobs:         o.jobs,
-		MaxInflight:  o.maxInflight,
-		MaxBodyBytes: o.maxBodyBytes,
-		StateDir:     o.stateDir,
-	}
+	env.Jobs = o.jobs
 	if !o.noCache {
-		cache, err := runcache.New(runcache.Options{Dir: o.cacheDir, MaxDiskBytes: o.cacheMaxBytes})
-		if err != nil {
+		if env.Cache, err = runcache.New(runcache.Options{Dir: o.cacheDir, MaxDiskBytes: o.cacheMaxBytes}); err != nil {
 			return err
 		}
-		cfg.Cache = cache
 	}
 	if o.flightRec < 0 {
 		return fmt.Errorf("-flight-recorder %d: retention must be non-negative", o.flightRec)
 	}
 	if o.flightRec > 0 {
-		rec := telemetry.NewFlightRecorder(o.flightRec)
-		cfg.Recorder = rec
-		telemetry.SetFlightRecorder(rec)
+		telemetry.SetFlightRecorder(telemetry.NewFlightRecorder(o.flightRec))
 		defer telemetry.SetFlightRecorder(nil)
 	}
 
@@ -143,7 +130,12 @@ func run(ctx context.Context, o *options, stderr io.Writer) error {
 		}
 	}()
 
-	srv, err := daemon.New(cfg)
+	srv, err := daemon.New(daemon.Config{
+		Engine:       &env.Engine,
+		MaxInflight:  o.maxInflight,
+		MaxBodyBytes: o.maxBodyBytes,
+		StateDir:     o.stateDir,
+	})
 	if err != nil {
 		return err
 	}

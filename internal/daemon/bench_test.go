@@ -57,7 +57,7 @@ func BenchmarkDaemonSimulateWarm(b *testing.B) {
 	_, ts := newTestServer(b, nil)
 	c := benchClient()
 	const body = `{"workload":"kmeans","mode":"baseline","iterations":4}`
-	benchPost(b, c, ts.URL+"/v1/simulate", body) // warm the batch tables
+	benchPost(b, c, ts.URL+"/v1/simulate", body) // warm the run cache
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -130,7 +130,7 @@ func (d *discardResponse) WriteHeader(status int)      { d.status = status }
 func BenchmarkDaemonSweepUncached(b *testing.B) {
 	defer telemetry.Disable()
 	telemetry.Enable()
-	srv, _ := newTestServer(b, func(c *Config) { c.Cache = nil })
+	srv, _ := newTestServer(b, func(c *Config) { c.Engine.Cache = nil })
 	const specText = "workloads=all core=all mem=all iters=4"
 	spec, err := sweep.ParseSpec(specText)
 	if err != nil {
@@ -157,7 +157,7 @@ func BenchmarkDaemonSweepUncached(b *testing.B) {
 // BenchmarkDaemonSweepUncached's 324-point sweep into a reused buffer: the
 // sync /v1/sweep writer alone, with no evaluation and no HTTP.
 func BenchmarkDaemonSweepRender(b *testing.B) {
-	srv, _ := newTestServer(b, func(c *Config) { c.Cache = nil })
+	srv, _ := newTestServer(b, func(c *Config) { c.Engine.Cache = nil })
 	const specText = "workloads=all core=all mem=all iters=4"
 	spec, err := sweep.ParseSpec(specText)
 	if err != nil {

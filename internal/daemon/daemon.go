@@ -35,11 +35,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"greengpu/internal/bus"
 	"greengpu/internal/core"
-	"greengpu/internal/cpusim"
 	"greengpu/internal/fleet"
-	"greengpu/internal/gpusim"
 	"greengpu/internal/iofault"
 	"greengpu/internal/jobstore"
 	"greengpu/internal/runcache"
@@ -88,27 +85,18 @@ var (
 		"Pending async jobs re-executed from the journal after a restart.")
 )
 
-// Config assembles a Server. GPU, CPU, Bus and Profiles are required;
-// everything else has a usable zero value.
+// Config assembles a Server. Engine is required; everything else has a
+// usable zero value.
 type Config struct {
-	GPU      gpusim.Config
-	CPU      cpusim.Config
-	Bus      bus.Config
-	Profiles []*workload.Profile
-
-	// Jobs bounds each request's worker-pool fan-out, exactly like the
-	// engines' Jobs fields; 0 selects one worker per CPU.
-	Jobs int
-
-	// Cache, when non-nil, memoizes points across requests and clients
-	// under the same fingerprints the CLIs use, single-flighting
-	// concurrent requests for the same point onto one computation.
-	Cache *runcache.Cache
-
-	// Recorder, when non-nil, backs GET /v1/flightrecorder. The caller
-	// installs it process-wide (telemetry.SetFlightRecorder); the daemon
-	// only reads snapshots.
-	Recorder *telemetry.FlightRecorder
+	// Engine evaluates every request, built by sweep.New on the devices
+	// and calibrated workloads the daemon serves. Its Jobs bound each
+	// request's worker-pool fan-out; its Cache, when non-nil, memoizes
+	// points across requests and clients under the same fingerprints the
+	// CLIs use, single-flighting concurrent requests for the same point
+	// onto one computation. Fleets run under the same Jobs, Cache and
+	// FaultPlan. The daemon never changes the engine, and the caller must
+	// not once New has it.
+	Engine *sweep.Engine
 
 	// MaxInflight bounds concurrently admitted evaluations (simulate
 	// points, and sweeps and fleets, sync or async); excess requests are
@@ -146,7 +134,6 @@ type Server struct {
 	cfg   Config
 	eng   *sweep.Engine
 	fleng *fleet.Engine
-	batch *sweep.Batch
 	mux   *http.ServeMux
 	jobs  *jobStore
 	sem   chan struct{}
@@ -175,29 +162,20 @@ type Server struct {
 	draining atomic.Bool
 }
 
-// New validates the device configurations, precomputes the shared batch
-// tables every /v1/simulate request and every sweep evaluates through,
-// and wires up the routes.
+// New wires up the routes over the engine every /v1/simulate request and
+// every sweep evaluates through, and recovers pending async jobs.
 func New(cfg Config) (*Server, error) {
+	eng := cfg.Engine
+	if eng == nil {
+		return nil, errors.New("daemon: Config.Engine is required")
+	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = DefaultMaxInflight
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	eng := &sweep.Engine{
-		GPU:      cfg.GPU,
-		CPU:      cfg.CPU,
-		Bus:      cfg.Bus,
-		Profiles: cfg.Profiles,
-		Jobs:     cfg.Jobs,
-		Cache:    cfg.Cache,
-	}
-	batch, err := eng.NewBatch()
-	if err != nil {
-		return nil, err
-	}
-	mhz, err := newLadderMHz(&cfg.GPU, &cfg.CPU)
+	mhz, err := newLadderMHz(&eng.GPU, &eng.CPU)
 	if err != nil {
 		return nil, err
 	}
@@ -205,13 +183,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		eng:     eng,
-		fleng:   &fleet.Engine{Jobs: cfg.Jobs, Cache: cfg.Cache},
-		batch:   batch,
+		fleng:   &fleet.Engine{Jobs: eng.Jobs, Cache: eng.Cache, FaultPlan: eng.FaultPlan},
 		mux:     http.NewServeMux(),
 		jobs:    newJobStore(),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		mhz:     mhz,
-		names:   jsonNames(cfg.Profiles),
+		names:   jsonNames(eng.Profiles),
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
@@ -425,7 +402,7 @@ type SimulateResponse struct {
 	Fast bool `json:"fast"`
 }
 
-// handleSimulate evaluates one point through the precomputed batch: the
+// handleSimulate evaluates one point through the engine: the
 // closed-form fast path for baseline ladder points, full simulation
 // otherwise, memoized in the shared run cache either way. A validated
 // request takes an admission slot like a sweep: a holistic point at the
@@ -435,7 +412,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if _, err := workload.ByName(s.cfg.Profiles, req.Workload); err != nil {
+	if _, err := workload.ByName(s.eng.Profiles, req.Workload); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -457,9 +434,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lv := core.Levels{
-		Core: len(s.cfg.GPU.CoreLevels) - 1,
-		Mem:  len(s.cfg.GPU.MemLevels) - 1,
-		CPU:  len(s.cfg.CPU.PStates) - 1,
+		Core: len(s.eng.GPU.CoreLevels) - 1,
+		Mem:  len(s.eng.GPU.MemLevels) - 1,
+		CPU:  len(s.eng.CPU.PStates) - 1,
 	}
 	for _, sel := range []struct {
 		req  *int
@@ -467,9 +444,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		n    int
 		name string
 	}{
-		{req.Core, &lv.Core, len(s.cfg.GPU.CoreLevels), "core"},
-		{req.Mem, &lv.Mem, len(s.cfg.GPU.MemLevels), "mem"},
-		{req.CPU, &lv.CPU, len(s.cfg.CPU.PStates), "cpu"},
+		{req.Core, &lv.Core, len(s.eng.GPU.CoreLevels), "core"},
+		{req.Mem, &lv.Mem, len(s.eng.GPU.MemLevels), "mem"},
+		{req.CPU, &lv.CPU, len(s.eng.CPU.PStates), "cpu"},
 	} {
 		if sel.req == nil {
 			continue
@@ -489,9 +466,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	res, fast, err := s.batch.Eval(req.Workload, cfg)
+	res, fast, err := s.eng.Eval(req.Workload, cfg)
 	if err != nil {
-		// The batch rejects unknown workloads and invalid configs before
+		// The engine rejects unknown workloads and invalid configs before
 		// simulating; anything it reports is a request problem.
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -503,9 +480,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		Core:        lv.Core,
 		Mem:         lv.Mem,
 		CPU:         lv.CPU,
-		CoreMHz:     s.cfg.GPU.CoreLevels[lv.Core].MHz(),
-		MemMHz:      s.cfg.GPU.MemLevels[lv.Mem].MHz(),
-		CPUMHz:      s.cfg.CPU.PStates[lv.CPU].Frequency.MHz(),
+		CoreMHz:     s.eng.GPU.CoreLevels[lv.Core].MHz(),
+		MemMHz:      s.eng.GPU.MemLevels[lv.Mem].MHz(),
+		CPUMHz:      s.eng.CPU.PStates[lv.CPU].Frequency.MHz(),
 		ExecSeconds: res.TotalTime.Seconds(),
 		EnergyJ:     res.Energy.Joules(),
 		EnergyGPUJ:  res.EnergyGPU.Joules(),
@@ -569,9 +546,9 @@ func (s *Server) sweepPoints(results []sweep.PointResult) []SweepPoint {
 			Fast:        pr.Fast,
 		}
 		if pr.Draw < 0 {
-			p.CoreMHz = s.cfg.GPU.CoreLevels[pr.Core].MHz()
-			p.MemMHz = s.cfg.GPU.MemLevels[pr.Mem].MHz()
-			p.CPUMHz = s.cfg.CPU.PStates[pr.CPU].Frequency.MHz()
+			p.CoreMHz = s.eng.GPU.CoreLevels[pr.Core].MHz()
+			p.MemMHz = s.eng.GPU.MemLevels[pr.Mem].MHz()
+			p.CPUMHz = s.eng.CPU.PStates[pr.CPU].Frequency.MHz()
 		}
 		pts[i] = p
 	}
@@ -598,7 +575,7 @@ func (s *Server) prepare(kind, spec string) (*prepared, error) {
 	case jobSweep:
 		var sp sweep.Spec
 		if sp, err = sweep.ParseSpec(spec); err == nil {
-			p.plan, err = s.batch.Plan(sp)
+			p.plan, err = s.eng.Plan(sp)
 		}
 	case jobFleet:
 		p.fleet, err = fleet.ParseSpec(spec)
@@ -806,10 +783,11 @@ type FlightRecorderResponse struct {
 	Records []telemetry.EpochRecord `json:"records"`
 }
 
-// handleFlightRecorder serves the flight recorder ring as JSON, filtered
-// by the workload, mode and last query parameters.
+// handleFlightRecorder serves the process-wide flight recorder ring
+// (telemetry.SetFlightRecorder) as JSON, filtered by the workload, mode
+// and last query parameters.
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
-	rec := s.cfg.Recorder
+	rec := telemetry.Recorder()
 	if rec == nil {
 		writeError(w, http.StatusNotFound,
 			"flight recorder disabled; start greengpud with -flight-recorder K")
@@ -872,8 +850,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		InflightHeavy: len(s.sem),
 		MaxInflight:   cap(s.sem),
 	}
-	if s.cfg.Cache != nil {
-		st := s.cfg.Cache.Stats()
+	if s.eng.Cache != nil {
+		st := s.eng.Cache.Stats()
 		resp.Cache = &st
 	}
 	writeJSON(w, resp)

@@ -46,8 +46,8 @@ func (b *safeBuffer) String() string {
 	return b.buf.String()
 }
 
-// newTestServer builds a daemon over the default testbed environment
-// with a fresh in-memory cache.
+// newTestServer builds a daemon over the default testbed environment's
+// engine, sequential and with a fresh in-memory cache.
 func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	env, err := experiments.NewEnv()
@@ -58,14 +58,8 @@ func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		GPU:      env.GPU,
-		CPU:      env.CPU,
-		Bus:      env.Bus,
-		Profiles: env.Profiles,
-		Jobs:     1,
-		Cache:    cache,
-	}
+	env.Jobs, env.Cache = 1, cache
+	cfg := Config{Engine: &env.Engine}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -114,6 +108,15 @@ func getBody(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
+// TestNewRequiresEngine: a Config without an engine is an error, not a
+// server that dereferences nil on its first request.
+func TestNewRequiresEngine(t *testing.T) {
+	if srv, err := New(Config{}); err == nil {
+		srv.Close()
+		t.Fatal("New(Config{}) returned a server")
+	}
+}
+
 func TestSimulateMatchesEngine(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	var got SimulateResponse
@@ -124,8 +127,8 @@ func TestSimulateMatchesEngine(t *testing.T) {
 	// The daemon must agree exactly with a direct engine evaluation of
 	// the same configuration.
 	spec := sweep.Spec{Workloads: []string{"kmeans"}, Iterations: 4,
-		CPULevel: -1, CoreLevels: []int{len(srv.cfg.GPU.CoreLevels) - 1},
-		MemLevels: []int{len(srv.cfg.GPU.MemLevels) - 1}}
+		CPULevel: -1, CoreLevels: []int{len(srv.eng.GPU.CoreLevels) - 1},
+		MemLevels: []int{len(srv.eng.GPU.MemLevels) - 1}}
 	results, err := srv.eng.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -204,16 +207,16 @@ func TestSweepJSONAndRepeatHitsCache(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/sweep", body, &first); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	wantPoints := len(srv.cfg.GPU.CoreLevels) * len(srv.cfg.GPU.MemLevels)
+	wantPoints := len(srv.eng.GPU.CoreLevels) * len(srv.eng.GPU.MemLevels)
 	if len(first.Points) != wantPoints {
 		t.Fatalf("got %d points, want %d", len(first.Points), wantPoints)
 	}
-	before := srv.cfg.Cache.Stats()
+	before := srv.eng.Cache.Stats()
 	var second SweepResponse
 	if code := postJSON(t, ts.URL+"/v1/sweep", body, &second); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	delta := srv.cfg.Cache.Stats().Sub(before)
+	delta := srv.eng.Cache.Stats().Sub(before)
 	if delta.Misses != 0 || delta.Hits != uint64(wantPoints) {
 		t.Errorf("repeat sweep: %d hits %d misses, want %d hits 0 misses",
 			delta.Hits, delta.Misses, wantPoints)
@@ -536,8 +539,8 @@ func TestCancelReleasesSlotAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := &sweep.Engine{GPU: srv.cfg.GPU, CPU: srv.cfg.CPU, Bus: srv.cfg.Bus,
-		Profiles: srv.cfg.Profiles, Jobs: 1}
+	pristine := *srv.eng
+	pristine.Cache = nil
 	want, err := pristine.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -546,7 +549,7 @@ func TestCancelReleasesSlotAndCache(t *testing.T) {
 	if err := sweep.Table(srv.eng, warm).WriteCSV(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := sweep.Table(pristine, want).WriteCSV(&b); err != nil {
+	if err := sweep.Table(&pristine, want).WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -645,7 +648,7 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	rec := telemetry.NewFlightRecorder(64)
 	telemetry.SetFlightRecorder(rec)
 	telemetry.Enable()
-	_, ts := newTestServer(t, func(c *Config) { c.Recorder = rec })
+	_, ts := newTestServer(t, nil)
 	// A holistic run exercises the DVFS controller, which stamps epochs.
 	if code := postJSON(t, ts.URL+"/v1/simulate", `{"workload":"kmeans","mode":"holistic"}`, nil); code != 200 {
 		t.Fatalf("simulate status %d", code)

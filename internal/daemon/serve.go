@@ -73,8 +73,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 		// the journal can close cleanly.
 		_ = s.journal.Close()
 	}
-	if s.cfg.Cache != nil {
-		fmt.Fprintln(logw, "greengpud:", s.cfg.Cache.Stats())
+	if s.eng.Cache != nil {
+		fmt.Fprintln(logw, "greengpud:", s.eng.Cache.Stats())
 	}
 	jc := s.jobs.counts()
 	fmt.Fprintf(logw, "greengpud: jobs at exit: %d running, %d done, %d failed, %d canceled\n",

@@ -37,7 +37,7 @@ func encodeSweep(t *testing.T, s *Server, spec string, results []sweep.PointResu
 // strings probe every formatting and escaping rule, and on durations
 // across every magnitude exec_s can take.
 func TestSweepJSONMatchesEncodingJSON(t *testing.T) {
-	srv, ts := newTestServer(t, func(c *Config) { c.Cache = nil })
+	srv, ts := newTestServer(t, func(c *Config) { c.Engine.Cache = nil })
 
 	t.Run("handler", func(t *testing.T) {
 		for _, specText := range []string{
@@ -120,7 +120,7 @@ func TestSweepJSONMatchesEncodingJSON(t *testing.T) {
 	t.Run("generated", func(t *testing.T) {
 		names := []string{"kmeans", "a<b>&c", "line\u2028sep\u2029", "bad\xffutf8", "", `q"b\s`, "tab\t\x01"}
 		specs := []string{"workloads=all", "spec <script>&amp;</script>", "sep\u2028\u2029", "bad\xfe\xff", ""}
-		nc, nm, np := len(srv.cfg.GPU.CoreLevels), len(srv.cfg.GPU.MemLevels), len(srv.cfg.CPU.PStates)
+		nc, nm, np := len(srv.eng.GPU.CoreLevels), len(srv.eng.GPU.MemLevels), len(srv.eng.CPU.PStates)
 		durations := []time.Duration{0, 1, -1, math.MaxInt64, math.MinInt64, 1500 * time.Millisecond}
 		for round := 0; round < 200; round++ {
 			pts := make([]sweep.PointResult, rng.IntN(40))
@@ -308,7 +308,7 @@ func TestAppendFloatAllocs(t *testing.T) {
 // a non-finite 500 between two sweeps leaves the next body intact, and a
 // buffer grown past maxPooledSweep does not return to the pool.
 func TestSweepBufferReuse(t *testing.T) {
-	srv, _ := newTestServer(t, func(c *Config) { c.Cache = nil })
+	srv, _ := newTestServer(t, func(c *Config) { c.Engine.Cache = nil })
 	specs := []string{
 		"workloads=all core=all mem=all iters=1",
 		"workloads=kmeans core=0 mem=0 iters=2",

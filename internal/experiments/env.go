@@ -35,16 +35,16 @@ import (
 // device configurations, the calibrated workloads, and the execution
 // settings the studies share — Jobs, the run Cache and the chaos-mode
 // FaultPlan (cmd/experiments -faults default). Every study point but Fig.
-// 5's two metered runs is one sweep.Batch.Eval on a batch of this engine,
-// so it takes the closed form or a fresh machine exactly as a sweep point
+// 5's two metered runs is one sweep.Engine.Eval on this engine, so it
+// takes the closed form or a fresh machine exactly as a sweep point
 // would, under the same run-cache key.
 //
-// An Env is safe for concurrent use: the configurations and profiles are
-// immutable after construction, and every run builds its own batch and,
-// off the closed form, its own fresh machine. Experiments exploit this by
+// An Env is safe for concurrent use: the configurations, profiles and
+// closed forms are immutable after construction, and every run off the
+// closed form builds its own fresh machine. Experiments exploit this by
 // fanning independent points out over a worker pool bounded by Jobs. A
-// by-value copy carries its own engine, so a copy with other settings
-// runs every point under the copy's settings.
+// by-value copy shares the closed forms and carries its own settings, so
+// a copy with other settings runs every point under the copy's settings.
 type Env struct {
 	sweep.Engine
 }
@@ -56,13 +56,10 @@ func NewEnv() (*Env, error) {
 }
 
 // NewEnvFrom builds an environment from explicit device configurations,
-// recalibrating all workloads against them.
+// recalibrating all workloads against them, with default execution
+// settings.
 func NewEnvFrom(gpu gpusim.Config, cpu cpusim.Config, b bus.Config) (*Env, error) {
-	profiles, err := workload.Rodinia(gpu, cpu)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Engine: sweep.Engine{GPU: gpu, CPU: cpu, Bus: b, Profiles: profiles}}, nil
+	return new(Env).derive(gpu, cpu, b)
 }
 
 // Machine assembles a fresh testbed. Every run gets its own machine so the
@@ -98,16 +95,9 @@ func scalingConfig() core.Config {
 	return core.DefaultConfig(core.FreqScaling)
 }
 
-// run evaluates one point through a batch built from the environment's
-// own engine. The batch is never stored: it points at the engine it was
-// built from, so a by-value copy must build its own to run under its own
-// settings.
+// run evaluates one point through the environment's engine.
 func (e *Env) run(name string, cfg core.Config) (*core.Result, error) {
-	b, err := e.NewBatch()
-	if err != nil {
-		return nil, err
-	}
-	r, _, err := b.Eval(name, cfg)
+	r, _, err := e.Eval(name, cfg)
 	return r, err
 }
 
@@ -123,7 +113,7 @@ func (e *Env) runMeteredGPU(name string, cfg core.Config) (*core.Result, []float
 	if cfg.FaultPlan == nil {
 		cfg.FaultPlan = e.FaultPlan
 	}
-	compute := func() (runcache.Value, error) {
+	v, err := e.Memo(p, &cfg, "gpu-meter", func() (runcache.Value, error) {
 		m := e.Machine()
 		m.MeterGPU.Start()
 		r, err := core.Run(m, p, cfg)
@@ -137,34 +127,34 @@ func (e *Env) runMeteredGPU(name string, cfg core.Config) (*core.Result, []float
 			power[i] = s.Power.Watts()
 		}
 		return runcache.Value{Result: r, GPUPower: power}, nil
-	}
-	if e.Cache == nil || !runcache.Cacheable(&cfg) {
-		v, err := compute()
-		return v.Result, v.GPUPower, err
-	}
-	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, p, &cfg, "gpu-meter")
-	v, err := e.Cache.Do(key, compute)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.Result, v.GPUPower, nil
+	})
+	return v.Result, v.GPUPower, err
 }
 
-// derive builds an environment from explicit device configurations like
-// NewEnvFrom, carrying over this environment's execution settings (Jobs,
-// Cache, chaos FaultPlan). Studies that recalibrate against other devices
+// derive builds an environment from explicit device configurations,
+// recalibrating all workloads against them and carrying over this
+// environment's execution settings (Jobs, Cache, chaos FaultPlan). Studies that recalibrate against other devices
 // use it so one Jobs knob and one cache govern the whole experiment tree;
 // points key by their full device configs and recalibrated profiles, so a
 // derived env's entries never collide with this one's.
 func (e *Env) derive(gpu gpusim.Config, cpu cpusim.Config, b bus.Config) (*Env, error) {
-	env2, err := NewEnvFrom(gpu, cpu, b)
+	profiles, err := workload.Rodinia(gpu, cpu)
 	if err != nil {
 		return nil, err
 	}
-	env2.Jobs = e.Jobs
-	env2.Cache = e.Cache
-	env2.FaultPlan = e.FaultPlan
-	return env2, nil
+	return e.on(gpu, cpu, b, profiles)
+}
+
+// on builds an environment on the devices and profiles through sweep.New,
+// carrying over this environment's execution settings (Jobs, Cache, chaos
+// FaultPlan).
+func (e *Env) on(gpu gpusim.Config, cpu cpusim.Config, b bus.Config, profiles []*workload.Profile) (*Env, error) {
+	eng, err := sweep.New(gpu, cpu, b, profiles)
+	if err != nil {
+		return nil, err
+	}
+	eng.Jobs, eng.Cache, eng.FaultPlan = e.Jobs, e.Cache, e.FaultPlan
+	return &Env{Engine: *eng}, nil
 }
 
 // mapPoints fans fn out over the items on the environment's worker pool,

@@ -8,7 +8,7 @@ import (
 )
 
 // TestStudyPointsEvaluateThroughBatch runs sequentially with telemetry on:
-// a study point is one sweep.Batch.Eval on the Env's own engine, so Fig.
+// a study point is one sweep.Engine.Eval on the Env's own engine, so Fig.
 // 1's 24 fixed-frequency baseline points all take the closed form and none
 // runs core.Run. A by-value copy of env with its own cache and Jobs must
 // evaluate under the copy's settings: the copy's cache records the grid as

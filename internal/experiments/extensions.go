@@ -371,11 +371,13 @@ func (e *Env) CPUCapability(names ...string) ([]CPURow, error) {
 		}
 	}
 	return mapPoints(e, tasks, func(_ int, tk cpuCase) (CPURow, error) {
-		// A copy of the engine with only the processor swapped: the
-		// profiles keep their X2 calibration, and the point keys under
-		// the processor it ran on.
-		swapped := *e
-		swapped.CPU = tk.cfg()
+		// The engine with only the processor swapped: the profiles keep
+		// their X2 calibration, and the point keys under the processor
+		// it ran on.
+		swapped, err := e.on(e.GPU, tk.cfg(), e.Bus, e.Profiles)
+		if err != nil {
+			return CPURow{}, err
+		}
 		r, err := swapped.run(tk.workload, core.DefaultConfig(core.Division))
 		if err != nil {
 			return CPURow{}, err

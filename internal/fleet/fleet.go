@@ -126,13 +126,12 @@ func (r *Result) DedupRatio() float64 {
 	return float64(len(r.NodeGroup)) / float64(len(r.Groups))
 }
 
-// classRT is one resolved device class: its calibrated profiles (indexed
-// by the spec's workload axis) and the sweep batch that evaluates its
-// groups.
+// classRT is one resolved device class and the sweep engine that
+// evaluates its groups, built on the class's devices and its calibrated
+// profiles (Profiles is indexed by the spec's workload axis).
 type classRT struct {
 	class Class
-	batch *sweep.Batch
-	profs []*workload.Profile
+	eng   *sweep.Engine
 }
 
 // resolve builds the per-class runtimes and the resolved workload-name
@@ -150,22 +149,15 @@ func (e *Engine) resolve(spec *Spec) ([]classRT, []string, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		eng := &sweep.Engine{
-			GPU:       cl.GPU,
-			CPU:       cl.CPU,
-			Bus:       cl.Bus,
-			Profiles:  profs,
-			Cache:     e.Cache,
-			FaultPlan: e.FaultPlan,
-		}
-		batch, err := eng.NewBatch()
+		eng, err := sweep.New(cl.GPU, cl.CPU, cl.Bus, profs)
 		if err != nil {
 			return nil, nil, err
 		}
-		rts[i] = classRT{class: cl, batch: batch, profs: profs}
+		eng.Cache, eng.FaultPlan = e.Cache, e.FaultPlan
+		rts[i] = classRT{class: cl, eng: eng}
 	}
-	names := make([]string, len(rts[0].profs))
-	for j, p := range rts[0].profs {
+	names := make([]string, len(rts[0].eng.Profiles))
+	for j, p := range rts[0].eng.Profiles {
 		names[j] = p.Name
 	}
 	return rts, names, nil
@@ -224,19 +216,22 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	byKey := make(map[runcache.Key]int32)
 	var groups []Group
 	var metas []groupMeta
-	group := func(ci, wi int, mode core.Mode, level int, cfg core.Config) int32 {
+	group := func(ci, wi int, mode core.Mode, level int, cfg core.Config) (int32, error) {
 		g := int32(len(groups))
-		key, ok := rts[ci].batch.Key(wls[wi], cfg)
+		key, ok, err := rts[ci].eng.Key(wls[wi], cfg)
+		if err != nil {
+			return 0, err
+		}
 		if ok {
 			if prev, seen := byKey[key]; seen {
-				return prev
+				return prev, nil
 			}
 			byKey[key] = g
 		}
 		groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
 			Mode: mode, FaultLevel: level, Key: key})
 		metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
-		return g
+		return g, nil
 	}
 
 	// Node generation and grouping. The loop is sequential and stateless
@@ -258,7 +253,9 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 		t := ((ci*W+wi)*M+mi)*F + fi
 		g := tupleGroup[t]
 		if g < 0 {
-			g = group(ci, wi, modes[mi], levels[fi], e.nodeConfig(&spec, modes[mi], plans[fi]))
+			if g, err = group(ci, wi, modes[mi], levels[fi], e.nodeConfig(&spec, modes[mi], plans[fi])); err != nil {
+				return nil, err
+			}
 			tupleGroup[t] = g
 		}
 		groups[g].Count++
@@ -278,7 +275,9 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 		for g := 0; g < nodeGroups; g++ {
 			ci, wi := metas[g].class, metas[g].workload
 			if refIdx[ci*W+wi] < 0 {
-				refIdx[ci*W+wi] = group(ci, wi, core.Baseline, 0, e.nodeConfig(&spec, core.Baseline, nil))
+				if refIdx[ci*W+wi], err = group(ci, wi, core.Baseline, 0, e.nodeConfig(&spec, core.Baseline, nil)); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -295,7 +294,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	outs, err := parallel.Map(ctx, idx,
 		func(_ int, g int) (evalOut, error) {
-			r, fast, err := rts[metas[g].class].batch.Eval(wls[metas[g].workload], metas[g].cfg)
+			r, fast, err := rts[metas[g].class].eng.Eval(wls[metas[g].workload], metas[g].cfg)
 			return evalOut{res: r, fast: fast}, err
 		}, e.Jobs)
 	if err != nil {
@@ -415,7 +414,7 @@ func (e *Engine) RunNaive(spec Spec) (Aggregates, error) {
 		fi := parallel.Pick(s, 3, F)
 		cl := rts[ci].class
 		cfg := e.nodeConfig(&spec, modes[mi], plans[fi])
-		r, err := core.Run(testbed.NewFrom(cl.GPU, cl.CPU, cl.Bus), rts[ci].profs[wi], cfg)
+		r, err := core.Run(testbed.NewFrom(cl.GPU, cl.CPU, cl.Bus), rts[ci].eng.Profiles[wi], cfg)
 		if err != nil {
 			return Aggregates{}, err
 		}
@@ -428,7 +427,7 @@ func (e *Engine) RunNaive(spec Spec) (Aggregates, error) {
 			idx := ci*W + wi
 			if !refDone[idx] {
 				refCfg := e.nodeConfig(&spec, core.Baseline, nil)
-				ref, err := core.Run(testbed.NewFrom(cl.GPU, cl.CPU, cl.Bus), rts[ci].profs[wi], refCfg)
+				ref, err := core.Run(testbed.NewFrom(cl.GPU, cl.CPU, cl.Bus), rts[ci].eng.Profiles[wi], refCfg)
 				if err != nil {
 					return Aggregates{}, err
 				}

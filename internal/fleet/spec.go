@@ -15,7 +15,7 @@
 //     through the runcache fingerprint (the same SHA-256 keys the
 //     per-point studies and the sweep engine use), and nodes are grouped
 //     by fingerprint. Each distinct group simulates exactly once, through
-//     sweep.Batch — the closed-form fast path where the configuration is
+//     its class's sweep.Engine — the closed-form fast path where the configuration is
 //     expressible, a full core.Run otherwise — sharded across
 //     internal/parallel workers and memoized in the shared run cache, so
 //     warm fleet re-runs are near-free.

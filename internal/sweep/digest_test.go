@@ -22,7 +22,7 @@ const holisticDigest = "2d4485075c28d9f2031473c18127c4e3c4ff7c13c1cb9bba546916ac
 // TestHolisticSweepDigest pins all 3,888 points of the holistic ladder
 // sweep — every workload × every CPU P-state × iterations 3–5 × the 6×6
 // GPU ladder, each a full event-by-event simulation — to one digest over
-// their JSON encodings: each Run point with the full result Batch.Eval
+// their JSON encodings: each Run point with the full result Engine.Eval
 // gives for its configuration, whose totals Run must return bit for bit.
 // encoding/json writes float64 values in the shortest form that
 // round-trips, so the digest covers every bit of every energy, time, ratio
@@ -38,10 +38,6 @@ func TestHolisticSweepDigest(t *testing.T) {
 	}
 	e := testEngine(t)
 	e.Jobs = 2
-	b, err := e.NewBatch()
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := sha256.New()
 	points := 0
 	for cpu := 0; cpu < len(e.CPU.PStates); cpu++ {
@@ -55,12 +51,12 @@ func TestHolisticSweepDigest(t *testing.T) {
 				if pr.Fast {
 					t.Fatalf("%+v took the fast path; holistic points must simulate", pr.Point)
 				}
-				r, fast, err := b.Eval(pr.Workload, e.config(&spec, pr.Point))
+				r, fast, err := e.Eval(pr.Workload, e.config(&spec, pr.Point))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !sameTotals(pr, r) {
-					t.Fatalf("%+v: Run totals diverge from Batch.Eval", pr.Point)
+					t.Fatalf("%+v: Run totals diverge from Engine.Eval", pr.Point)
 				}
 				// The JSON shape the digest was taken over: the point, its
 				// full result, and the Fast flag.

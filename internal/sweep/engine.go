@@ -33,11 +33,16 @@ var (
 )
 
 // Engine evaluates sweep specs against one set of device configurations
-// and calibrated workloads. The zero value is not usable; fill every
-// exported field (Jobs, Cache and FaultPlan are optional).
+// and calibrated workloads. New builds it: the devices' level tables and
+// each workload's baseline closed form are tabulated there, once, and
+// every Plan, Run, Eval, Key and PredictSweetSpots reads them. An engine
+// that New did not build (a struct literal) holds no closed forms, so
+// those methods return an error for every workload.
 //
-// An Engine is safe for concurrent use: the configurations and profiles
-// are treated as immutable, and each batch builds its own shared tables.
+// An Engine is safe for concurrent use. GPU, CPU, Bus and Profiles are
+// read-only after New: an engine on other devices or workloads is another
+// New. Jobs, Cache and FaultPlan may be set on the engine or on a by-value
+// copy, which shares the closed forms and runs under its own settings.
 type Engine struct {
 	GPU      gpusim.Config
 	CPU      cpusim.Config
@@ -50,9 +55,9 @@ type Engine struct {
 	Jobs int
 
 	// Cache, when non-nil, memoizes cacheable points by content-addressed
-	// fingerprint. Sweeps, Batch.Eval callers and the experiment studies
-	// (whose Env is an Engine) key points identically, so they share
-	// hits, and concurrent requests for one point single-flight onto one
+	// fingerprint. Sweeps, Eval callers and the experiment studies (whose
+	// Env is an Engine) key points identically, so they share hits, and
+	// concurrent requests for one point single-flight onto one
 	// computation.
 	Cache *runcache.Cache
 
@@ -61,11 +66,56 @@ type Engine struct {
 	// per-point plan always wins, so draws and studies that sweep
 	// explicit plans are unaffected.
 	FaultPlan *faultinject.Plan
+
+	// forms holds each profile's baseline closed form over the level
+	// tables, in Profiles order. New builds it; nothing changes it after.
+	forms []core.ClosedForm
+}
+
+// New validates the bus, builds both devices' frequency-level tables and
+// tabulates every profile's closed form against them: the one build of a
+// device set's shared precomputation.
+func New(gpu gpusim.Config, cpu cpusim.Config, b bus.Config, profiles []*workload.Profile) (*Engine, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	gt, err := gpusim.BuildTables(gpu)
+	if err != nil {
+		return nil, err
+	}
+	ct, err := cpusim.BuildTables(cpu)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{GPU: gpu, CPU: cpu, Bus: b, Profiles: profiles,
+		forms: make([]core.ClosedForm, len(profiles))}
+	for i, p := range profiles {
+		e.forms[i] = core.NewClosedForm(p, gt, ct, &e.Bus)
+	}
+	return e, nil
+}
+
+// form returns the named workload's closed form, or nil when New did not
+// tabulate the workload: an unknown name, an engine New did not build, or
+// a profile added to Profiles after New.
+func (e *Engine) form(name string) *core.ClosedForm {
+	for i := range e.forms {
+		if e.forms[i].Profile.Name == name {
+			return &e.forms[i]
+		}
+	}
+	return nil
+}
+
+// errNoForm is the error for a workload the engine holds no closed form
+// of.
+func errNoForm(name string) error {
+	return fmt.Errorf("sweep: workload %q has no closed form in this engine (engines are built by sweep.New)", name)
 }
 
 // PointResult is one evaluated point: its run's totals, by value. Callers
 // that need a run's per-iteration records evaluate its configuration
-// through Batch.Eval.
+// through Engine.Eval.
 type PointResult struct {
 	Point
 	TotalTime time.Duration
@@ -78,7 +128,7 @@ type PointResult struct {
 }
 
 // Plan is a spec validated and expanded against one engine, ready to
-// Run (more than once, if need be). Engine.Plan and Batch.Plan build it.
+// Run (more than once, if need be). Engine.Plan builds it.
 type Plan struct {
 	// Points are the spec's points, read-only, in the engine's
 	// deterministic order — workloads outermost, then the core ladder, then
@@ -89,19 +139,19 @@ type Plan struct {
 	e     *Engine
 	spec  Spec
 	profs []*workload.Profile // selected profiles, in selection order
-	base  core.Config         // the batch's shared configuration
-	b     *Batch              // Batch.Plan's batch; nil: each Run builds one
+	base  core.Config         // the points' shared configuration
 }
 
 // Plan validates the spec against the engine and expands it. It rejects
-// unknown workloads, ladder indices beyond the devices' ladders, and
-// specs whose points, at their resolved iteration counts, would produce
-// more than MaxRecords iteration records, before it allocates them.
+// unknown workloads, workloads the engine holds no closed form of, ladder
+// indices beyond the devices' ladders, and specs whose points, at their
+// resolved iteration counts, would produce more than MaxRecords iteration
+// records, before it allocates them.
 func (e *Engine) Plan(spec Spec) (Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return Plan{}, err
 	}
-	profs, err := workload.Select(e.Profiles, spec.Workloads)
+	profs, err := e.profiles(spec.Workloads)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -110,7 +160,7 @@ func (e *Engine) Plan(spec Spec) (Plan, error) {
 		return Plan{}, err
 	}
 	if spec.Draws > 0 {
-		if err := checkRecords(profs, spec.Draws, spec.Iterations); err != nil {
+		if err := e.checkRecords(profs, &p.base, spec.Draws); err != nil {
 			return Plan{}, err
 		}
 		p.Points = make([]Point, 0, len(profs)*spec.Draws)
@@ -125,7 +175,7 @@ func (e *Engine) Plan(spec Spec) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	if err := checkRecords(profs, len(cores)*len(mems), spec.Iterations); err != nil {
+	if err := e.checkRecords(profs, &p.base, len(cores)*len(mems)); err != nil {
 		return Plan{}, err
 	}
 	p.Points = make([]Point, 0, len(profs)*len(cores)*len(mems))
@@ -139,15 +189,29 @@ func (e *Engine) Plan(spec Spec) (Plan, error) {
 	return p, nil
 }
 
+// profiles selects the named profiles as workload.Select does, and fails
+// on one the engine holds no closed form of, before any point is
+// evaluated.
+func (e *Engine) profiles(names []string) ([]*workload.Profile, error) {
+	profs, err := workload.Select(e.Profiles, names)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range profs {
+		if e.form(p.Name) == nil {
+			return nil, errNoForm(p.Name)
+		}
+	}
+	return profs, nil
+}
+
 // checkRecords rejects n points per profile whose iteration records, at
-// each profile's resolved iteration count, would exceed MaxRecords.
-func checkRecords(profs []*workload.Profile, n, iters int) error {
+// the iteration count core resolves for each profile under base, would
+// exceed MaxRecords. Every profile has a form (profiles).
+func (e *Engine) checkRecords(profs []*workload.Profile, base *core.Config, n int) error {
 	total := 0
 	for _, p := range profs {
-		it := iters
-		if it == 0 {
-			it = max(p.Iterations, 1)
-		}
+		it, _ := e.form(p.Name).Admits(base)
 		if n > (MaxRecords-total)/it {
 			return errTooManyRecords
 		}
@@ -194,7 +258,7 @@ func resolveLadder(sel []int, n int, domain string) ([]int, error) {
 	return sel, nil
 }
 
-// baseConfig builds the batch's shared framework configuration — the
+// baseConfig builds a spec's shared framework configuration — the
 // exact shape the per-point studies use (core.DefaultConfig plus
 // Iterations), so eligible points share their run-cache keys. The ambient
 // chaos plan applies here; per-draw plans override it in config.
@@ -229,108 +293,54 @@ func specialize(base core.Config, spec *Spec, pt Point, lv *core.Levels) core.Co
 	return base
 }
 
-// Batch is one batch's shared precomputation — each workload's baseline
-// closed form over the validated device level tables, built once — detached
-// from any particular spec so external callers (the fleet engine, the
-// daemon) can evaluate ad-hoc configurations through the same evaluation
-// body Engine.Run uses. A Batch is immutable after construction and safe
-// for concurrent use.
-type Batch struct {
-	e   *Engine
-	cfs []core.ClosedForm
-}
-
-// NewBatch validates the engine's device configurations and precomputes
-// the shared tables for every profile the engine knows.
-func (e *Engine) NewBatch() (*Batch, error) {
-	b, err := e.newBatch(e.Profiles)
-	if err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
-
-// newBatch is the one builder of a batch's tables: it validates the bus,
-// builds both devices' frequency-level tables, and tabulates each profile's
-// closed form against them. It returns the batch by value so Run and
-// PredictSweetSpots keep theirs off the heap.
-func (e *Engine) newBatch(profs []*workload.Profile) (Batch, error) {
-	if err := e.Bus.Validate(); err != nil {
-		return Batch{}, err
-	}
-	gt, err := gpusim.BuildTables(e.GPU)
-	if err != nil {
-		return Batch{}, err
-	}
-	ct, err := cpusim.BuildTables(e.CPU)
-	if err != nil {
-		return Batch{}, err
-	}
-	cfs := make([]core.ClosedForm, len(profs))
-	for i, p := range profs {
-		cfs[i] = core.NewClosedForm(p, gt, ct, &e.Bus)
-	}
-	return Batch{e: e, cfs: cfs}, nil
-}
-
-// form returns the named workload's closed form, or nil when the batch
-// does not hold the workload.
-func (b Batch) form(name string) *core.ClosedForm {
-	for i := range b.cfs {
-		if b.cfs[i].Profile.Name == name {
-			return &b.cfs[i]
-		}
-	}
-	return nil
-}
-
 // Eval evaluates the named workload under one explicit configuration
-// through the batch's evaluation body. A nil cfg.FaultPlan inherits the
+// through the engine's evaluation body. A nil cfg.FaultPlan inherits the
 // engine's ambient plan, mirroring Engine.Run. The bool reports whether
 // the closed-form evaluator produced the result.
-func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
-	cf := b.form(name)
+func (e *Engine) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
+	cf := e.form(name)
 	if cf == nil {
-		return nil, false, fmt.Errorf("sweep: workload %q not in batch", name)
+		return nil, false, errNoForm(name)
 	}
-	b.e.inheritPlan(&cfg)
+	e.inheritPlan(&cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
 	iters, fast := cf.Admits(&cfg)
 	count(1, fast)
-	r, err := b.result(cf, &cfg, iters, fast)
+	r, err := e.result(cf, &cfg, iters, fast)
 	return r, fast, err
 }
 
-// Key returns the run-cache fingerprint the batch would use for the named
-// workload under cfg (after inheriting the engine's ambient fault plan),
-// or false when the configuration is not cacheable. External dedup layers
-// group by this key so their groups collapse exactly when the cache would
-// collapse them.
-func (b *Batch) Key(name string, cfg core.Config) (runcache.Key, bool) {
-	cf := b.form(name)
+// Key returns the run-cache fingerprint the engine would use for the
+// named workload under cfg (after inheriting the engine's ambient fault
+// plan), or false when the configuration is not cacheable. External dedup
+// layers group by this key so their groups collapse exactly when the
+// cache would collapse them.
+func (e *Engine) Key(name string, cfg core.Config) (runcache.Key, bool, error) {
+	cf := e.form(name)
 	if cf == nil {
-		return runcache.Key{}, false
+		return runcache.Key{}, false, errNoForm(name)
 	}
-	b.e.inheritPlan(&cfg)
+	e.inheritPlan(&cfg)
 	if !runcache.Cacheable(&cfg) {
-		return runcache.Key{}, false
+		return runcache.Key{}, false, nil
 	}
-	return runcache.KeyOf(&b.e.GPU, &b.e.CPU, &b.e.Bus, cf.Profile, &cfg, ""), true
+	return runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, cf.Profile, &cfg, ""), true, nil
 }
 
-// Plan validates and expands the spec as Engine.Plan does, for a plan
-// whose every Run evaluates through this batch instead of building its
-// own tables. A long-lived caller (the daemon) builds one batch and plans
-// every request against it.
-func (b *Batch) Plan(spec Spec) (Plan, error) {
-	p, err := b.e.Plan(spec)
-	if err != nil {
-		return Plan{}, err
+// Memo returns compute's value for prof under cfg. When the engine has a
+// run cache and the cache keeps cfg, it goes through the cache, keyed by
+// the engine's devices, prof, cfg and variant ("" for a plain run), so
+// concurrent callers of one key single-flight onto one computation;
+// otherwise Memo calls compute directly. Every memoized evaluation — a
+// point's full result, a sweet-spot search, a metered study run — goes
+// through it.
+func (e *Engine) Memo(prof *workload.Profile, cfg *core.Config, variant string, compute func() (runcache.Value, error)) (runcache.Value, error) {
+	if !e.keeps(cfg) {
+		return compute()
 	}
-	p.b = b
-	return p, nil
+	return e.Cache.Do(runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, prof, cfg, variant), compute)
 }
 
 // Run plans and evaluates the spec (Plan, then Plan.Run).
@@ -348,51 +358,37 @@ func (e *Engine) Run(ctx context.Context, spec Spec) ([]PointResult, error) {
 // entries), and the error is ctx.Err(). The daemon routes client
 // disconnects through this path.
 func (p *Plan) Run(ctx context.Context) ([]PointResult, error) {
-	b, err := p.batch()
-	if err != nil {
-		return nil, err
-	}
+	e := p.e
 	metricBatches.Inc()
 	for _, pr := range p.profs {
 		// Every workload has the same number of points. A ladder point
 		// takes its workload's path, because Admits reads no field
 		// specialize sets; a draw point's per-draw plan is armed, and the
 		// closed form never admits an armed plan.
-		_, fast := b.form(pr.Name).Admits(&p.base)
+		_, fast := e.form(pr.Name).Admits(&p.base)
 		count(len(p.Points)/len(p.profs), fast && p.spec.Draws == 0)
 	}
 	return parallel.Map(ctx, p.Points,
 		func(_ int, pt Point) (PointResult, error) {
-			return b.evalPoint(&p.spec, &p.base, pt)
-		}, p.e.Jobs)
+			return e.evalPoint(e.form(pt.Workload), &p.spec, &p.base, pt)
+		}, e.Jobs)
 }
 
-// batch returns the batch Run evaluates through: Batch.Plan's, or one
-// built for the plan's workloads.
-func (p *Plan) batch() (Batch, error) {
-	if p.b != nil {
-		return *p.b, nil
-	}
-	return p.e.newBatch(p.profs)
-}
-
-// evalPoint evaluates one point of a spec: the batch-validated base
-// configuration specialized to the point, through the evaluation body. It
-// counts nothing; Plan.Run and PredictSweetSpots count their points.
-// Per-draw plans (validated by core.Run on the fallback path) are the only
-// per-point deviation from the base. A closed-form point that no run cache
-// will keep accumulates only its totals, from a configuration in this
-// frame: nothing reads its per-iteration records, and nothing keeps the
-// configuration, so the point allocates nothing. result can keep its
-// configuration past the call (core.Run's framework, a cache entry's
-// computation), so it gets its own. Value receivers keep a
-// stack-constructed batch out of the heap when closures capture it.
-func (b Batch) evalPoint(spec *Spec, base *core.Config, pt Point) (PointResult, error) {
-	cf := b.form(pt.Workload)
+// evalPoint evaluates one point of a spec, the workload's form cf given:
+// the validated base configuration specialized to the point, through the
+// evaluation body. It counts nothing; Plan.Run and PredictSweetSpots count
+// their points. Per-draw plans (validated by core.Run on the fallback
+// path) are the only per-point deviation from the base. A closed-form
+// point that no run cache will keep accumulates only its totals, from a
+// configuration in this frame: nothing reads its per-iteration records,
+// and nothing keeps the configuration, so the point allocates nothing.
+// result can keep its configuration past the call (core.Run's framework, a
+// cache entry's computation), so it gets its own.
+func (e *Engine) evalPoint(cf *core.ClosedForm, spec *Spec, base *core.Config, pt Point) (PointResult, error) {
 	var lv core.Levels
 	cfg := specialize(*base, spec, pt, &lv)
 	iters, fast := cf.Admits(&cfg)
-	if fast && !b.keeps(&cfg) {
+	if fast && !e.keeps(&cfg) {
 		var r core.Result // nil Iterations: the loop stores no records
 		if err := cf.Totals(&cfg, iters, &r); err != nil {
 			return PointResult{Point: pt, Fast: fast}, err
@@ -400,7 +396,7 @@ func (b Batch) evalPoint(spec *Spec, base *core.Config, pt Point) (PointResult, 
 		return totals(pt, &r, fast), nil
 	}
 	own := specialize(*base, spec, pt, new(core.Levels))
-	r, err := b.result(cf, &own, iters, fast)
+	r, err := e.result(cf, &own, iters, fast)
 	if err != nil {
 		return PointResult{Point: pt, Fast: fast}, err
 	}
@@ -414,8 +410,8 @@ func totals(pt Point, r *core.Result, fast bool) PointResult {
 }
 
 // count adds n points, all on one path, to the sweep counters.
-// Callers count once per batch, search or Eval, not once per point; the
-// path, from ClosedForm.Admits, depends only on the batch and the
+// Callers count once per plan, search or Eval, not once per point; the
+// path, from ClosedForm.Admits, depends only on the form and the
 // configuration, so it is the same on a cache hit and a miss.
 func count(n int, fast bool) {
 	metricPoints.Add(uint64(n))
@@ -427,29 +423,21 @@ func count(n int, fast bool) {
 }
 
 // keeps reports whether the engine's run cache will keep cfg's result.
-func (b Batch) keeps(cfg *core.Config) bool {
-	return b.e.Cache != nil && runcache.Cacheable(cfg)
+func (e *Engine) keeps(cfg *core.Config) bool {
+	return e.Cache != nil && runcache.Cacheable(cfg)
 }
 
 // result computes cfg's full result on the path Admits chose — the closed
-// form or core.Run on a fresh machine — through the run cache when it
-// keeps the point. Admits and result are the evaluation body every point
-// goes through; evalPoint bypasses result only for a closed-form point no
-// cache keeps.
-func (b Batch) result(cf *core.ClosedForm, cfg *core.Config, iters int, fast bool) (*core.Result, error) {
-	e := b.e
-	compute := func() (*core.Result, error) {
+// form or core.Run on a fresh machine — through Memo. Admits and result
+// are the evaluation body every point goes through; evalPoint bypasses
+// result only for a closed-form point no cache keeps.
+func (e *Engine) result(cf *core.ClosedForm, cfg *core.Config, iters int, fast bool) (*core.Result, error) {
+	v, err := e.Memo(cf.Profile, cfg, "", func() (runcache.Value, error) {
 		if fast {
-			return cf.Run(cfg, iters)
+			r, err := cf.Run(cfg, iters)
+			return runcache.Value{Result: r}, err
 		}
-		return core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), cf.Profile, *cfg)
-	}
-	if !b.keeps(cfg) {
-		return compute()
-	}
-	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, cf.Profile, cfg, "")
-	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
-		r, err := compute()
+		r, err := core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), cf.Profile, *cfg)
 		return runcache.Value{Result: r}, err
 	})
 	return v.Result, err

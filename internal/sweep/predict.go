@@ -15,13 +15,11 @@ import (
 	"strconv"
 	"strings"
 
-	"greengpu/internal/core"
 	"greengpu/internal/predict"
 	"greengpu/internal/runcache"
 	"greengpu/internal/telemetry"
 	"greengpu/internal/trace"
 	"greengpu/internal/units"
-	"greengpu/internal/workload"
 )
 
 // SpotResult pairs one workload with its sweet-spot search outcome. Core
@@ -54,15 +52,11 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 	if spec.Draws > 0 {
 		return nil, fmt.Errorf("sweep: predict needs a ladder spec, not Monte Carlo draws")
 	}
-	profs, err := workload.Select(e.Profiles, spec.Workloads)
+	profs, err := e.profiles(spec.Workloads)
 	if err != nil {
 		return nil, err
 	}
 	cores, mems, cpuLvl, err := e.ladder(&spec)
-	if err != nil {
-		return nil, err
-	}
-	b, err := e.newBatch(profs)
 	if err != nil {
 		return nil, err
 	}
@@ -82,15 +76,21 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 	variant := predictVariant(opts, cores, mems, cpuLvl)
 
 	out := make([]SpotResult, 0, len(profs))
-	for i, prof := range profs {
+	for _, prof := range profs {
 		n := prof.Name
-		_, fast := b.cfs[i].Admits(&base)
-		search := func() (predict.Outcome, error) {
+		cf := e.form(n)
+		_, fast := cf.Admits(&base)
+		// The run cache stores the whole outcome: anchors must stay in the
+		// verified set (a corner anchor may be the optimum), so memoizing
+		// only the fitted coefficients would change warm-run outcomes;
+		// memoizing the search itself keeps warm and cold runs
+		// byte-identical.
+		v, err := e.Memo(prof, &base, variant, func() (runcache.Value, error) {
 			evals := 0
 			oc, err := predict.SweetSpot(coreF, memF, func(ci, mi int) (predict.Sample, error) {
 				evals++
 				pt := Point{Workload: n, Draw: -1, Core: cores[ci], Mem: mems[mi], CPU: cpuLvl}
-				pr, err := b.evalPoint(&spec, &base, pt)
+				pr, err := e.evalPoint(cf, &spec, &base, pt)
 				if err != nil {
 					return predict.Sample{}, err
 				}
@@ -100,44 +100,21 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 			// (see Plan.Run); the search counts them once.
 			count(evals, fast)
 			if err != nil {
-				return oc, err
+				return runcache.Value{}, err
 			}
 			// Map the resolved-ladder indices back onto the device ladder
 			// before the outcome is returned (or memoized).
 			oc.Core, oc.Mem = cores[oc.Core], mems[oc.Mem]
-			return oc, nil
-		}
-		oc, err := e.memoizedSearch(&base, prof, variant, search)
+			return runcache.Value{Predict: &oc}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
+		oc := *v.Predict
 		e.stampPredict(n, oc, cpuLvl)
 		out = append(out, SpotResult{Workload: n, Outcome: oc})
 	}
 	return out, nil
-}
-
-// memoizedSearch runs (or replays) one workload's search through the run
-// cache. The stored value is the whole outcome: anchors must stay in the
-// verified set (a corner anchor may be the optimum), so memoizing only the
-// fitted coefficients would change warm-run outcomes; memoizing the search
-// itself keeps warm and cold runs byte-identical.
-func (e *Engine) memoizedSearch(base *core.Config, prof *workload.Profile, variant string, search func() (predict.Outcome, error)) (predict.Outcome, error) {
-	if e.Cache == nil || !runcache.Cacheable(base) {
-		return search()
-	}
-	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, prof, base, variant)
-	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
-		oc, err := search()
-		if err != nil {
-			return runcache.Value{}, err
-		}
-		return runcache.Value{Predict: &oc}, nil
-	})
-	if err != nil {
-		return predict.Outcome{}, err
-	}
-	return *v.Predict, nil
 }
 
 // predictVariant names the search flavour for the run cache: everything

@@ -28,7 +28,7 @@ func denseEngine(t testing.TB) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Engine{GPU: gpu, CPU: cpu, Bus: b, Profiles: profiles, Jobs: 1}
+	return mustNew(t, gpu, cpu, b, profiles)
 }
 
 // bruteSpots exhaustively evaluates the spec and returns each workload's
@@ -345,7 +345,7 @@ func TestRunFallbackMatrix(t *testing.T) {
 // of evaluated points whose Fast flag is true or false — for Engine.Run on
 // a ladder whose workloads take different paths and on draws, for
 // PredictSweetSpots (whose evaluations are its outcomes' FullEvals), and
-// for Batch.Eval.
+// for Engine.Eval.
 func TestPointCountersAddUp(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
@@ -361,7 +361,7 @@ func TestPointCountersAddUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Profiles = append(e.Profiles, prof)
+	e = mustNew(t, e.GPU, e.CPU, e.Bus, append(e.Profiles, prof))
 
 	counters := func() [3]uint64 {
 		v := telemetry.Default.CounterValue
@@ -422,22 +422,18 @@ func TestPointCountersAddUp(t *testing.T) {
 		}
 	}
 
-	b, err := e.NewBatch()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, mode := range []core.Mode{core.Baseline, core.Holistic} {
 		before := counters()
 		cfg := core.DefaultConfig(mode)
 		cfg.Iterations = 2
-		_, fast, err := b.Eval("kmeans", cfg)
+		_, fast, err := e.Eval("kmeans", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fast {
-			check("Batch.Eval", before, 1, 0)
+			check("Engine.Eval", before, 1, 0)
 		} else {
-			check("Batch.Eval", before, 0, 1)
+			check("Engine.Eval", before, 0, 1)
 		}
 	}
 }
@@ -478,7 +474,7 @@ func TestRunSaturationStaysFast(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.Profiles = append(e.Profiles, prof)
+			e = mustNew(t, e.GPU, e.CPU, e.Bus, append(e.Profiles, prof))
 			spec := Spec{Workloads: []string{tc.name}, Iterations: 4, CPULevel: -1,
 				CoreLevels: []int{0, 5}, MemLevels: []int{0, 5}}
 			got, err := e.Run(context.Background(), spec)

@@ -7,8 +7,12 @@ import (
 	"reflect"
 	"testing"
 
+	"greengpu/internal/bus"
 	"greengpu/internal/core"
+	"greengpu/internal/cpusim"
 	"greengpu/internal/faultinject"
+	"greengpu/internal/gpusim"
+	"greengpu/internal/predict"
 	"greengpu/internal/runcache"
 	"greengpu/internal/testbed"
 	"greengpu/internal/units"
@@ -23,10 +27,21 @@ func testEngine(t testing.TB) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Engine{GPU: gpu, CPU: cpu, Bus: b, Profiles: profiles, Jobs: 1}
+	return mustNew(t, gpu, cpu, b, profiles)
 }
 
-// config specializes the batch's base configuration for one point, as
+// mustNew builds a sequential engine through New.
+func mustNew(t testing.TB, gpu gpusim.Config, cpu cpusim.Config, b bus.Config, profiles []*workload.Profile) *Engine {
+	t.Helper()
+	e, err := New(gpu, cpu, b, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Jobs = 1
+	return e
+}
+
+// config specializes the spec's base configuration for one point, as
 // Engine.Run does.
 func (e *Engine) config(spec *Spec, pt Point) core.Config {
 	return specialize(e.baseConfig(spec), spec, pt, new(core.Levels))
@@ -63,20 +78,17 @@ func naiveRun(t testing.TB, e *Engine, spec Spec) []*core.Result {
 	return out
 }
 
-// evalFull evaluates every expanded point of spec through Batch.Eval, the
+// evalFull evaluates every expanded point of spec through Engine.Eval, the
 // path that builds full results, and returns the results with their Fast
 // flags.
 func evalFull(t testing.TB, e *Engine, spec Spec) ([]*core.Result, []bool) {
 	t.Helper()
 	pts := planPoints(t, e, spec)
-	b, err := e.NewBatch()
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := make([]*core.Result, len(pts))
 	fast := make([]bool, len(pts))
 	for i, pt := range pts {
-		if out[i], fast[i], err = b.Eval(pt.Workload, e.config(&spec, pt)); err != nil {
+		var err error
+		if out[i], fast[i], err = e.Eval(pt.Workload, e.config(&spec, pt)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,10 +105,10 @@ func sameTotals(pr PointResult, r *core.Result) bool {
 }
 
 // checkAgainstNaive holds the engine to per-point core.Run on every point
-// of spec: each Batch.Eval result must be byte-identical (DeepEqual over
+// of spec: each Engine.Eval result must be byte-identical (DeepEqual over
 // every field, float fields included — no tolerance) to core.Run on a fresh
 // machine, and Run must return core.Run's totals bit for bit, with the
-// same Fast flag as Batch.Eval, without a run cache (the totals-only
+// same Fast flag as Engine.Eval, without a run cache (the totals-only
 // closed form), on a cold cache (full results into the cache) and on the
 // same cache warm. It returns how many of its points took the closed form,
 // and how many there are.
@@ -162,16 +174,12 @@ func TestFastPathIterationDefaults(t *testing.T) {
 
 // TestSpinWaitOff covers the non-spinning CPU accrual path: a baseline
 // configuration with SpinWait off still takes the closed form through
-// Batch.Eval and matches core.Run.
+// Engine.Eval and matches core.Run.
 func TestSpinWaitOff(t *testing.T) {
 	e := testEngine(t)
 	spec := Spec{Workloads: []string{"nbody"}, Iterations: 2, CPULevel: -1,
 		CoreLevels: []int{2}, MemLevels: []int{3}}
 	pts := planPoints(t, e, spec)
-	b, err := e.NewBatch()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, pt := range pts {
 		cfg := e.config(&spec, pt)
 		cfg.SpinWait = false
@@ -180,7 +188,7 @@ func TestSpinWaitOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, fast, err := b.Eval(pt.Workload, cfg)
+		got, fast, err := e.Eval(pt.Workload, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,48 +223,87 @@ func TestRunAllocsIndependentOfPoints(t *testing.T) {
 	}
 }
 
-// TestBatchPlanReusesBatch: a plan built from a Batch returns what
-// Engine.Run returns, on ladders, draws and holistic points, and builds no
-// tables of its own: its Run allocates as much for nine workloads as for
-// one, where Engine.Run builds a closed form per workload.
-func TestBatchPlanReusesBatch(t *testing.T) {
+// TestPlanRunAllocsIndependentOfWorkloads: a plan's Run evaluates through
+// the closed forms New built and builds no tables of its own, so it
+// allocates as much for all nine workloads as for one.
+func TestPlanRunAllocsIndependentOfWorkloads(t *testing.T) {
 	e := testEngine(t)
-	b, err := e.NewBatch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, spec := range []Spec{
-		{Iterations: 4, CPULevel: -1},
-		{Workloads: []string{"kmeans", "lud"}, Draws: 3, Iterations: 2, CPULevel: -1, Seed: 7},
-		{Workloads: []string{"hotspot"}, Mode: core.Holistic, Iterations: 2, CPULevel: 1,
-			CoreLevels: []int{0, 5}, MemLevels: []int{1}},
-	} {
-		want, err := e.Run(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := b.Plan(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := p.Run(ctx); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("%+v: Batch.Plan's run differs from Engine.Run (%v)", spec, err)
-		}
-	}
 	allocs := func(workloads []string) float64 {
-		p, err := b.Plan(Spec{Workloads: workloads, Iterations: 4, CPULevel: -1, CoreLevels: []int{0}, MemLevels: []int{0}})
+		p, err := e.Plan(Spec{Workloads: workloads, Iterations: 4, CPULevel: -1, CoreLevels: []int{0}, MemLevels: []int{0}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := p.Run(ctx); err != nil {
+			if _, err := p.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if one, all := allocs([]string{"kmeans"}), allocs(nil); one != all {
-		t.Errorf("a batch plan's Run allocates %v objects for one workload and %v for all; want no per-workload allocation", one, all)
+		t.Errorf("a plan's Run allocates %v objects for one workload and %v for all; want no per-workload allocation", one, all)
+	}
+}
+
+// TestUnbuiltEngineErrors: an engine New did not build, and one whose
+// Profiles grew after New, hold no closed form of the workloads in
+// question, and Plan, Eval, Key and PredictSweetSpots say so with an error
+// instead of dereferencing a missing form.
+func TestUnbuiltEngineErrors(t *testing.T) {
+	built := testEngine(t)
+	literal := &Engine{GPU: built.GPU, CPU: built.CPU, Bus: built.Bus, Profiles: built.Profiles, Jobs: 1}
+	grown := testEngine(t)
+	extra := *grown.Profiles[0]
+	extra.Name = "kmeans-copy"
+	grown.Profiles = append(grown.Profiles, &extra)
+	for _, tc := range []struct {
+		name     string
+		e        *Engine
+		workload string
+	}{
+		{"literal", literal, "kmeans"},
+		{"grown", grown, "kmeans-copy"},
+	} {
+		spec := Spec{Workloads: []string{tc.workload}, Iterations: 2, CPULevel: -1}
+		cfg := core.DefaultConfig(core.Baseline)
+		if _, err := tc.e.Plan(spec); err == nil {
+			t.Errorf("%s: Plan accepted %q", tc.name, tc.workload)
+		}
+		if _, err := tc.e.Plan(Spec{Iterations: 2, CPULevel: -1}); err == nil {
+			t.Errorf("%s: Plan accepted every workload", tc.name)
+		}
+		if _, _, err := tc.e.Eval(tc.workload, cfg); err == nil {
+			t.Errorf("%s: Eval accepted %q", tc.name, tc.workload)
+		}
+		if _, _, err := tc.e.Key(tc.workload, cfg); err == nil {
+			t.Errorf("%s: Key accepted %q", tc.name, tc.workload)
+		}
+		if _, err := tc.e.PredictSweetSpots(spec, predict.Options{}); err == nil {
+			t.Errorf("%s: PredictSweetSpots accepted %q", tc.name, tc.workload)
+		}
+	}
+	if _, _, err := built.Eval("kmeans", core.DefaultConfig(core.Baseline)); err != nil {
+		t.Errorf("built engine: Eval: %v", err)
+	}
+}
+
+// TestNewRejectsBadDevices: New validates the bus and both devices before
+// it tabulates anything.
+func TestNewRejectsBadDevices(t *testing.T) {
+	e := testEngine(t)
+	badBus := e.Bus
+	badBus.Bandwidth = 0
+	badGPU := e.GPU
+	badGPU.CoreLevels = nil
+	badCPU := e.CPU
+	badCPU.PStates = nil
+	for name, args := range map[string]func() (*Engine, error){
+		"bus": func() (*Engine, error) { return New(e.GPU, e.CPU, badBus, e.Profiles) },
+		"gpu": func() (*Engine, error) { return New(badGPU, e.CPU, e.Bus, e.Profiles) },
+		"cpu": func() (*Engine, error) { return New(e.GPU, badCPU, e.Bus, e.Profiles) },
+	} {
+		if _, err := args(); err == nil {
+			t.Errorf("New accepted a bad %s", name)
+		}
 	}
 }
 
@@ -327,7 +374,7 @@ func TestDraws(t *testing.T) {
 			t.Errorf("draw %d took the fast path", d)
 		}
 		if !sameTotals(pr, full[d]) {
-			t.Errorf("draw %d: Run totals diverge from Batch.Eval of its configuration", d)
+			t.Errorf("draw %d: Run totals diverge from Engine.Eval of its configuration", d)
 		}
 		faults += full[d].Faults.Total()
 	}
